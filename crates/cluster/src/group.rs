@@ -22,7 +22,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use insq_core::{CoreError, DeltaIndex, InsConfig, MovingKnn, Space};
+use insq_core::{CoreError, DeltaIndex, InsConfig, Space};
 use insq_geom::Point;
 use insq_index::SiteDelta;
 use insq_net::WireSpace;
@@ -261,10 +261,9 @@ impl<S: WireSpace + Space<Pos = Point>> PartitionGroup<S> {
                 let knn_d = p.current_knn_with_dists();
                 let full = knn_d.len() >= p.config().k;
                 let kth = knn_d.last().map_or(f64::INFINITY, |&(_, d)| d);
-                let knn = q
-                    .current_knn()
-                    .into_iter()
-                    .map(|id| {
+                let knn = knn_d
+                    .iter()
+                    .map(|&(id, _)| {
                         plan.globalize(RegionId(r as u32), S::id_to_wire(id))
                             .expect("engine ids map to plan")
                     })

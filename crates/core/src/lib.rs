@@ -33,6 +33,7 @@
 
 pub mod continuous;
 pub mod euclidean;
+mod held;
 pub mod influential;
 pub mod metrics;
 pub mod mis;
@@ -53,7 +54,7 @@ pub use network::{
     Network,
 };
 pub use processor::{InsConfig, MovingKnn, Processor};
-pub use space::{DeltaIndex, Space, Validated, Verdict};
+pub use space::{DeltaIndex, Space, TouchedSet, Validated, Verdict};
 pub use weighted::{WInsProcessor, WeightedEuclidean};
 
 /// The network processor configuration — identical to [`InsConfig`] now

@@ -30,8 +30,9 @@
 use std::borrow::Borrow;
 use std::marker::PhantomData;
 
+use crate::held::HeldSet;
 use crate::metrics::{QueryStats, TickOutcome};
-use crate::space::{Space, Verdict};
+use crate::space::{Space, TouchedSet, Verdict};
 use crate::CoreError;
 
 /// A continuous kNN processor driven by position updates.
@@ -133,11 +134,8 @@ pub struct Processor<S: Space, B: Borrow<S::Index>> {
     /// Client-side object cache: the prefetch set `R` plus its cached
     /// influential set (`I(R)` or `I(kNN)`, see
     /// [`Space::SCOPED_VALIDATION`]) plus everything fetched since the
-    /// last full recomputation.
-    /// `cached[ordinal]` mirrors membership of `cached_list` for O(1)
-    /// tests.
-    cached: Vec<bool>,
-    cached_list: Vec<S::SiteId>,
+    /// last full recomputation. Sized to the held set, not the index.
+    held: HeldSet<S::SiteId>,
     /// Own search scratch, used only by the standalone
     /// [`MovingKnn::tick`] path. Empty (no backing storage) until that
     /// path runs — fleet engines drive [`Processor::tick_with`] with a
@@ -181,14 +179,12 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
                 reason: "prefetch ratio rho must be finite and >= 1",
             });
         }
-        let cached = vec![false; S::num_sites(index.borrow())];
         Ok(Processor {
             index,
             cfg,
             knn: Vec::new(),
             scope: Vec::new(),
-            cached,
-            cached_list: Vec::new(),
+            held: HeldSet::default(),
             scratch: S::Scratch::default(),
             val_buf: Vec::new(),
             probe_buf: Vec::new(),
@@ -244,7 +240,8 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
     /// The guard set used for validation: every held object that is not
     /// a current kNN (the paper's `IS = I(R) ∪ R \ NNk(q)`).
     pub fn guard_set(&self) -> Vec<S::SiteId> {
-        self.cached_list
+        self.held
+            .as_slice()
             .iter()
             .copied()
             .filter(|&s| !self.knn.iter().any(|&(m, _)| m == s))
@@ -253,7 +250,7 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
 
     /// All objects currently held client-side.
     pub fn held_objects(&self) -> &[S::SiteId] {
-        &self.cached_list
+        self.held.as_slice()
     }
 
     /// Drops all client-side state (cache, guards, current result),
@@ -265,7 +262,7 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
     /// the IS"): inserted objects may be nearer than any held guard, and
     /// deleted guards certify nothing.
     pub fn invalidate(&mut self) {
-        self.drop_cache();
+        self.held.reset(0);
         self.knn.clear();
         self.scope.clear();
         self.initialized = false;
@@ -283,45 +280,63 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
     /// fewer than `k` objects, subsequent ticks return all of them
     /// (`current_knn` shrinks below `k`) rather than failing.
     pub fn rebind(&mut self, index: B) {
-        self.cached = vec![false; S::num_sites(index.borrow())];
         self.index = index;
-        self.cached_list.clear();
-        self.knn.clear();
-        self.scope.clear();
-        self.initialized = false;
+        self.invalidate();
+    }
+
+    /// [`Processor::rebind`] for a snapshot that differs from the bound
+    /// one by a single delta: when none of the held objects is in
+    /// `touched`, the processor moves to `index` **keeping its kNN,
+    /// guards and cache** and returns `true`; otherwise it rebinds in
+    /// full and returns `false`. A processor that never ticked holds
+    /// nothing to keep and rebinds in full.
+    ///
+    /// `touched` must cover every site of the bound snapshot that was
+    /// removed or renumbered, or whose position or Voronoi neighbor list
+    /// differs in `index` (see [`TouchedSet`]). An untouched held object
+    /// then is the same object with the same neighbors in both
+    /// snapshots, so `I(kNN)` is unchanged and still held: by Theorem 1
+    /// (`MIS(kNN) ⊆ I(kNN)`) the certificate the query holds is a
+    /// certificate in `index` too, and every later local update reads
+    /// only held objects and their neighbor lists.
+    pub fn rebind_scoped(&mut self, index: B, touched: &TouchedSet) -> bool {
+        let keep = self.initialized
+            && !self
+                .held
+                .as_slice()
+                .iter()
+                .any(|&s| touched.contains(S::ordinal(s)));
+        if keep {
+            self.index = index;
+        } else {
+            self.rebind(index);
+        }
+        keep
     }
 
     fn is_cached(&self, s: S::SiteId) -> bool {
-        self.cached[S::ordinal(s)]
+        self.held.contains(S::ordinal(s))
     }
 
     fn fetch(&mut self, sites: &[S::SiteId]) {
         for &s in sites {
-            if !self.cached[S::ordinal(s)] {
-                self.cached[S::ordinal(s)] = true;
-                self.cached_list.push(s);
+            if self.held.insert(S::ordinal(s), s) {
                 self.stats.comm_objects += 1;
             }
         }
     }
 
-    fn drop_cache(&mut self) {
-        for &s in &self.cached_list {
-            self.cached[S::ordinal(s)] = false;
-        }
-        self.cached_list.clear();
-    }
-
     /// Replaces the cache contents, counting only genuinely new objects
     /// as communication.
     fn reset_cache_to(&mut self, sites: impl Iterator<Item = S::SiteId> + Clone) {
-        let newly = sites.clone().filter(|&s| !self.is_cached(s)).count() as u64;
-        self.drop_cache();
+        let (mut total, mut newly) = (0, 0);
+        for s in sites.clone() {
+            total += 1;
+            newly += u64::from(!self.is_cached(s));
+        }
+        self.held.reset(total);
         for s in sites {
-            if !self.cached[S::ordinal(s)] {
-                self.cached[S::ordinal(s)] = true;
-                self.cached_list.push(s);
-            }
+            self.held.insert(S::ordinal(s), s);
         }
         self.stats.comm_objects += newly;
     }
@@ -405,7 +420,7 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
         let mut missing = std::mem::take(&mut self.missing_buf);
         missing.clear();
         for &s in cand_ids.iter().chain(ins.iter()) {
-            if !self.cached[S::ordinal(s)] {
+            if !self.is_cached(s) {
                 missing.push(s);
             }
         }
@@ -427,7 +442,7 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
         }
         // A candidate member the client did not hold means the update
         // semantically was a (partial) recomputation, not a local repair.
-        let was_local = cand_ids.iter().all(|&s| self.cached[S::ordinal(s)]);
+        let was_local = cand_ids.iter().all(|&s| self.is_cached(s));
 
         // Certification probe on the candidate's own neighborhood,
         // BEFORE any fetch — a candidate that fails certification must
@@ -453,7 +468,7 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
                 self.index.borrow(),
                 scratch,
                 &scope2,
-                &self.cached_list,
+                self.held.as_slice(),
                 pos,
                 self.cfg.k,
                 &mut res,
@@ -461,7 +476,7 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
         } else {
             let mut extended = std::mem::take(&mut self.extended_buf);
             extended.clear();
-            extended.extend_from_slice(&self.cached_list);
+            extended.extend_from_slice(self.held.as_slice());
             extended.extend_from_slice(&missing);
             let ops = S::scoped_knn_into(
                 self.index.borrow(),
@@ -540,7 +555,7 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
             self.index.borrow(),
             scratch,
             &self.scope,
-            &self.cached_list,
+            self.held.as_slice(),
             &self.knn,
             pos,
             self.cfg.k,

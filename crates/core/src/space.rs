@@ -91,7 +91,9 @@ pub trait Space: Sized + Copy + Send + Sync + 'static {
     /// Number of data objects in the snapshot.
     fn num_sites(index: &Self::Index) -> usize;
 
-    /// The dense ordinal of a site id in `0..num_sites` (bitmap caches).
+    /// The dense ordinal of a site id in `0..num_sites` — the key of the
+    /// per-query held-set table (which stores it as a `u32`: ordinals
+    /// must stay below `u32::MAX`) and of a delta epoch's [`TouchedSet`].
     fn ordinal(id: Self::SiteId) -> usize;
 
     /// Global kNN probe — the initial computation / update case (iii)
@@ -258,6 +260,47 @@ pub enum Validated<Id> {
     Invalid(Vec<(Id, f64)>),
 }
 
+/// What one delta epoch touched, as site ordinals of the snapshot the
+/// delta was applied **to**: every site that was removed or renumbered,
+/// or whose position or Voronoi neighbor list differs in the patched
+/// snapshot. A query none of whose held objects is in the set can move
+/// to the patched snapshot without recomputing (see
+/// [`crate::Processor::rebind_scoped`]).
+///
+/// One bit per pre-delta site, built once per epoch and read by every
+/// query of the fleet — the queries themselves hold nothing of this
+/// size.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TouchedSet {
+    bits: Vec<u64>,
+}
+
+impl TouchedSet {
+    /// The set of `ordinals` among the `num_sites` sites of the
+    /// pre-delta snapshot. Ordinals at or beyond `num_sites` (sites the
+    /// delta appended) are dropped: no query of the old snapshot can
+    /// hold them, and [`TouchedSet::contains`] reports them touched
+    /// anyway.
+    pub fn from_ordinals(num_sites: usize, ordinals: impl IntoIterator<Item = usize>) -> Self {
+        let mut bits = vec![0u64; num_sites.div_ceil(64)];
+        for o in ordinals {
+            if o < num_sites {
+                bits[o / 64] |= 1 << (o % 64);
+            }
+        }
+        TouchedSet { bits }
+    }
+
+    /// Whether the site with this ordinal was touched. Ordinals outside
+    /// the pre-delta snapshot count as touched.
+    #[inline]
+    pub fn contains(&self, ordinal: usize) -> bool {
+        self.bits
+            .get(ordinal / 64)
+            .is_none_or(|word| (word >> (ordinal % 64)) & 1 == 1)
+    }
+}
+
 /// An index snapshot that supports **delta epochs**: producing the next
 /// epoch's snapshot by patching a copy instead of rebuilding from
 /// scratch. `insq_server::World::apply` is generic over this trait.
@@ -270,6 +313,17 @@ pub trait DeltaIndex: Sized {
     /// Returns a patched copy of `self`; `self` is never modified, so on
     /// error the current snapshot simply stays live.
     fn apply_delta(&self, delta: &Self::Delta) -> Result<Self, Self::Error>;
+
+    /// [`DeltaIndex::apply_delta`] that also says what the delta
+    /// touched, so queries it is nowhere near can keep their guards
+    /// across the epoch. `None` — the default — means "everything":
+    /// every query rebinds in full, exactly as for a rebuilt snapshot.
+    fn apply_delta_traced(
+        &self,
+        delta: &Self::Delta,
+    ) -> Result<(Self, Option<TouchedSet>), Self::Error> {
+        Ok((self.apply_delta(delta)?, None))
+    }
 }
 
 impl DeltaIndex for VorTree {
@@ -281,6 +335,17 @@ impl DeltaIndex for VorTree {
         next.apply(delta)?;
         Ok(next)
     }
+
+    fn apply_delta_traced(
+        &self,
+        delta: &SiteDelta,
+    ) -> Result<(VorTree, Option<TouchedSet>), VoronoiError> {
+        let mut next = self.clone();
+        let mut touched = Vec::new();
+        next.apply_traced(delta, &mut touched)?;
+        let touched = TouchedSet::from_ordinals(self.len(), touched.iter().map(|s| s.idx()));
+        Ok((next, Some(touched)))
+    }
 }
 
 impl DeltaIndex for WeightedVorTree {
@@ -291,6 +356,17 @@ impl DeltaIndex for WeightedVorTree {
         let mut next = self.clone();
         next.apply(delta)?;
         Ok(next)
+    }
+
+    fn apply_delta_traced(
+        &self,
+        delta: &SiteDelta,
+    ) -> Result<(WeightedVorTree, Option<TouchedSet>), VoronoiError> {
+        let mut next = self.clone();
+        let mut touched = Vec::new();
+        next.apply_traced(delta, &mut touched)?;
+        let touched = TouchedSet::from_ordinals(self.len(), touched.iter().map(|s| s.idx()));
+        Ok((next, Some(touched)))
     }
 }
 

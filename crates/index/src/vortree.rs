@@ -130,8 +130,18 @@ impl VorTree {
     /// hint, so the Delaunay walk is O(1)). Returns the new site's id,
     /// always `SiteId(len - 1)`.
     pub fn insert_site(&mut self, p: Point) -> Result<SiteId, VoronoiError> {
+        self.insert_site_traced(p, &mut Vec::new())
+    }
+
+    /// [`VorTree::insert_site`], reporting the touched ids (see
+    /// [`Voronoi::insert_site_traced`]).
+    fn insert_site_traced(
+        &mut self,
+        p: Point,
+        touched: &mut Vec<SiteId>,
+    ) -> Result<SiteId, VoronoiError> {
         let hint = self.rtree.nearest(p).map(|(e, _)| SiteId(e.id));
-        let id = self.voronoi.insert_site(p, hint)?;
+        let id = self.voronoi.insert_site_traced(p, hint, touched)?;
         self.rtree.insert(p, id.0);
         self.xs.push(p.x);
         self.ys.push(p.y);
@@ -142,6 +152,16 @@ impl VorTree {
     /// last site, the last site is renumbered to `s` (the R-tree entry is
     /// re-keyed to match) and the moved site's old id is returned.
     pub fn remove_site(&mut self, s: SiteId) -> Result<Option<SiteId>, VoronoiError> {
+        self.remove_site_traced(s, &mut Vec::new())
+    }
+
+    /// [`VorTree::remove_site`], reporting the touched ids (see
+    /// [`Voronoi::remove_site_traced`]).
+    fn remove_site_traced(
+        &mut self,
+        s: SiteId,
+        touched: &mut Vec<SiteId>,
+    ) -> Result<Option<SiteId>, VoronoiError> {
         if s.idx() >= self.voronoi.len() {
             return Err(VoronoiError::SiteOutOfRange {
                 site: s.idx(),
@@ -149,7 +169,7 @@ impl VorTree {
             });
         }
         let p = self.voronoi.point(s);
-        let moved = self.voronoi.remove_site(s)?;
+        let moved = self.voronoi.remove_site_traced(s, touched)?;
         // Mirror the diagram's swap-remove in the SoA lanes.
         self.xs.swap_remove(s.idx());
         self.ys.swap_remove(s.idx());
@@ -171,6 +191,22 @@ impl VorTree {
     /// (like `insq_server::World::apply`) patch a clone and publish only
     /// on success.
     pub fn apply(&mut self, delta: &SiteDelta) -> Result<(), VoronoiError> {
+        self.apply_traced(delta, &mut Vec::new())
+    }
+
+    /// [`VorTree::apply`] that also appends to `touched` what the delta
+    /// touched, in ids of the index **before** the delta: every removed
+    /// id, both ids of every swap-remove renumbering, every inserted id,
+    /// and every site whose Voronoi neighbor list a repair rewrote
+    /// (duplicates possible). A site whose id is absent kept its id, its
+    /// position and its neighbor list through the whole delta — the
+    /// fact `insq_core::Processor::rebind_scoped` needs to carry a
+    /// query's guards into the next epoch.
+    pub fn apply_traced(
+        &mut self,
+        delta: &SiteDelta,
+        touched: &mut Vec<SiteId>,
+    ) -> Result<(), VoronoiError> {
         // Deltas are almost always already sorted and deduplicated; only
         // clone when they actually need normalising.
         let needs_normalising = delta.removed.windows(2).any(|w| w[0] >= w[1]);
@@ -185,10 +221,10 @@ impl VorTree {
             &delta.removed
         };
         for &s in removed.iter().rev() {
-            self.remove_site(s)?;
+            self.remove_site_traced(s, touched)?;
         }
         for &p in &delta.added {
-            self.insert_site(p)?;
+            self.insert_site_traced(p, touched)?;
         }
         // The patched diagram is about to be published as an immutable
         // epoch snapshot: re-freeze the neighbor lists into CSR.

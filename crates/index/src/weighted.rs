@@ -166,11 +166,21 @@ impl WeightedVorTree {
     /// coordinates, removal ids relative to the pre-delta index). Same
     /// semantics as [`VorTree::apply`].
     pub fn apply(&mut self, delta: &SiteDelta) -> Result<(), VoronoiError> {
+        self.apply_traced(delta, &mut Vec::new())
+    }
+
+    /// [`WeightedVorTree::apply`], reporting the touched ids (see
+    /// [`VorTree::apply_traced`]).
+    pub fn apply_traced(
+        &mut self,
+        delta: &SiteDelta,
+        touched: &mut Vec<SiteId>,
+    ) -> Result<(), VoronoiError> {
         let scaled = SiteDelta {
             added: delta.added.iter().map(|&p| self.weights.scale(p)).collect(),
             removed: delta.removed.clone(),
         };
-        self.tree.apply(&scaled)
+        self.tree.apply_traced(&scaled, touched)
     }
 }
 

@@ -115,7 +115,13 @@ proptest! {
 }
 
 /// Batched deltas through `VorTree::apply` conform too, including the
-/// documented removal order (descending pre-delta ids, swap-remove).
+/// documented removal order (descending pre-delta ids, swap-remove) —
+/// and the touched set `VorTree::apply_traced` reports is complete: a
+/// pre-delta id it does not name still names the same site with the same
+/// Voronoi neighbors afterwards. That is the whole licence for a query
+/// to keep its guards across a delta epoch, so it is checked against the
+/// plain before/after difference, removal of the last id, ids handed to
+/// insertions and shrinking deltas included.
 #[test]
 fn batched_delta_apply_conforms() {
     let mut state = 0x5eed_cafeu64;
@@ -133,8 +139,9 @@ fn batched_delta_apply_conforms() {
         .map(|_| Point::new(next() * 140.0 - 20.0, next() * 140.0 - 20.0))
         .collect();
 
-    for round in 0..12 {
-        let n_add = 1 + (next() * 6.0) as usize;
+    let mut kept = 0usize;
+    for round in 0..24 {
+        let n_add = (next() * 6.0) as usize;
         let n_rem = (next() * 5.0) as usize;
         let mut delta = SiteDelta::default();
         for _ in 0..n_add {
@@ -144,8 +151,28 @@ fn batched_delta_apply_conforms() {
         for _ in 0..n_rem.min(tree.len().saturating_sub(8)) {
             used.insert(SiteId((next() * tree.len() as f64) as u32));
         }
+        if round % 3 == 0 {
+            used.insert(SiteId(tree.len() as u32 - 1));
+        }
         delta.removed = used.into_iter().collect();
-        tree.apply(&delta).expect("delta applies cleanly");
+        let before = tree.clone();
+        let mut touched = Vec::new();
+        tree.apply_traced(&delta, &mut touched)
+            .expect("delta applies cleanly");
+
+        for s in (0..before.len() as u32).map(SiteId) {
+            if touched.contains(&s) {
+                continue;
+            }
+            kept += 1;
+            assert!(s.idx() < tree.len(), "round {round}: untouched {s} is gone");
+            assert_eq!(tree.point(s), before.point(s), "round {round}: {s} moved");
+            assert_eq!(
+                tree.voronoi().neighbors(s),
+                before.voronoi().neighbors(s),
+                "round {round}: untouched {s} has other neighbors"
+            );
+        }
 
         let rebuilt = VorTree::build(tree.voronoi().points().to_vec(), bounds()).unwrap();
         for &q in &queries {
@@ -158,6 +185,10 @@ fn batched_delta_apply_conforms() {
             }
         }
     }
+    assert!(
+        kept > 24 * 20,
+        "a touched set naming everything proves nothing"
+    );
 }
 
 /// Degenerate inputs: a cocircular/collinear integer grid under churn.

@@ -22,7 +22,9 @@ use insq_index::{AxisWeights, VorTree, WeightedVorTree};
 use insq_memprobe::CountingAlloc;
 use insq_roadnet::generators::{grid_network, random_site_vertices, GridConfig};
 use insq_roadnet::{NetPosition, NetTrajectory, NetworkWorld, SiteSet};
-use insq_server::{FleetConfig, FleetEngine, InsFleetQuery, World};
+use insq_server::{
+    FleetConfig, FleetEngine, InsFleetQuery, QueryId, TickDisposition, TickPolicy, TickPos, World,
+};
 
 #[global_allocator]
 static PROBE: CountingAlloc = CountingAlloc::new();
@@ -184,7 +186,7 @@ fn steady_state_ticks_allocate_nothing() {
     let feed = |t: usize| {
         let path = &path;
         let offsets = &offsets;
-        move |id: insq_server::QueryId| {
+        move |id: QueryId| {
             let o = offsets[id.index()];
             let q = path[t];
             Point::new(
@@ -204,4 +206,21 @@ fn steady_state_ticks_allocate_nothing() {
         }
     });
     assert_eq!(events, 0, "fleet tick_all path allocated");
+
+    // The recording tick every serving layer runs (`NetServer`,
+    // `PartitionGroup`): the engine keeps its per-shard disposition
+    // buffers, so a caller that reuses its sink pays no allocation
+    // either.
+    let mut sink: Vec<(QueryId, TickDisposition)> = Vec::with_capacity(n_queries);
+    let mut recording_lap = |fleet: &mut FleetEngine<VorTree, InsFleetQuery>| {
+        for t in 0..path.len() {
+            sink.clear();
+            let pos = feed(t);
+            fleet.tick(TickPolicy::Barrier, |id| TickPos::Fresh(pos(id)), &mut sink);
+            assert_eq!(sink.len(), n_queries);
+        }
+    };
+    recording_lap(&mut fleet);
+    let events = events_during(|| recording_lap(&mut fleet));
+    assert_eq!(events, 0, "fleet recording tick allocated");
 }

@@ -1,0 +1,125 @@
+//! Footprint and rebind guards: a query costs what its guard set costs.
+//!
+//! Two claims, both about memory that must **not** scale with the number
+//! of sites in the index:
+//!
+//! 1. the bytes allocated to register one more query and give it its
+//!    first answer are the same on a 1 000-site and on a 100 000-site
+//!    index, up to a small constant (buffer-growth steps of a slightly
+//!    different guard set);
+//! 2. a warm query that is rebound to another snapshot and recomputes —
+//!    what every query of a fleet does after a `World::publish`, and the
+//!    touched ones after a `World::apply` — performs zero allocation
+//!    events.
+//!
+//! One `#[test]`, so no concurrent test thread allocates inside a
+//! measured window (see `alloc_guard.rs`).
+
+use std::sync::Arc;
+
+use insq_core::{Euclidean, InsConfig, MovingKnn, Processor};
+use insq_geom::{Aabb, Point};
+use insq_index::{SiteDelta, VorTree};
+use insq_memprobe::CountingAlloc;
+use insq_server::{FleetConfig, FleetEngine, InsFleetQuery, QueryId, World};
+use insq_voronoi::SiteId;
+
+#[global_allocator]
+static PROBE: CountingAlloc = CountingAlloc::new();
+
+fn lcg(seed: u64) -> impl FnMut() -> f64 {
+    let mut state = seed;
+    move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 11) as f64) / ((1u64 << 53) as f64)
+    }
+}
+
+fn build(n: usize, seed: u64) -> VorTree {
+    let mut next = lcg(seed);
+    let points = (0..n)
+        .map(|_| Point::new(next() * 100.0, next() * 100.0))
+        .collect();
+    let bounds = Aabb::new(Point::new(-10.0, -10.0), Point::new(110.0, 110.0));
+    VorTree::build(points, bounds).unwrap()
+}
+
+/// Bytes allocated by `register` + the first tick of one query joining
+/// a warm single-shard engine over an `n`-site world.
+fn bytes_to_join(n: usize) -> u64 {
+    let world = Arc::new(World::new(build(n, 0x5eed)));
+    let cfg = InsConfig::new(5, 1.6);
+    let mut fleet: FleetEngine<VorTree, InsFleetQuery> = FleetEngine::new(
+        Arc::clone(&world),
+        FleetConfig {
+            shards: 1,
+            threads: 1,
+        },
+    );
+    // A first query warms what the engine shares per shard (the search
+    // scratch *is* sized to the index, once per shard) and its own
+    // validation buffers.
+    let pos = Point::new(47.0, 53.0);
+    fleet.register(InsFleetQuery::new(&world, cfg).unwrap());
+    for _ in 0..3 {
+        fleet.tick_all(|_| pos);
+    }
+    let before = PROBE.bytes();
+    let id = fleet.register(InsFleetQuery::new(&world, cfg).unwrap());
+    fleet.tick_all(|_| pos);
+    let bytes = PROBE.bytes() - before;
+    assert_eq!(id, QueryId(1));
+    assert_eq!(fleet.query(id).unwrap().current_knn().len(), cfg.k);
+    bytes
+}
+
+#[test]
+fn a_query_costs_what_its_guard_set_costs() {
+    // ---------------------------------------------------- footprint
+    let small = bytes_to_join(1_000);
+    let large = bytes_to_join(100_000);
+    assert!(
+        small.abs_diff(large) < 4096,
+        "joining a fleet must not cost memory proportional to the index: \
+         {small} B at 1 000 sites, {large} B at 100 000"
+    );
+
+    // ------------------------------------- warm rebind + recompute
+    let a = Arc::new(build(2_000, 0xa));
+    let b = {
+        let mut patched = (*a).clone();
+        let mut next = lcg(0xb);
+        let added = (0..24)
+            .map(|_| Point::new(next() * 100.0, next() * 100.0))
+            .collect();
+        let removed = (0..24).map(|i| SiteId(i * 71)).collect();
+        patched.apply(&SiteDelta { added, removed }).unwrap();
+        Arc::new(patched)
+    };
+    let mut next = lcg(0xc);
+    let path: Vec<Point> = (0..200)
+        .map(|_| Point::new(next() * 100.0, next() * 100.0))
+        .collect();
+    let mut p = Processor::<Euclidean, _>::new(Arc::clone(&a), InsConfig::new(5, 1.6)).unwrap();
+    // One lap alternates the two snapshots every fifth tick; far-apart
+    // positions make the ticks in between recompute too. Two laps warm
+    // every buffer to the lap's working set, the third is counted.
+    let lap = |p: &mut Processor<Euclidean, Arc<VorTree>>| {
+        for (i, &q) in path.iter().enumerate() {
+            if i % 5 == 0 {
+                p.rebind(Arc::clone(if i % 10 == 0 { &b } else { &a }));
+            }
+            p.tick(q);
+        }
+    };
+    lap(&mut p);
+    lap(&mut p);
+    let recomputations = p.stats().recomputations;
+    let before = PROBE.events();
+    lap(&mut p);
+    let events = PROBE.events() - before;
+    assert!(p.stats().recomputations >= recomputations + path.len() as u64 / 5);
+    assert_eq!(events, 0, "a warm rebind + recompute allocated");
+}

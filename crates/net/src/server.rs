@@ -866,16 +866,15 @@ impl<S: WireSpace> Reactor<S> {
             let summary = engine.tick(policy, |id| feed[&id.0], &mut dispositions);
             let mut at = 0usize;
             engine.for_each_query(|qid, q| {
-                use insq_core::MovingKnn;
                 let (did, disposition) = dispositions[at];
                 at += 1;
                 debug_assert_eq!(did, qid, "disposition order matches query order");
                 let msg = disposition.outcome().map(|outcome| {
-                    let ids: Vec<u32> = q.current_knn().into_iter().map(S::id_to_wire).collect();
+                    let p = q.processor();
+                    let knn = p.current_knn_with_dists();
+                    let ids: Vec<u32> = knn.iter().map(|&(s, _)| S::id_to_wire(s)).collect();
                     let flags = match self.shared.cfg.certify_within {
                         Some(margin) => {
-                            let p = q.processor();
-                            let knn = p.current_knn_with_dists();
                             let full = knn.len() >= p.config().k;
                             let kth = knn.last().map_or(f64::INFINITY, |&(_, d)| d);
                             if full && kth <= margin {

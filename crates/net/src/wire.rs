@@ -525,6 +525,10 @@ pub enum Message {
     /// The server published a new index epoch; the session's query
     /// rebinds at its next tick. Pushed at most once per epoch per
     /// session, before the first [`Message::KnnResult`] of that epoch.
+    /// That result's `outcome` is whatever the tick needed: `Recompute`
+    /// after a full publish, but after a delta epoch that touched none
+    /// of the objects the query holds it may well be `Valid` — the
+    /// query crossed the epoch on its kept guards.
     EpochNotify {
         /// The new epoch number.
         epoch: u64,

@@ -2,7 +2,8 @@
 //!
 //! [`FleetEngine`] owns a sharded registry of live [`FleetQuery`]s over
 //! one shared, epoch-versioned [`World`] and advances all of them per
-//! timestamp in parallel batches on a scoped-thread worker pool.
+//! timestamp in parallel, shard by shard, on the calling thread and a
+//! scoped-thread worker pool beside it.
 //!
 //! **The tick contract.** [`FleetEngine::tick`] is the one entry point:
 //! it takes an explicit [`TickPolicy`], a position feed returning a
@@ -19,14 +20,15 @@
 //! **Determinism.** Queries are independent (they share only the
 //! immutable world snapshot), every query belongs to exactly one shard,
 //! shards process their queries in registration order, per-query
-//! staleness counters advance in that same order, and per-shard
-//! statistics are merged in shard order — so `tick` results and all
-//! aggregate counters are bit-identical to sequential execution at every
-//! thread count, under either policy. The equivalence tests in
-//! `tests/fleet_equivalence.rs` and `tests/tick_policy.rs` assert
-//! exactly this, across an epoch swap.
+//! staleness counters advance in that same order, which worker ticks a
+//! shard is the only thing left to chance, and per-shard statistics are
+//! merged in shard order — so `tick` results and all aggregate counters
+//! are bit-identical to sequential execution at every thread count,
+//! under either policy. The equivalence tests in
+//! `tests/fleet_equivalence.rs` and `tests/tick_policy.rs` assert exactly
+//! this, across an epoch swap.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use insq_core::{QueryStats, TickOutcome};
@@ -50,18 +52,21 @@ impl QueryId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetConfig {
     /// Number of registry shards (≥ 1). Queries are assigned round-robin
-    /// by id, so shards stay evenly sized; `tick_all` statically splits
-    /// the shard list into one contiguous block per worker (deterministic
-    /// by construction — there is no dynamic stealing). The default suits
-    /// fleets of thousands.
+    /// by id, so shards stay evenly sized. A shard is the unit of work of
+    /// a tick: each worker takes the next unticked shard whenever it is
+    /// free, so one delayed worker costs the tick a share of a shard, not
+    /// a share of the fleet (deterministic all the same — a shard's
+    /// results do not depend on which worker ticks it). The default
+    /// suits fleets of thousands.
     pub shards: usize,
-    /// Worker threads for `tick_all` (≥ 1). `1` means strictly
-    /// sequential execution on the calling thread. This is a *cap*: the
-    /// effective worker count of a tick is additionally clamped to the
-    /// shard count and to the hardware parallelism available at engine
-    /// construction — oversubscribing a host buys nothing but scheduler
-    /// overhead, and the tick results are bit-identical at every worker
-    /// count anyway.
+    /// Workers of a tick (≥ 1), the calling thread included: a tick
+    /// spawns `threads - 1` scoped threads and the caller works beside
+    /// them. `1` means strictly sequential execution on the calling
+    /// thread. This is a *cap*: the effective worker count of a tick is
+    /// additionally clamped to the shard count and to the hardware
+    /// parallelism available at engine construction — oversubscribing a
+    /// host buys nothing but scheduler overhead, and the tick results are
+    /// bit-identical at every worker count anyway.
     pub threads: usize,
 }
 
@@ -212,8 +217,9 @@ pub struct TickSummary {
     pub epoch: Epoch,
     /// Queries advanced.
     pub ticked: u64,
-    /// Queries that detected an epoch bump and rebound to the new
-    /// snapshot before ticking.
+    /// Queries that detected an epoch bump and moved to the new
+    /// snapshot before ticking — whether they dropped their guards or,
+    /// after a delta epoch that touched none of them, kept them.
     pub rebinds: u64,
     /// Ticks that validated without any result change.
     pub valid: u64,
@@ -303,6 +309,10 @@ pub struct FleetEngine<W, Q: FleetQuery<W>> {
     scratches: Vec<Q::Scratch>,
     /// Per-shard tick summaries, reused across ticks.
     summaries: Vec<TickSummary>,
+    /// Per-shard disposition buffers of a recording tick, reused across
+    /// ticks like `summaries` (a served tick allocates nothing once they
+    /// have grown to the shard sizes).
+    records: Vec<Vec<(QueryId, TickDisposition)>>,
     threads: usize,
     /// Hardware parallelism probed once at construction; the effective
     /// worker count of a tick never exceeds it.
@@ -326,6 +336,7 @@ where
             shards: (0..shards).map(|_| Vec::new()).collect(),
             scratches: (0..shards).map(|_| Q::Scratch::default()).collect(),
             summaries: vec![TickSummary::default(); shards],
+            records: vec![Vec::new(); shards],
             threads: cfg.threads.max(1),
             hw: std::thread::available_parallelism()
                 .map(|p| p.get())
@@ -368,7 +379,7 @@ where
     /// recomputation at its next tick.
     pub fn register(&mut self, mut query: Q) -> QueryId {
         let (epoch, snapshot) = self.world.snapshot();
-        query.bind(epoch, &snapshot);
+        query.bind(epoch, &snapshot, None);
         let id = QueryId(self.next_id);
         self.next_id += 1;
         let shard = id.index() % self.shards.len();
@@ -431,8 +442,9 @@ where
     /// per live query, in deterministic shard order. Queries that
     /// actually tick and are bound to an older epoch than the world's
     /// current one are rebound first (paying a recomputation on this
-    /// tick); re-served queries keep their old snapshot until the policy
-    /// forces a refresh.
+    /// tick, unless the epoch is a delta that touched nothing they hold
+    /// — see [`FleetQuery::bind`]); re-served queries keep their old
+    /// snapshot until the policy forces a refresh.
     ///
     /// # Panics
     ///
@@ -444,16 +456,13 @@ where
         K: TickSink + ?Sized,
     {
         if K::RECORDS {
-            let (summary, per_shard) =
-                self.tick_sharded::<F, Vec<(QueryId, TickDisposition)>>(policy, positions);
-            for shard in per_shard {
-                for (id, disposition) in shard {
-                    sink.record(id, disposition);
-                }
+            let summary = self.tick_sharded::<F, true>(policy, positions);
+            for &(id, disposition) in self.records.iter().flatten() {
+                sink.record(id, disposition);
             }
             summary
         } else {
-            self.tick_sharded::<F, ()>(policy, positions).0
+            self.tick_sharded::<F, false>(policy, positions)
         }
     }
 
@@ -496,15 +505,20 @@ where
         self.tick(TickPolicy::Barrier, |id| TickPos::Fresh(positions(id)), out)
     }
 
-    /// The one tick loop behind every policy: `R` is the per-shard
-    /// disposition recorder (`()` = record nothing).
-    fn tick_sharded<F, R>(&mut self, policy: TickPolicy, positions: F) -> (TickSummary, Vec<R>)
+    /// The one tick loop behind every policy. With `RECORD`, every
+    /// query's disposition is left in `self.records`, per shard; without
+    /// it recording compiles away.
+    fn tick_sharded<F, const RECORD: bool>(
+        &mut self,
+        policy: TickPolicy,
+        positions: F,
+    ) -> TickSummary
     where
         F: Fn(QueryId) -> TickPos<Q::Pos> + Sync,
-        R: TickSink + Default + Send,
     {
         let t0 = Instant::now();
-        let (epoch, snapshot) = self.world.snapshot();
+        let (epoch, snapshot, touched) = self.world.snapshot_traced();
+        let touched = touched.as_deref();
         let n_shards = self.shards.len();
         // Never oversubscribe: more workers than the host has cores buys
         // nothing but scheduler overhead (results are bit-identical at
@@ -513,22 +527,27 @@ where
         let threads = self.threads.min(n_shards).min(self.hw).max(1);
         self.summaries.clear();
         self.summaries.resize(n_shards, TickSummary::default());
-        let mut recorded: Vec<R> = (0..n_shards).map(|_| R::default()).collect();
 
         // Pre-tick bookkeeping shared by every path that actually
         // advances a query: reset staleness, rebind if the epoch moved.
         let tick_entry = |entry: &mut Entry<Q>, out: &mut TickSummary| {
             entry.stale = 0;
             if entry.query.bound_epoch() != epoch {
-                entry.query.bind(epoch, &snapshot);
+                entry.query.bind(epoch, &snapshot, touched);
                 out.rebinds += 1;
             }
         };
         let tick_shard = |shard: &mut Vec<Entry<Q>>,
                           scratch: &mut Q::Scratch,
                           out: &mut TickSummary,
-                          rec: &mut R| {
+                          rec: &mut Vec<(QueryId, TickDisposition)>| {
             out.epoch = epoch;
+            rec.clear();
+            let mut record = |id: QueryId, disposition: TickDisposition| {
+                if RECORD {
+                    rec.push((id, disposition));
+                }
+            };
             match policy {
                 TickPolicy::Barrier => {
                     for entry in shard.iter_mut() {
@@ -538,7 +557,7 @@ where
                         tick_entry(entry, out);
                         let outcome = entry.query.tick_with(scratch, pos);
                         out.record(outcome);
-                        rec.record(entry.id, TickDisposition::Fresh(outcome));
+                        record(entry.id, TickDisposition::Fresh(outcome));
                     }
                 }
                 TickPolicy::Deadline { max_staleness } => {
@@ -548,7 +567,7 @@ where
                                 tick_entry(entry, out);
                                 let outcome = entry.query.tick_with(scratch, pos);
                                 out.record(outcome);
-                                rec.record(entry.id, TickDisposition::Fresh(outcome));
+                                record(entry.id, TickDisposition::Fresh(outcome));
                             }
                             TickPos::Held(pos) => {
                                 entry.stale += 1;
@@ -557,16 +576,16 @@ where
                                     let outcome = entry.query.tick_with(scratch, pos);
                                     out.record(outcome);
                                     out.refreshed += 1;
-                                    rec.record(entry.id, TickDisposition::Refreshed(outcome));
+                                    record(entry.id, TickDisposition::Refreshed(outcome));
                                 } else {
                                     out.stale += 1;
-                                    rec.record(entry.id, TickDisposition::Stale);
+                                    record(entry.id, TickDisposition::Stale);
                                 }
                             }
                             TickPos::Missing => {
                                 entry.stale += 1;
                                 out.stale += 1;
-                                rec.record(entry.id, TickDisposition::Stale);
+                                record(entry.id, TickDisposition::Stale);
                             }
                         }
                     }
@@ -574,38 +593,40 @@ where
             }
         };
 
+        // One work item per shard, in shard order.
+        let work = self
+            .shards
+            .iter_mut()
+            .zip(self.scratches.iter_mut())
+            .zip(self.summaries.iter_mut())
+            .zip(self.records.iter_mut());
         if threads == 1 {
-            for (((shard, scratch), out), rec) in self
-                .shards
-                .iter_mut()
-                .zip(self.scratches.iter_mut())
-                .zip(self.summaries.iter_mut())
-                .zip(recorded.iter_mut())
-            {
+            for (((shard, scratch), out), rec) in work {
                 tick_shard(shard, scratch, out, rec);
             }
         } else {
-            let chunk = n_shards.div_ceil(threads);
-            let tick_shard = &tick_shard;
+            // Every worker takes the next shard whenever it is free, and
+            // the caller is one of the workers. With a fixed block per
+            // spawned worker and the caller asleep a tick lasts as long
+            // as its unluckiest block — the kernel may start two workers
+            // on one core, or take a core away for a moment — and on a
+            // two-core host that was one tick in ten. Which worker ticks
+            // a shard changes nothing the shard computes, so results
+            // stay bit-identical. The guard is released before the shard
+            // is ticked: a panicking query cannot poison the queue.
+            let work = Mutex::new(work);
+            let drain = || loop {
+                let next = work.lock().unwrap_or_else(PoisonError::into_inner).next();
+                let Some((((shard, scratch), out), rec)) = next else {
+                    break;
+                };
+                tick_shard(shard, scratch, out, rec);
+            };
             std::thread::scope(|scope| {
-                for (((shards, scratches), outs), recs) in self
-                    .shards
-                    .chunks_mut(chunk)
-                    .zip(self.scratches.chunks_mut(chunk))
-                    .zip(self.summaries.chunks_mut(chunk))
-                    .zip(recorded.chunks_mut(chunk))
-                {
-                    scope.spawn(move || {
-                        for (((shard, scratch), out), rec) in shards
-                            .iter_mut()
-                            .zip(scratches.iter_mut())
-                            .zip(outs.iter_mut())
-                            .zip(recs.iter_mut())
-                        {
-                            tick_shard(shard, scratch, out, rec);
-                        }
-                    });
+                for _ in 1..threads {
+                    scope.spawn(drain);
                 }
+                drain();
             });
         }
 
@@ -618,7 +639,7 @@ where
             summary.absorb(s);
         }
         self.elapsed += t0.elapsed();
-        (summary, recorded)
+        summary
     }
 
     /// Aggregated fleet statistics: per-shard [`QueryStats`] merges (in

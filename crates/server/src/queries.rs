@@ -6,7 +6,8 @@
 //! query's bound epoch against the world's current epoch at tick time and
 //! calls [`FleetQuery::bind`] on the stale ones — the fleet equivalent of
 //! the paper's "if there are data object updates, we also update the kNN
-//! set and the IS".
+//! set and the IS", done only for the queries the update is near when
+//! the epoch says what it touched.
 //!
 //! There is exactly one implementation: the space-generic
 //! [`SpaceQuery`], wrapping the generic `insq_core::Processor` over an
@@ -16,7 +17,9 @@
 
 use std::sync::Arc;
 
-use insq_core::{CoreError, InsConfig, MovingKnn, Processor, QueryStats, Space, TickOutcome};
+use insq_core::{
+    CoreError, InsConfig, MovingKnn, Processor, QueryStats, Space, TickOutcome, TouchedSet,
+};
 
 use crate::world::{Epoch, World};
 
@@ -36,9 +39,13 @@ pub trait FleetQuery<W>: MovingKnn<Self::Pos, Self::Id> + Send {
     /// The epoch of the snapshot the query currently holds.
     fn bound_epoch(&self) -> Epoch;
 
-    /// Rebinds the query to a newly published snapshot. The next tick
-    /// pays one full recomputation; statistics are preserved.
-    fn bind(&mut self, epoch: Epoch, snapshot: &Arc<W>);
+    /// Rebinds the query to the snapshot of `epoch`; statistics are
+    /// preserved. `touched` is what the step from `epoch - 1` to `epoch`
+    /// touched, if the world knows (`World::snapshot_traced`): a query
+    /// bound to `epoch - 1` that holds no touched object keeps its
+    /// result and guards. In every other case the query drops them and
+    /// its next tick pays one full recomputation.
+    fn bind(&mut self, epoch: Epoch, snapshot: &Arc<W>, touched: Option<&TouchedSet>);
 
     /// Advances the query one timestamp using a caller-provided scratch
     /// — the allocation-free hot path [`crate::FleetEngine::tick`] runs,
@@ -123,13 +130,21 @@ impl<S: Space> FleetQuery<S::Index> for SpaceQuery<S> {
         self.proc.tick_with(scratch, pos)
     }
 
-    fn bind(&mut self, epoch: Epoch, snapshot: &Arc<S::Index>) {
+    fn bind(&mut self, epoch: Epoch, snapshot: &Arc<S::Index>, touched: Option<&TouchedSet>) {
         // The whole snapshot is rebound — on road networks a published
         // snapshot may carry a different network (map update) whose site
         // set / NVD index into *its* adjacency; in the common
         // POIs-changed case the unchanged parts are shared via `Arc` and
         // rebinding them is free.
-        self.proc.rebind(Arc::clone(snapshot));
+        let index = Arc::clone(snapshot);
+        match touched {
+            // `touched` describes exactly one step; a query further
+            // behind missed deltas nobody kept.
+            Some(touched) if self.epoch.next() == epoch => {
+                self.proc.rebind_scoped(index, touched);
+            }
+            _ => self.proc.rebind(index),
+        }
         self.epoch = epoch;
     }
 }

@@ -24,13 +24,18 @@
 //! Either way the [`World`] swaps its snapshot atomically and bumps the
 //! [`Epoch`]. Live queries keep reading their old `Arc`-held snapshot —
 //! results stay exact against the epoch they are bound to — and
-//! self-rebind to the new snapshot at their next tick, paying exactly one
-//! recomputation. This replaces the manual `rebind` dance of single-query
-//! code (`examples/data_updates.rs`).
+//! self-rebind to the new snapshot at their next tick. After a `publish`
+//! that costs every query one recomputation. A delta epoch also records
+//! *what the delta touched* ([`insq_core::TouchedSet`]); a query exactly
+//! one epoch behind whose held objects are all untouched moves to the
+//! new snapshot keeping its kNN and guards, and only the queries the
+//! delta is near recompute (Euclidean spaces; every road-network delta
+//! still rebinds the whole fleet). This replaces the manual `rebind`
+//! dance of single-query code (`examples/data_updates.rs`).
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use insq_core::DeltaIndex;
+use insq_core::{DeltaIndex, TouchedSet};
 
 pub use insq_roadnet::NetworkWorld;
 
@@ -65,11 +70,21 @@ impl Epoch {
 /// writer elsewhere never turns later calls into panics.
 #[derive(Debug)]
 pub struct World<S> {
-    state: RwLock<(Epoch, Arc<S>)>,
+    state: RwLock<State<S>>,
     /// Serialises writers: `apply` is a read-modify-write, so two
     /// concurrent appliers (or an applier racing a publisher) must not
     /// interleave. Readers are never blocked by this lock.
     writer: Mutex<()>,
+}
+
+/// What readers see, swapped as one unit.
+#[derive(Debug)]
+struct State<S> {
+    epoch: Epoch,
+    data: Arc<S>,
+    /// What the step from `epoch - 1` to `epoch` touched, when that step
+    /// was a traced delta; `None` after a publish (anything may differ).
+    touched: Option<Arc<TouchedSet>>,
 }
 
 impl<S> World<S> {
@@ -81,16 +96,20 @@ impl<S> World<S> {
     /// Creates a world at epoch 0 from an already-shared snapshot.
     pub fn from_arc(data: Arc<S>) -> World<S> {
         World {
-            state: RwLock::new((Epoch(0), data)),
+            state: RwLock::new(State {
+                epoch: Epoch(0),
+                data,
+                touched: None,
+            }),
             writer: Mutex::new(()),
         }
     }
 
-    fn read_state(&self) -> RwLockReadGuard<'_, (Epoch, Arc<S>)> {
+    fn read_state(&self) -> RwLockReadGuard<'_, State<S>> {
         self.state.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn write_state(&self) -> RwLockWriteGuard<'_, (Epoch, Arc<S>)> {
+    fn write_state(&self) -> RwLockWriteGuard<'_, State<S>> {
         self.state.write().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -100,13 +119,21 @@ impl<S> World<S> {
 
     /// The current epoch.
     pub fn epoch(&self) -> Epoch {
-        self.read_state().0
+        self.read_state().epoch
     }
 
     /// The current epoch and its snapshot, taken atomically.
     pub fn snapshot(&self) -> (Epoch, Arc<S>) {
         let guard = self.read_state();
-        (guard.0, Arc::clone(&guard.1))
+        (guard.epoch, Arc::clone(&guard.data))
+    }
+
+    /// [`World::snapshot`] plus what the step from the previous epoch to
+    /// this one touched — `Some` only when that step was a delta epoch
+    /// whose index traces its deltas ([`DeltaIndex::apply_delta_traced`]).
+    pub fn snapshot_traced(&self) -> (Epoch, Arc<S>, Option<Arc<TouchedSet>>) {
+        let guard = self.read_state();
+        (guard.epoch, Arc::clone(&guard.data), guard.touched.clone())
     }
 
     /// Publishes a rebuilt snapshot, bumping the epoch. Returns the new
@@ -120,24 +147,31 @@ impl<S> World<S> {
     /// republish the same prebuilt index without a rebuild).
     pub fn publish_arc(&self, data: Arc<S>) -> Epoch {
         let _serial = self.lock_writer();
-        self.swap_in(data)
+        self.swap_in(data, None)
     }
 
     /// The snapshot swap itself (callers hold the writer lock).
-    fn swap_in(&self, data: Arc<S>) -> Epoch {
+    fn swap_in(&self, data: Arc<S>, touched: Option<TouchedSet>) -> Epoch {
+        let touched = touched.map(Arc::new);
         let mut guard = self.write_state();
-        guard.0 = guard.0.next();
-        guard.1 = data;
-        guard.0
+        let epoch = guard.epoch.next();
+        *guard = State {
+            epoch,
+            data,
+            touched,
+        };
+        epoch
     }
 }
 
 impl<S: DeltaIndex> World<S> {
     /// Applies a batched delta as a **delta epoch**: the current snapshot
     /// is patched copy-on-write ([`DeltaIndex::apply_delta`] — local
-    /// repair, no rebuild) and the patched clone published. Cost scales
-    /// with the delta's neighborhood instead of O(n log n); queries
-    /// rebind exactly as they do for a full [`World::publish`].
+    /// repair, no rebuild) and the patched clone published together
+    /// with what the delta touched, so only the queries holding a
+    /// touched object recompute (see the module docs). The repair scales
+    /// with the delta's neighborhood instead of O(n log n); the copy is
+    /// still O(n).
     ///
     /// On error nothing is published and the world is unchanged — a
     /// rejected delta (stale removal id, duplicate insertion, …) comes
@@ -146,9 +180,9 @@ impl<S: DeltaIndex> World<S> {
     /// longer than the final pointer swap.
     pub fn apply(&self, delta: &S::Delta) -> Result<Epoch, S::Error> {
         let _serial = self.lock_writer();
-        let current = Arc::clone(&self.read_state().1);
-        let next = current.apply_delta(delta)?;
-        Ok(self.swap_in(Arc::new(next)))
+        let current = Arc::clone(&self.read_state().data);
+        let (next, touched) = current.apply_delta_traced(delta)?;
+        Ok(self.swap_in(Arc::new(next), touched))
     }
 }
 

@@ -183,15 +183,24 @@ fn register_binds_the_query_to_the_engines_world() {
     assert_eq!(got, want, "results must come from the engine's world");
 }
 
-/// Drives a fleet over `idx_v0`, performing `update` at `SWAP_AT`, and
-/// returns per-query results plus the aggregate stats.
+/// What [`run_fleet_with_update`] observed.
+#[derive(PartialEq)]
+struct UpdateRun {
+    /// Every client's kNN after every tick, `[tick * clients + client]`.
+    knn_stream: Vec<Vec<SiteId>>,
+    /// Per-client cumulative statistics.
+    stats: Vec<QueryStats>,
+    total: QueryStats,
+}
+
+/// Drives a fleet over `idx_v0`, performing `update` at `SWAP_AT`.
 fn run_fleet_with_update(
     sc: &FleetScenario,
     idx_v0: &Arc<VorTree>,
     trajs: &[Trajectory],
     threads: usize,
     update: impl Fn(&World<VorTree>),
-) -> (Vec<PerQuery>, QueryStats) {
+) -> UpdateRun {
     let world = Arc::new(World::from_arc(Arc::clone(idx_v0)));
     let mut fleet: FleetEngine<VorTree, InsFleetQuery> = FleetEngine::new(
         Arc::clone(&world),
@@ -203,6 +212,8 @@ fn run_fleet_with_update(
     for _ in 0..sc.clients {
         fleet.register(InsFleetQuery::new(&world, InsConfig::new(sc.k, sc.rho)).unwrap());
     }
+    let client_ids = || (0..sc.clients).map(|c| QueryId(c as u64));
+    let mut knn_stream = Vec::with_capacity(sc.ticks * sc.clients);
     for tick in 0..sc.ticks {
         if tick == SWAP_AT {
             update(&world);
@@ -213,23 +224,26 @@ fn run_fleet_with_update(
         let summary = fleet.tick_all(|id| positions[id.index()]);
         let expected_rebinds = if tick == SWAP_AT { sc.clients } else { 0 };
         assert_eq!(summary.rebinds as usize, expected_rebinds, "tick {tick}");
+        knn_stream.extend(client_ids().map(|id| fleet.query(id).unwrap().current_knn()));
     }
-    let per_query: Vec<PerQuery> = (0..sc.clients)
-        .map(|c| {
-            let q = fleet.query(QueryId(c as u64)).unwrap();
-            PerQuery {
-                knn: q.current_knn(),
-                stats: *q.stats(),
-            }
-        })
-        .collect();
-    (per_query, fleet.stats().total)
+    UpdateRun {
+        knn_stream,
+        stats: client_ids()
+            .map(|id| *fleet.query(id).unwrap().stats())
+            .collect(),
+        total: fleet.stats().total,
+    }
 }
 
 /// Delta epochs vs full republish: a mid-run `World::apply` of a
-/// `SiteDelta` must give every client results (and statistics)
-/// bit-identical to a mid-run `World::publish` of a from-scratch index
-/// over the equivalent site set — at every thread count.
+/// `SiteDelta` must give every client, at every tick, the kNN a mid-run
+/// `World::publish` of a from-scratch index over the equivalent site set
+/// gives it — and must be cheaper: `publish` makes every query drop its
+/// guards and recompute, `apply` only the queries holding an object the
+/// delta touched. The saving is a fleet total, not a per-client bound (a
+/// query that keeps its guards across the epoch recomputes on a
+/// different schedule afterwards). The `apply` run itself is
+/// bit-identical, statistics included, at every thread count.
 #[test]
 fn delta_epoch_matches_full_publish_mid_run() {
     let sc = FleetScenario {
@@ -260,29 +274,43 @@ fn delta_epoch_matches_full_publish_mid_run() {
         Arc::new(VorTree::build(patched.voronoi().points().to_vec(), sc.clip_window()).unwrap())
     };
 
-    let (ref_queries, ref_total) = run_fleet_with_update(&sc, &idx_v0, &trajs, 1, |world| {
+    let published = run_fleet_with_update(&sc, &idx_v0, &trajs, 1, |world| {
         world.publish_arc(Arc::clone(&equivalent));
     });
-    for threads in [1usize, 2, 8] {
-        let (delta_queries, delta_total) =
-            run_fleet_with_update(&sc, &idx_v0, &trajs, threads, |world| {
-                world.apply(&delta).unwrap();
-            });
-        assert_eq!(
-            delta_total, ref_total,
-            "aggregate stats diverged (threads={threads})"
-        );
-        for (c, (d, r)) in delta_queries.iter().zip(&ref_queries).enumerate() {
-            assert_eq!(
-                d.knn, r.knn,
-                "kNN diverged for client {c} (threads={threads})"
-            );
-            assert_eq!(
-                d.stats, r.stats,
-                "stats diverged for client {c} (threads={threads})"
-            );
-        }
+    let applied = run_fleet_with_update(&sc, &idx_v0, &trajs, 1, |world| {
+        world.apply(&delta).unwrap();
+    });
+    for (at, (a, p)) in applied
+        .knn_stream
+        .iter()
+        .zip(&published.knn_stream)
+        .enumerate()
+    {
+        let (tick, client) = (at / sc.clients, at % sc.clients);
+        assert_eq!(a, p, "kNN diverged for client {client} at tick {tick}");
     }
+    assert!(
+        applied.total.recomputations < published.total.recomputations,
+        "apply must spare the untouched queries their recomputation: {} vs {}",
+        applied.total.recomputations,
+        published.total.recomputations
+    );
+    assert!(
+        applied.total.comm_objects < published.total.comm_objects,
+        "kept guards are not shipped again: {} vs {}",
+        applied.total.comm_objects,
+        published.total.comm_objects
+    );
+    for threads in [2usize, 8] {
+        let again = run_fleet_with_update(&sc, &idx_v0, &trajs, threads, |world| {
+            world.apply(&delta).unwrap();
+        });
+        assert!(
+            again == applied,
+            "the apply run diverged from itself at threads={threads}"
+        );
+    }
+    let last_tick = &applied.knn_stream[(sc.ticks - 1) * sc.clients..];
 
     // Exactness: final results answer from the post-delta site set.
     let (_, snap) = {
@@ -292,7 +320,7 @@ fn delta_epoch_matches_full_publish_mid_run() {
     };
     for c in [0usize, 17, sc.clients - 1] {
         let pos = sc.position(&trajs[c], c, sc.ticks - 1);
-        let mut got = ref_queries[c].knn.clone();
+        let mut got = last_tick[c].clone();
         got.sort_unstable();
         let mut want = snap.voronoi().knn_brute(pos, sc.k);
         want.sort_unstable();

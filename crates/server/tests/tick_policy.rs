@@ -9,8 +9,12 @@
 //!   bound (force-tick → `Refreshed`, which also propagates epoch
 //!   swaps), stays bit-identical across thread counts, and converges
 //!   to exact kNN once position updates resume.
+//! * Workers take shards as they become free, the caller among them: a
+//!   stalled worker holds back its own shard only.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use insq_core::{InsConfig, MovingKnn, TickOutcome};
 use insq_geom::{Point, Trajectory};
@@ -330,4 +334,70 @@ fn barrier_panics_on_held_positions() {
         |_| TickPos::<Point>::Held(Point::new(1.0, 1.0)),
         &mut (),
     );
+}
+
+/// Spins until `cond` holds; a test that would otherwise hang fails.
+fn wait_until(what: &str, cond: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out: {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// A worker that stalls holds back only the shard it is ticking: the
+/// other workers — the caller is one of them — take every shard it has
+/// not started, and the tick's results are what a sequential engine
+/// gives. (With a fixed block of shards per worker the stalled worker's
+/// block would wait for it.)
+#[test]
+fn a_stalled_worker_holds_back_only_its_own_shard() {
+    const SHARDS: usize = 6;
+    let sc = scenario();
+    let per_shard = sc.clients / SHARDS;
+    let idx = Arc::new(VorTree::build(sc.points(0), sc.clip_window()).unwrap());
+    let trajs: Vec<Trajectory> = (0..sc.clients).map(|c| sc.client_trajectory(c)).collect();
+    let pos = positions(&sc, &trajs, 0);
+
+    let world = Arc::new(World::from_arc(Arc::clone(&idx)));
+    let mut reference = build_fleet(&world, &sc, 1, SHARDS);
+    let mut want: Vec<(QueryId, TickDisposition)> = Vec::new();
+    let want_summary = reference.tick(
+        TickPolicy::Barrier,
+        |id| TickPos::Fresh(pos[id.index()]),
+        &mut want,
+    );
+
+    // The engine clamps its workers to the cores it found; with one core
+    // the caller ticks alone and there is nobody to stall.
+    let parallel = std::thread::available_parallelism().is_ok_and(|p| p.get() >= 2);
+    let caller = std::thread::current().id();
+    let stalled = AtomicBool::new(false);
+    let fed = AtomicUsize::new(0);
+    let mut fleet = build_fleet(&world, &sc, 2, SHARDS);
+    let mut got: Vec<(QueryId, TickDisposition)> = Vec::new();
+    let summary = fleet.tick(
+        TickPolicy::Barrier,
+        |id| {
+            if std::thread::current().id() == caller {
+                if parallel {
+                    wait_until("a second worker takes a shard", || {
+                        stalled.load(Ordering::SeqCst)
+                    });
+                }
+            } else if !stalled.swap(true, Ordering::SeqCst) {
+                // The spawned worker's first query: stall until every
+                // query of every other shard has been fed.
+                wait_until("the other shards are ticked meanwhile", || {
+                    fed.load(Ordering::SeqCst) == sc.clients - per_shard
+                });
+            }
+            fed.fetch_add(1, Ordering::SeqCst);
+            TickPos::Fresh(pos[id.index()])
+        },
+        &mut got,
+    );
+    assert_eq!(fed.load(Ordering::SeqCst), sc.clients);
+    assert_eq!(summary, want_summary);
+    assert_eq!(got, want);
 }

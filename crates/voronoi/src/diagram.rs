@@ -128,6 +128,20 @@ impl Voronoi {
     /// Returns the new site's id, which is always `SiteId(len - 1)` of
     /// the grown diagram.
     pub fn insert_site(&mut self, p: Point, hint: Option<SiteId>) -> Result<SiteId, VoronoiError> {
+        self.insert_site_traced(p, hint, &mut Vec::new())
+    }
+
+    /// [`Voronoi::insert_site`] that also appends to `touched` the new
+    /// site's id and the id of every site whose neighbor list the repair
+    /// rewrote — what a delta epoch reports so that queries guarded by
+    /// other sites can keep their guards (`insq_core::TouchedSet`).
+    /// Nothing is appended on error.
+    pub fn insert_site_traced(
+        &mut self,
+        p: Point,
+        hint: Option<SiteId>,
+        touched: &mut Vec<SiteId>,
+    ) -> Result<SiteId, VoronoiError> {
         if !p.is_finite() {
             return Err(VoronoiError::NonFinite {
                 index: self.points.len(),
@@ -140,6 +154,7 @@ impl Voronoi {
             Ok(affected) => {
                 self.adj.push(Vec::new());
                 self.refresh_adjacency(&affected);
+                touched.extend(affected.into_iter().map(SiteId));
                 Ok(SiteId(v))
             }
             Err(e) => {
@@ -159,6 +174,20 @@ impl Voronoi {
     /// must apply the same rename). Removal keeps at least 3 sites and
     /// refuses to leave an all-collinear site set.
     pub fn remove_site(&mut self, s: SiteId) -> Result<Option<SiteId>, VoronoiError> {
+        self.remove_site_traced(s, &mut Vec::new())
+    }
+
+    /// [`Voronoi::remove_site`] that also appends to `touched` every id
+    /// that stops naming the same site with the same neighbors: `s`, the
+    /// old id of the site renumbered to `s` (the last one), and every
+    /// site whose neighbor list the repair or the renumbering rewrote
+    /// (see [`Voronoi::insert_site_traced`]). Nothing is appended on
+    /// error.
+    pub fn remove_site_traced(
+        &mut self,
+        s: SiteId,
+        touched: &mut Vec<SiteId>,
+    ) -> Result<Option<SiteId>, VoronoiError> {
         let n = self.points.len();
         if s.idx() >= n {
             return Err(VoronoiError::SiteOutOfRange {
@@ -193,6 +222,9 @@ impl Voronoi {
         to_fix.sort_unstable();
         to_fix.dedup();
         self.refresh_adjacency(&to_fix);
+        // `s` itself is `last` or, as the moved site's new id, in `to_fix`.
+        touched.push(SiteId(last));
+        touched.extend(to_fix.into_iter().map(SiteId));
         Ok(moved)
     }
 

@@ -6,10 +6,15 @@
 //! of rebuilding the whole VoR-tree (O(n log n)) and publishing it, the
 //! server calls `World::apply(SiteDelta)`, which clones the snapshot
 //! copy-on-write and patches only the Delaunay cavity / R-tree entries
-//! the delta touches. The client sees an ordinary epoch bump, rebinds,
-//! and pays exactly one recomputation; the conformance suites
-//! (`crates/index/tests/incremental_conformance.rs`) prove the patched
-//! index answers bit-identically to a from-scratch rebuild.
+//! the delta touches. The epoch bump also says which objects the delta
+//! touched (`World::snapshot_traced`), and the client does what every
+//! `FleetEngine` query does: `rebind_scoped` keeps its kNN and guards
+//! when it holds none of them — the epoch then costs it nothing — and
+//! otherwise drops them and pays one recomputation. The conformance
+//! suites (`crates/index/tests/incremental_conformance.rs`,
+//! `crates/server/tests/scoped_rebind.rs`) prove the patched index
+//! answers bit-identically to a from-scratch rebuild and that kept
+//! guards never go stale.
 //!
 //! Run with: `cargo run --example data_updates`
 
@@ -37,6 +42,7 @@ fn main() {
 
     let traj = TrajectoryKind::Circular { radius_frac: 0.7 }.generate(&space, 5);
     let (mut epoch, mut index) = world.snapshot();
+    let mut epoch_recomputed = false;
     let mut query =
         InsProcessor::new(Arc::clone(&index), InsConfig::new(5, 1.6)).expect("valid configuration");
 
@@ -65,12 +71,22 @@ fn main() {
         }
         // Client: detect the epoch bump, rebind, continue (a FleetEngine
         // does exactly this for every registered query — examples/fleet.rs).
-        let (e, snap) = world.snapshot();
+        // `touched` describes the step from the previous epoch, which is
+        // the one this client is on.
+        let (e, snap, touched) = world.snapshot_traced();
         if e != epoch {
             epoch = e;
             index = snap;
-            query.rebind(Arc::clone(&index));
-            println!("tick {tick}: client rebound to {epoch}");
+            let touched = touched.expect("VorTree deltas are traced");
+            epoch_recomputed = !query.rebind_scoped(Arc::clone(&index), &touched);
+            println!(
+                "tick {tick}: client rebound to {epoch}, guards {}",
+                if epoch_recomputed {
+                    "dropped (the delta touched a held object)"
+                } else {
+                    "kept (the delta is nowhere near)"
+                }
+            );
         }
         let outcome = query.tick(pos);
         if outcome == TickOutcome::Recompute && (update_at..update_at + 2).contains(&tick) {
@@ -93,5 +109,8 @@ fn main() {
         s.recomputations,
         s.comm_objects
     );
-    println!("(the delta epoch itself cost exactly one of those recomputations)");
+    println!(
+        "(the delta epoch itself cost {} of those recomputations)",
+        if epoch_recomputed { "one" } else { "none" }
+    );
 }
