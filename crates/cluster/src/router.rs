@@ -3,10 +3,13 @@
 //!
 //! [`RouterServer`] speaks the ordinary `insq-net` protocol to clients
 //! — a phone app talks to a partitioned deployment exactly the way it
-//! talks to a single [`insq_net::NetServer`] — and multiplexes every
-//! session over per-session [`ClientCore`] connections to the backend
-//! serving the session's current region. Three translations happen in
-//! flight:
+//! talks to a single [`insq_net::NetServer`] — and gives every session
+//! its own connection to the backend serving the session's current
+//! region. It is a [`Handler`] on the same [`insq_net::Reactor`] core
+//! as `NetServer`: client sessions are the accepted connections,
+//! backend legs are outbound connections in the same slab, and sockets,
+//! framing, bounded buffers and the close rules are the core's (see
+//! [`insq_net::reactor`]). Three translations happen in flight:
 //!
 //! * **Routing**: `Register` and `PositionUpdate` frames carry planar
 //!   positions; the router homes them through its
@@ -22,17 +25,19 @@
 //!   config at the new one (the position doubles as the first tick, so
 //!   the stream never skips a beat), and **drains** the old connection —
 //!   in-flight results forward to the client in order until the old
-//!   backend's clean close — before reading from the new one. The
-//!   client keeps one uninterrupted connection and one ordered result
-//!   stream throughout.
+//!   backend's clean close — before reading from the new one (the new
+//!   leg is connected with reads paused and resumed on the old leg's
+//!   EOF). The client keeps one uninterrupted connection and one
+//!   ordered result stream throughout.
 //!
 //! Failure is isolated per session: a malformed or protocol-violating
 //! backend frame fails only the session it arrived on
-//! ([`ErrorCode::Malformed`]); an unexpected backend disconnect fails
-//! only the sessions homed on that backend
+//! ([`ErrorCode::Malformed`]); an unexpected backend disconnect or
+//! transport error fails only the session whose leg it was
 //! ([`ErrorCode::Unavailable`]). Other sessions — including sessions
 //! multiplexed over the same router to other partitions — keep
-//! streaming.
+//! streaming. A client that disconnects takes its backend legs down at
+//! once, while whatever was already queued for it still flushes.
 //!
 //! Rewrite tables are swapped atomically ([`RouterServer::set_tables`])
 //! by whatever orchestrates delta epochs across the backends; swap them
@@ -40,18 +45,16 @@
 //! breath as the backend's `World::apply`, so no in-flight result is
 //! rewritten through the wrong table generation.
 
-use std::io::{self, Read};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use insq_geom::Point;
-use insq_net::buffer::READ_CHUNK;
-use insq_net::sys::{self, Event, Readiness, ReadinessKind};
+use insq_net::sys::ReadinessKind;
 use insq_net::wire::{ErrorCode, Message, SpaceKind, WirePos};
-use insq_net::{ClientCore, FrameBuf, WriteBuf};
+use insq_net::{Closed, ConnId, Conns, Handler, Reactor, ReactorHandle};
 use insq_server::{Partitioner, RegionId};
 
 /// Configuration of a [`RouterServer`].
@@ -92,77 +95,90 @@ impl RouterConfig {
 struct RouterShared {
     part: Arc<dyn Partitioner + Send + Sync>,
     tables: RwLock<Vec<Vec<u32>>>,
-    cfg: RouterConfig,
-    shutdown: AtomicBool,
+    backends: Vec<SocketAddr>,
     live: AtomicUsize,
     handoffs: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
 }
 
 /// The partition-routing wire front-end. See the module docs; built by
 /// [`RouterServer::bind`].
 pub struct RouterServer {
     shared: Arc<RouterShared>,
-    addr: SocketAddr,
-    reactor: Option<JoinHandle<()>>,
+    reactor: ReactorHandle,
 }
 
 impl std::fmt::Debug for RouterServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RouterServer")
-            .field("addr", &self.addr)
-            .field("backends", &self.shared.cfg.backends.len())
+            .field("addr", &self.local_addr())
+            .field("backends", &self.shared.backends.len())
             .field("sessions", &self.live_sessions())
             .field("handoffs", &self.handoffs())
             .finish_non_exhaustive()
     }
 }
 
+/// Rewrite tables are either empty (identity: backends already speak
+/// global ids) or hold exactly one row per region — a missing row would
+/// silently pass that region's local ids to clients as global ones.
+fn check_tables(tables: &[Vec<u32>], regions: usize) -> io::Result<()> {
+    if tables.is_empty() || tables.len() == regions {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!(
+            "{} rewrite-table rows for {regions} regions (need none or one per region)",
+            tables.len()
+        ),
+    ))
+}
+
 impl RouterServer {
     /// Binds the client-facing listener and starts the routing reactor.
     /// `part` must have exactly as many regions as `cfg.backends` has
-    /// addresses. Bind to port 0 to let the OS pick.
+    /// addresses, and `cfg.tables` must be empty or have one row per
+    /// region — anything else is an `InvalidInput` error. Bind to port 0
+    /// to let the OS pick.
     pub fn bind(
         addr: impl ToSocketAddrs,
         part: Arc<dyn Partitioner + Send + Sync>,
         cfg: RouterConfig,
     ) -> io::Result<RouterServer> {
-        assert_eq!(
-            part.regions(),
-            cfg.backends.len(),
-            "one backend address per partition region required"
-        );
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
-        // Opened here, not in the reactor thread, so an unsupported
-        // `ReadinessKind` fails the bind call.
-        let readiness = Readiness::new(cfg.readiness)?;
+        if part.regions() != cfg.backends.len() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "{} backend addresses for {} partition regions (need one each)",
+                    cfg.backends.len(),
+                    part.regions()
+                ),
+            ));
+        }
+        check_tables(&cfg.tables, cfg.backends.len())?;
         let shared = Arc::new(RouterShared {
             part,
-            tables: RwLock::new(cfg.tables.clone()),
-            cfg,
-            shutdown: AtomicBool::new(false),
+            tables: RwLock::new(cfg.tables),
+            backends: cfg.backends,
             live: AtomicUsize::new(0),
             handoffs: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
         });
-        let reactor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || Router::new(shared, listener, readiness).run())
+        let routing = Routing {
+            shared: Arc::clone(&shared),
         };
-        Ok(RouterServer {
-            shared,
-            addr: local,
-            reactor: Some(reactor),
-        })
+        let reactor = Reactor::spawn(
+            addr,
+            cfg.readiness,
+            cfg.max_sessions,
+            cfg.write_buf,
+            routing,
+        )?;
+        Ok(RouterServer { shared, reactor })
     }
 
     /// The bound client-facing address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.reactor.local_addr()
     }
 
     /// Live registered sessions.
@@ -177,64 +193,28 @@ impl RouterServer {
 
     /// Client-side wire bytes `(received, sent)` so far.
     pub fn wire_bytes(&self) -> (u64, u64) {
-        (
-            self.shared.bytes_in.load(Ordering::Relaxed),
-            self.shared.bytes_out.load(Ordering::Relaxed),
-        )
+        self.reactor.wire_bytes()
     }
 
     /// Atomically replaces the local→global rewrite tables (after a
-    /// delta epoch reshapes the regional site sets). See the module docs
-    /// for the quiescence requirement.
-    pub fn set_tables(&self, tables: Vec<Vec<u32>>) {
+    /// delta epoch reshapes the regional site sets): empty, or one row
+    /// per region — anything else is an `InvalidInput` error and leaves
+    /// the tables as they were. See the module docs for the quiescence
+    /// requirement.
+    pub fn set_tables(&self, tables: Vec<Vec<u32>>) -> io::Result<()> {
+        check_tables(&tables, self.shared.backends.len())?;
         *self
             .shared
             .tables
             .write()
             .unwrap_or_else(|e| e.into_inner()) = tables;
+        Ok(())
     }
 
     /// Stops the reactor, closing every session and backend connection.
     /// Called automatically on drop.
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.reactor.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for RouterServer {
-    fn drop(&mut self) {
-        if !self.shared.shutdown.load(Ordering::SeqCst) {
-            self.stop();
-        }
-    }
-}
-
-/// One upstream connection: a non-blocking core plus the region it
-/// serves (selecting the rewrite-table row for its frames).
-struct Backend {
-    core: ClientCore,
-    region: RegionId,
-    /// What the readiness backend currently has for this leg's fd:
-    /// `(read, write, token)`; `None` until the first interest sync
-    /// registers it. The token changes when a handoff re-tags the leg
-    /// from current to draining.
-    reg: Option<(bool, bool, u64)>,
-}
-
-impl Backend {
-    fn new(core: ClientCore, region: RegionId) -> Backend {
-        Backend {
-            core,
-            region,
-            reg: None,
-        }
+        self.reactor.stop();
     }
 }
 
@@ -246,480 +226,174 @@ struct RegFacts {
     rho: f64,
 }
 
-/// One client session and its backend leg(s).
+/// One client session: its backend leg(s) and how far along it is.
+#[derive(Default)]
 struct Session {
-    stream: TcpStream,
-    rbuf: FrameBuf,
-    wbuf: WriteBuf,
-    /// The current backend — target of forwarded client frames.
-    backend: Option<Backend>,
-    /// The old backend during a handoff: forwarded (never written to)
-    /// until its clean close, while the current backend stays unread.
-    draining: Option<Backend>,
+    /// The current backend leg — target of forwarded client frames —
+    /// and the region it serves. `Some` from registration on.
+    current: Option<(ConnId, RegionId)>,
+    /// The old leg during a handoff: forwarded (never written to again)
+    /// until its clean close, while the current leg stays unread so the
+    /// client's result stream stays ordered.
+    draining: Option<ConnId>,
     reg: Option<RegFacts>,
     /// Client sent `Deregister`: close once the backend stream ends.
     finishing: bool,
-    /// Client write side: flush `wbuf`, then drop.
-    closing: bool,
-    /// The `(read, write)` interest registered for the client socket.
-    client_reg: (bool, bool),
 }
 
-impl Session {
-    fn counted_live(&self) -> bool {
-        self.reg.is_some() && !self.closing
-    }
+/// What one reactor connection is to the router.
+enum RouterConn {
+    /// An accepted client connection.
+    Client(Session),
+    /// An outbound backend connection working for client `owner`;
+    /// `region` selects the rewrite-table row for its frames.
+    Leg { owner: ConnId, region: RegionId },
 }
 
-/// Bounded reads per wakeup per socket, as in the net server's reactor.
-const READS_PER_WAKEUP: usize = 4;
-
-/// The listener's readiness token (unreachable by any leg token: leg
-/// generations are masked to 30 bits, so the top token bits never
-/// saturate).
-const LISTENER_TOKEN: u64 = u64::MAX;
-
-/// Which leg of a session a readiness token refers to.
-const LEG_CLIENT: u64 = 1;
-const LEG_CURRENT: u64 = 2;
-const LEG_DRAINING: u64 = 3;
-
-/// How long the reactor stops accepting after a resource-exhaustion
-/// accept error — same rationale as the net server's reactor (a
-/// level-triggered listener would otherwise spin the loop on
-/// `EMFILE`).
-const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(25);
-
-/// Readiness token of one session leg: slot in the low 32 bits, the
-/// leg kind above it, the slot's occupancy generation (masked to 30
-/// bits) on top — so an event for a leg that was dropped or re-tagged
-/// earlier in the same batch never reaches the wrong occupant.
-fn leg_token(gen: u32, leg: u64, slot: usize) -> u64 {
-    (((gen & 0x3FFF_FFFF) as u64) << 34) | (leg << 32) | slot as u64
-}
-
-struct Router {
+/// The router's [`Handler`]: client frames → route / handoff, leg
+/// frames → id-rewrite + forward, leg endings → drain finished /
+/// session finished / backend lost.
+struct Routing {
     shared: Arc<RouterShared>,
-    listener: TcpListener,
-    readiness: Readiness,
-    events: Vec<Event>,
-    sessions: Vec<Option<Session>>,
-    /// Occupancy generation per slot, bumped on every drop (see
-    /// [`leg_token`]).
-    gens: Vec<u32>,
-    free: Vec<usize>,
-    listener_armed: bool,
-    accept_pause_until: Option<std::time::Instant>,
-    scratch: Vec<u8>,
 }
 
-impl Router {
-    fn new(shared: Arc<RouterShared>, listener: TcpListener, readiness: Readiness) -> Router {
-        Router {
-            shared,
-            listener,
-            readiness,
-            events: Vec::new(),
-            sessions: Vec::new(),
-            gens: Vec::new(),
-            free: Vec::new(),
-            listener_armed: false,
-            accept_pause_until: None,
-            scratch: vec![0u8; READ_CHUNK],
+impl Handler for Routing {
+    type Conn = RouterConn;
+
+    fn poll_slice(&self) -> Duration {
+        Duration::from_millis(5)
+    }
+
+    fn on_accept(&mut self, _stream: &TcpStream) -> RouterConn {
+        RouterConn::Client(Session::default())
+    }
+
+    fn on_frame(&mut self, conns: &mut Conns<RouterConn>, id: ConnId, msg: Message) {
+        match conns.get_mut(id) {
+            Some(&mut RouterConn::Leg { owner, region }) => {
+                self.forward_backend_frame(conns, owner, region, msg)
+            }
+            Some(RouterConn::Client(_)) => self.route_client_frame(conns, id, msg),
+            None => {}
         }
     }
 
-    fn run(mut self) {
-        let slice = Duration::from_millis(5);
-        while !self.shared.shutdown.load(Ordering::SeqCst) {
-            self.sync_listener();
-            let mut events = std::mem::take(&mut self.events);
-            if self.readiness.wait(Some(slice), &mut events).is_err() {
-                std::thread::sleep(slice);
-                self.events = events;
-                continue;
-            }
-            for ev in &events {
-                if ev.token == LISTENER_TOKEN {
-                    self.accept_ready();
-                    continue;
+    fn on_close(
+        &mut self,
+        conns: &mut Conns<RouterConn>,
+        id: ConnId,
+        conn: RouterConn,
+        why: Closed,
+    ) {
+        let owner = match conn {
+            // The client is gone (or closing): its legs go at once — the
+            // backends observe our EOF as a deregister.
+            RouterConn::Client(sess) => {
+                if sess.reg.is_some() {
+                    self.shared.live.fetch_sub(1, Ordering::Relaxed);
                 }
-                let slot = (ev.token & u32::MAX as u64) as usize;
-                let leg = (ev.token >> 32) & 0x3;
-                let gen = (ev.token >> 34) as u32;
-                if slot >= self.gens.len() || (self.gens[slot] & 0x3FFF_FFFF) != gen {
-                    // The occupant this event was for is gone (dropped
-                    // earlier in this same batch).
-                    continue;
+                let current = sess.current.map(|(leg, _)| leg);
+                for leg in current.into_iter().chain(sess.draining) {
+                    conns.drop_conn(leg);
                 }
-                match leg {
-                    LEG_CLIENT => {
-                        if ev.readable() {
-                            self.client_read_ready(slot);
-                        }
-                        if ev.writable() {
-                            self.client_write_ready(slot);
-                        }
-                    }
-                    LEG_CURRENT => {
-                        if ev.readable() {
-                            self.backend_read_ready(slot, false);
-                        }
-                        if ev.writable() {
-                            self.backend_write_ready(slot, false);
-                        }
-                    }
-                    LEG_DRAINING => {
-                        if ev.readable() {
-                            self.backend_read_ready(slot, true);
-                        }
-                        if ev.writable() {
-                            self.backend_write_ready(slot, true);
-                        }
-                    }
-                    _ => {}
-                }
-                self.sync_session(slot);
+                return;
             }
-            self.events = events;
-        }
-        self.close_all();
-    }
-
-    /// Arms or disarms the listener to match whether a connection can
-    /// be taken right now (below the cap, not in an exhaustion pause).
-    fn sync_listener(&mut self) {
-        if let Some(t) = self.accept_pause_until {
-            if std::time::Instant::now() >= t {
-                self.accept_pause_until = None;
-            }
-        }
-        let cap = self.shared.cfg.max_sessions;
-        let open = self.sessions.len() - self.free.len();
-        let want = (cap == 0 || open < cap) && self.accept_pause_until.is_none();
-        if want && !self.listener_armed {
-            self.listener_armed = self
-                .readiness
-                .register(sys::raw_fd(&self.listener), LISTENER_TOKEN, true, false)
-                .is_ok();
-        } else if !want && self.listener_armed {
-            let _ = self.readiness.deregister(sys::raw_fd(&self.listener));
-            self.listener_armed = false;
-        }
-    }
-
-    /// Reconciles the readiness registrations of all of `slot`'s legs
-    /// with its current state — registering fresh legs, re-tagging a
-    /// leg a handoff moved from current to draining, toggling write
-    /// interest on buffer transitions. Each leg costs a syscall only
-    /// when something about it actually changed.
-    fn sync_session(&mut self, slot: usize) {
-        let gen = match self.gens.get(slot) {
-            Some(&g) => g,
-            None => return,
+            RouterConn::Leg { owner, .. } => owner,
         };
-        let Some(sess) = self.sessions[slot].as_mut() else {
+        // One backend stream ended; what that means depends on which leg
+        // it was. (A leg dropped because its owner ended finds no live
+        // owner and means nothing.)
+        let Some(RouterConn::Client(sess)) = conns.get_mut(owner) else {
             return;
         };
-        // Client leg (always registered from accept).
-        let want = (!sess.closing && !sess.finishing, !sess.wbuf.is_empty());
-        if want != sess.client_reg {
-            sess.client_reg = want;
-            let fd = sys::raw_fd(&sess.stream);
-            let tok = leg_token(gen, LEG_CLIENT, slot);
-            if self.readiness.modify(fd, tok, want.0, want.1).is_err() {
-                self.drop_session(slot);
-                return;
+        match why {
+            // The old leg's clean close is the handoff completing: the
+            // new leg may speak now.
+            Closed::Eof if sess.draining == Some(id) => {
+                sess.draining = None;
+                if let Some((current, _)) = sess.current {
+                    conns.pause_reads(current, false);
+                }
             }
+            // The current leg's is the end of a deregistered session —
+            Closed::Eof if sess.finishing => conns.close(owner),
+            // — or an outage.
+            Closed::Eof => conns.fail(owner, ErrorCode::Unavailable, "partition backend lost"),
+            // Corrupt framing on this one leg: this session is lost, its
+            // neighbours are not.
+            Closed::Malformed => conns.fail(owner, ErrorCode::Malformed, "backend stream corrupt"),
+            _ => conns.fail(owner, ErrorCode::Unavailable, "backend connection failed"),
         }
-        // Draining leg: read-only until its clean close.
-        if let Some(old) = sess.draining.as_mut() {
-            let tok = leg_token(gen, LEG_DRAINING, slot);
-            if Self::sync_leg(&mut self.readiness, old, true, false, tok).is_err() {
-                self.fail(slot, ErrorCode::Unavailable, "backend watch failed");
-                return;
-            }
-        }
-        // Current leg: unread while draining (ordering — see
-        // `build`-time comment in `backend_read_ready`), write interest
-        // only while its out-buffer is non-empty.
-        let Some(sess) = self.sessions[slot].as_mut() else {
+    }
+}
+
+impl Routing {
+    /// Routes one decoded client frame.
+    fn route_client_frame(&mut self, conns: &mut Conns<RouterConn>, id: ConnId, msg: Message) {
+        let Some(RouterConn::Client(sess)) = conns.get_mut(id) else {
             return;
         };
-        let draining = sess.draining.is_some();
-        if let Some(cur) = sess.backend.as_mut() {
-            let tok = leg_token(gen, LEG_CURRENT, slot);
-            let write = cur.core.pending_out() > 0;
-            if Self::sync_leg(&mut self.readiness, cur, !draining, write, tok).is_err() {
-                self.fail(slot, ErrorCode::Unavailable, "backend watch failed");
-            }
-        }
-    }
-
-    /// Registers or modifies one backend leg to the wanted interest
-    /// and token; no syscall if nothing changed.
-    fn sync_leg(
-        readiness: &mut Readiness,
-        leg: &mut Backend,
-        read: bool,
-        write: bool,
-        tok: u64,
-    ) -> io::Result<()> {
-        if leg.reg == Some((read, write, tok)) {
-            return Ok(());
-        }
-        let fd = leg.core.raw_fd();
-        match leg.reg {
-            Some(_) => readiness.modify(fd, tok, read, write)?,
-            None => readiness.register(fd, tok, read, write)?,
-        }
-        leg.reg = Some((read, write, tok));
-        Ok(())
-    }
-
-    /// Detaches a removed leg from the readiness set (must run before
-    /// the `ClientCore` — and with it the descriptor — drops).
-    fn unwatch_leg(readiness: &mut Readiness, leg: &Option<Backend>) {
-        if let Some(b) = leg {
-            if b.reg.is_some() {
-                let _ = readiness.deregister(b.core.raw_fd());
-            }
-        }
-    }
-
-    fn accept_ready(&mut self) {
-        loop {
-            let cap = self.shared.cfg.max_sessions;
-            if cap != 0 && self.sessions.len() - self.free.len() >= cap {
-                return;
-            }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let sess = Session {
-                        stream,
-                        rbuf: FrameBuf::new(),
-                        wbuf: WriteBuf::with_capacity(self.shared.cfg.write_buf),
-                        backend: None,
-                        draining: None,
-                        reg: None,
-                        finishing: false,
-                        closing: false,
-                        client_reg: (true, false),
-                    };
-                    let slot = match self.free.pop() {
-                        Some(slot) => {
-                            self.sessions[slot] = Some(sess);
-                            slot
-                        }
-                        None => {
-                            self.sessions.push(Some(sess));
-                            self.gens.push(0);
-                            self.sessions.len() - 1
-                        }
-                    };
-                    let fd =
-                        sys::raw_fd(&self.sessions[slot].as_ref().expect("just placed").stream);
-                    let tok = leg_token(self.gens[slot], LEG_CLIENT, slot);
-                    if self.readiness.register(fd, tok, true, false).is_err() {
-                        let sess = self.sessions[slot].take().expect("just placed");
-                        let _ = sess.stream.shutdown(Shutdown::Both);
-                        self.gens[slot] = self.gens[slot].wrapping_add(1);
-                        self.free.push(slot);
-                    }
+        match (sess.reg.is_some(), msg) {
+            (false, Message::Register { space, k, rho, pos }) => match self.shared.home(&pos) {
+                Some(region) => {
+                    sess.reg = Some(RegFacts { space, k, rho });
+                    self.shared.live.fetch_add(1, Ordering::Relaxed);
+                    self.open_leg(conns, id, region, pos);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e)
-                    if e.kind() == io::ErrorKind::Interrupted
-                        || e.kind() == io::ErrorKind::ConnectionAborted =>
-                {
-                    continue;
-                }
-                Err(_) => {
-                    // Resource exhaustion: pause accepting instead of
-                    // spinning on a level-triggered readable listener.
-                    self.accept_pause_until = Some(std::time::Instant::now() + ACCEPT_ERROR_PAUSE);
-                    return;
-                }
-            }
-        }
-    }
-
-    // ---- client side ----------------------------------------------
-
-    fn client_read_ready(&mut self, slot: usize) {
-        for _ in 0..READS_PER_WAKEUP {
-            let Some(sess) = self.sessions[slot].as_mut() else {
-                return;
-            };
-            if sess.closing || sess.finishing {
-                return;
-            }
-            match sess.stream.read(&mut self.scratch) {
-                Ok(0) => {
-                    // Client hung up: tear the whole session down (the
-                    // backends observe our EOF as a deregister).
-                    self.drop_session(slot);
-                    return;
-                }
-                Ok(n) => {
-                    self.shared.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
-                    let sess = self.sessions[slot].as_mut().expect("checked above");
-                    sess.rbuf.extend(&self.scratch[..n]);
-                    if !self.drain_client_frames(slot) {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.drop_session(slot);
-                    return;
-                }
-            }
-        }
-    }
-
-    fn drain_client_frames(&mut self, slot: usize) -> bool {
-        loop {
-            let Some(sess) = self.sessions[slot].as_mut() else {
-                return false;
-            };
-            if sess.closing || sess.finishing {
-                return false;
-            }
-            match sess.rbuf.next_message() {
-                Ok(Some((msg, _n))) => {
-                    if !self.handle_client_frame(slot, msg) {
-                        return false;
-                    }
-                }
-                Ok(None) => return true,
-                Err(e) => {
-                    self.fail(slot, ErrorCode::Malformed, &e.to_string());
-                    return false;
-                }
-            }
-        }
-    }
-
-    /// Routes one decoded client frame. Returns `false` once the session
-    /// is closing or gone.
-    fn handle_client_frame(&mut self, slot: usize, msg: Message) -> bool {
-        let registered = self.sessions[slot]
-            .as_ref()
-            .is_some_and(|s| s.reg.is_some());
-        match (registered, msg) {
-            (false, Message::Register { space, k, rho, pos }) => {
-                let Some(p) = planar(&pos) else {
-                    self.fail(
-                        slot,
-                        ErrorCode::BadPosition,
-                        "router requires a planar position",
-                    );
-                    return false;
-                };
-                let region = self.shared.part.region_of(p);
-                let mut core = match self.connect_backend(region) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        self.fail(
-                            slot,
-                            ErrorCode::Unavailable,
-                            &format!("partition {region} backend: {e}"),
-                        );
-                        return false;
-                    }
-                };
-                if core
-                    .try_send(&Message::Register { space, k, rho, pos })
-                    .is_err()
-                {
-                    self.fail(slot, ErrorCode::Unavailable, "backend write failed");
-                    return false;
-                }
-                let sess = self.sessions[slot].as_mut().expect("checked above");
-                sess.backend = Some(Backend::new(core, region));
-                sess.reg = Some(RegFacts { space, k, rho });
-                self.shared.live.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            (false, _) => {
-                self.fail(slot, ErrorCode::NotRegistered, "first frame must register");
-                false
-            }
+                None => conns.fail(id, ErrorCode::BadPosition, NOT_PLANAR),
+            },
+            (false, _) => conns.fail(id, ErrorCode::NotRegistered, "first frame must register"),
             (true, Message::PositionUpdate { pos }) => {
-                let Some(p) = planar(&pos) else {
-                    self.fail(
-                        slot,
-                        ErrorCode::BadPosition,
-                        "router requires a planar position",
-                    );
-                    return false;
-                };
-                let home = self.shared.part.region_of(p);
-                let sess = self.sessions[slot].as_mut().expect("checked above");
-                let cur = sess.backend.as_mut().expect("registered session");
-                if home != cur.region && sess.draining.is_none() {
-                    return self.handoff(slot, home, pos);
+                let (current, region) = sess.current.expect("registered session");
+                match self.shared.home(&pos) {
+                    None => conns.fail(id, ErrorCode::BadPosition, NOT_PLANAR),
+                    Some(home) if home != region && sess.draining.is_none() => {
+                        self.open_leg(conns, id, home, pos)
+                    }
+                    // A crossing *during* an unfinished drain keeps
+                    // feeding the current backend (results stay exact
+                    // over its replicas, flagged when out of margin);
+                    // the next update after the drain completes
+                    // re-routes.
+                    Some(_) => {
+                        conns.send(current, &Message::PositionUpdate { pos }.encode_frame());
+                    }
                 }
-                // A crossing *during* an unfinished drain keeps feeding
-                // the current backend (results stay exact over its
-                // replicas, flagged when out of margin); the next update
-                // after the drain completes re-routes.
-                if cur.core.try_send(&Message::PositionUpdate { pos }).is_err() {
-                    self.fail(slot, ErrorCode::Unavailable, "backend write failed");
-                    return false;
-                }
-                true
             }
             (true, Message::Deregister) => {
-                let sess = self.sessions[slot].as_mut().expect("checked above");
-                sess.finishing = true;
-                if let Some(cur) = sess.backend.as_mut() {
-                    let _ = cur.core.try_send(&Message::Deregister);
-                    let _ = cur.core.flush();
-                }
                 // Remaining backend frames (the drain, the final
                 // results) still forward; the session closes when the
                 // current backend's stream ends.
-                false
+                sess.finishing = true;
+                let (current, _) = sess.current.expect("registered session");
+                conns.pause_reads(id, true);
+                conns.send(current, &Message::Deregister.encode_frame());
             }
             (true, Message::Register { .. }) => {
-                self.fail(
-                    slot,
-                    ErrorCode::AlreadyRegistered,
-                    "session already registered",
-                );
-                false
+                let detail = "session already registered";
+                conns.fail(id, ErrorCode::AlreadyRegistered, detail);
             }
-            (true, _) => {
-                self.fail(slot, ErrorCode::Malformed, "server-bound frame expected");
-                false
-            }
+            (true, _) => conns.fail(id, ErrorCode::Malformed, "server-bound frame expected"),
         }
     }
 
-    /// The mid-session border crossing: deregister at the old backend
-    /// (its close will end the drain), register the same query at the
-    /// new one with this position as its first tick.
-    fn handoff(&mut self, slot: usize, to: RegionId, pos: WirePos) -> bool {
-        let facts = self.sessions[slot]
-            .as_ref()
-            .and_then(|s| s.reg)
-            .expect("registered session");
-        let mut core = match self.connect_backend(to) {
-            Ok(c) => c,
+    /// Registers session `id`'s query at the backend of `region`, where
+    /// `pos` homes — the first registration, or the mid-session border
+    /// crossing: deregister at the old backend (its close will end the
+    /// drain) and register the same query at the new one with this
+    /// position as its first tick, reads paused until the drain ends.
+    fn open_leg(&self, conns: &mut Conns<RouterConn>, id: ConnId, region: RegionId, pos: WirePos) {
+        let Some(RouterConn::Client(sess)) = conns.get_mut(id) else {
+            return;
+        };
+        let (facts, old) = (sess.reg.expect("registered session"), sess.current);
+        let addr = self.shared.backends[region.0 as usize];
+        let leg = RouterConn::Leg { owner: id, region };
+        let new = match conns.connect(addr, leg, old.is_some()) {
+            Ok(new) => new,
             Err(e) => {
-                self.fail(
-                    slot,
-                    ErrorCode::Unavailable,
-                    &format!("partition {to} backend: {e}"),
-                );
-                return false;
+                let detail = format!("partition {region} backend: {e}");
+                return conns.fail(id, ErrorCode::Unavailable, &detail);
             }
         };
         let register = Message::Register {
@@ -728,115 +402,25 @@ impl Router {
             rho: facts.rho,
             pos,
         };
-        if core.try_send(&register).is_err() {
-            self.fail(slot, ErrorCode::Unavailable, "backend write failed");
-            return false;
+        conns.send(new, &register.encode_frame());
+        if let Some((old, _)) = old {
+            conns.send(old, &Message::Deregister.encode_frame());
+            self.shared.handoffs.fetch_add(1, Ordering::Relaxed);
         }
-        let sess = self.sessions[slot].as_mut().expect("registered session");
-        let mut old = sess.backend.take().expect("registered session");
-        let _ = old.core.try_send(&Message::Deregister);
-        let _ = old.core.flush();
-        // The old leg keeps its registration; the next interest sync
-        // re-tags its token from current to draining and the new leg
-        // registers fresh.
-        sess.draining = Some(old);
-        sess.backend = Some(Backend::new(core, to));
-        self.shared.handoffs.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
-    fn connect_backend(&self, region: RegionId) -> io::Result<ClientCore> {
-        let addr = self.shared.cfg.backends[region.0 as usize];
-        ClientCore::connect(addr)
-    }
-
-    fn client_write_ready(&mut self, slot: usize) {
-        let Some(sess) = self.sessions[slot].as_mut() else {
-            return;
-        };
-        match sess.wbuf.write_to(&mut sess.stream) {
-            Ok(n) => {
-                self.shared.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
-                let sess = self.sessions[slot].as_mut().expect("checked above");
-                if sess.closing && sess.wbuf.is_empty() {
-                    self.drop_session(slot);
-                }
-            }
-            Err(_) => self.drop_session(slot),
+        if let Some(RouterConn::Client(sess)) = conns.get_mut(id) {
+            sess.draining = old.map(|(old, _)| old);
+            sess.current = Some((new, region));
         }
     }
 
-    // ---- backend side ---------------------------------------------
-
-    fn backend_write_ready(&mut self, slot: usize, draining: bool) {
-        let Some(sess) = self.sessions[slot].as_mut() else {
-            return;
-        };
-        let leg = if draining {
-            sess.draining.as_mut()
-        } else {
-            sess.backend.as_mut()
-        };
-        if let Some(b) = leg {
-            if b.core.flush().is_err() && !draining {
-                self.fail(slot, ErrorCode::Unavailable, "backend write failed");
-            }
-        }
-    }
-
-    /// Forwards every frame the backend has ready; handles its EOF.
-    /// Queued frames coalesce into **one** client flush at the end of
-    /// the drain, not a write syscall per frame.
-    fn backend_read_ready(&mut self, slot: usize, draining: bool) {
-        let mut forwarded = false;
-        loop {
-            let Some(sess) = self.sessions[slot].as_mut() else {
-                return;
-            };
-            if !draining && sess.draining.is_some() {
-                // A handoff started this batch: the current leg stays
-                // unread until the old one drains, so the client's
-                // result stream stays ordered.
-                break;
-            }
-            let Some(leg) = (if draining {
-                sess.draining.as_mut()
-            } else {
-                sess.backend.as_mut()
-            }) else {
-                break;
-            };
-            let region = leg.region;
-            match leg.core.poll_message() {
-                Ok(Some(msg)) => {
-                    if !self.forward_backend_frame(slot, region, msg) {
-                        break;
-                    }
-                    forwarded = true;
-                }
-                Ok(None) => {
-                    if leg.core.is_eof() {
-                        self.backend_closed(slot, draining);
-                    }
-                    break;
-                }
-                Err(_) => {
-                    // Corrupt framing or transport error on this one
-                    // backend leg: this session is lost, its neighbors
-                    // are not.
-                    self.fail(slot, ErrorCode::Malformed, "backend stream corrupt");
-                    break;
-                }
-            }
-        }
-        if forwarded && self.sessions[slot].is_some() {
-            self.client_write_ready(slot);
-        }
-    }
-
-    /// Rewrites and forwards one backend frame to the client. Returns
-    /// `false` once the session is closing or gone.
-    fn forward_backend_frame(&mut self, slot: usize, region: RegionId, msg: Message) -> bool {
+    /// Rewrites and forwards one backend frame to client `owner`.
+    fn forward_backend_frame(
+        &mut self,
+        conns: &mut Conns<RouterConn>,
+        owner: ConnId,
+        region: RegionId,
+        msg: Message,
+    ) {
         let out = match msg {
             Message::KnnResult {
                 epoch,
@@ -848,21 +432,15 @@ impl Router {
                     let tables = self.shared.tables.read().unwrap_or_else(|e| e.into_inner());
                     rewrite_ids(tables.get(region.0 as usize), ids)
                 };
-                match rewritten {
-                    Some(global) => Message::KnnResult {
-                        epoch,
-                        ids: global,
-                        outcome,
-                        flags,
-                    },
-                    None => {
-                        self.fail(
-                            slot,
-                            ErrorCode::Malformed,
-                            &format!("backend {region} returned an unknown site id"),
-                        );
-                        return false;
-                    }
+                let Some(ids) = rewritten else {
+                    let detail = format!("backend {region} returned an unknown site id");
+                    return conns.fail(owner, ErrorCode::Malformed, &detail);
+                };
+                Message::KnnResult {
+                    epoch,
+                    ids,
+                    outcome,
+                    flags,
                 }
             }
             // Per-region epochs pass through: the client sees the epoch
@@ -871,137 +449,33 @@ impl Router {
             Message::Error { code, detail } => {
                 // The backend is closing this query's session; relay the
                 // verdict and end ours the same way.
-                self.push_to_client(slot, &Message::Error { code, detail });
-                self.close_after_flush(slot);
-                return false;
+                return conns.fail(owner, code, &detail);
             }
-            _ => {
-                self.fail(slot, ErrorCode::Malformed, "backend protocol violation");
-                return false;
-            }
+            _ => return conns.fail(owner, ErrorCode::Malformed, "backend protocol violation"),
         };
-        self.push_to_client(slot, &out)
-    }
-
-    /// Queues one frame on the client socket (dropping the session if
-    /// its buffer is exhausted — the same slow-consumer rule as the net
-    /// server). The flush is the caller's: `backend_read_ready` issues
-    /// one per drained batch.
-    fn push_to_client(&mut self, slot: usize, msg: &Message) -> bool {
-        let Some(sess) = self.sessions[slot].as_mut() else {
-            return false;
-        };
-        let frame = msg.encode_frame();
-        if !sess.wbuf.push(&frame) {
-            self.drop_session(slot);
-            return false;
-        }
-        true
-    }
-
-    /// One backend stream ended. The draining (old) leg ending is the
-    /// handoff completing; the current leg ending is either the finish
-    /// of a deregistered session or an outage.
-    fn backend_closed(&mut self, slot: usize, draining: bool) {
-        let Some(sess) = self.sessions[slot].as_mut() else {
-            return;
-        };
-        if draining {
-            let old = sess.draining.take();
-            Self::unwatch_leg(&mut self.readiness, &old);
-            return;
-        }
-        let cur = sess.backend.take();
-        Self::unwatch_leg(&mut self.readiness, &cur);
-        let sess = self.sessions[slot].as_mut().expect("checked above");
-        if sess.finishing {
-            self.close_after_flush(slot);
-        } else {
-            self.fail(slot, ErrorCode::Unavailable, "partition backend lost");
-        }
-    }
-
-    // ---- teardown -------------------------------------------------
-
-    /// Ends a session with a final error frame to the client.
-    fn fail(&mut self, slot: usize, code: ErrorCode, detail: &str) {
-        let Some(sess) = self.sessions[slot].as_mut() else {
-            return;
-        };
-        if sess.counted_live() {
-            self.shared.live.fetch_sub(1, Ordering::Relaxed);
-        }
-        let frame = Message::Error {
-            code,
-            detail: detail.to_string(),
-        }
-        .encode_frame();
-        let _ = sess.wbuf.push(&frame);
-        sess.closing = true;
-        let cur = sess.backend.take();
-        let old = sess.draining.take();
-        Self::unwatch_leg(&mut self.readiness, &cur);
-        Self::unwatch_leg(&mut self.readiness, &old);
-        self.client_write_ready(slot);
-        self.sync_session(slot);
-    }
-
-    /// Graceful end: flush what is queued, then drop.
-    fn close_after_flush(&mut self, slot: usize) {
-        let Some(sess) = self.sessions[slot].as_mut() else {
-            return;
-        };
-        if sess.counted_live() {
-            self.shared.live.fetch_sub(1, Ordering::Relaxed);
-        }
-        sess.closing = true;
-        let cur = sess.backend.take();
-        let old = sess.draining.take();
-        Self::unwatch_leg(&mut self.readiness, &cur);
-        Self::unwatch_leg(&mut self.readiness, &old);
-        let sess = self.sessions[slot].as_mut().expect("checked above");
-        if sess.wbuf.is_empty() {
-            self.drop_session(slot);
-            return;
-        }
-        self.client_write_ready(slot);
-        self.sync_session(slot);
-    }
-
-    fn drop_session(&mut self, slot: usize) {
-        if let Some(sess) = self.sessions[slot].take() {
-            if sess.counted_live() {
-                self.shared.live.fetch_sub(1, Ordering::Relaxed);
-            }
-            // Detach every leg from the readiness set before its
-            // descriptor closes.
-            Self::unwatch_leg(&mut self.readiness, &sess.backend);
-            Self::unwatch_leg(&mut self.readiness, &sess.draining);
-            let _ = self.readiness.deregister(sys::raw_fd(&sess.stream));
-            self.gens[slot] = self.gens[slot].wrapping_add(1);
-            let _ = sess.stream.shutdown(Shutdown::Both);
-            self.free.push(slot);
-        }
-    }
-
-    fn close_all(&mut self) {
-        for slot in 0..self.sessions.len() {
-            self.drop_session(slot);
-        }
+        conns.send(owner, &out.encode_frame());
     }
 }
 
-/// The planar position of a wire position (`None` for road-network
-/// positions — the router only partitions planar spaces for now).
-fn planar(pos: &WirePos) -> Option<Point> {
-    match *pos {
-        WirePos::Point { x, y } if x.is_finite() && y.is_finite() => Some(Point::new(x, y)),
-        _ => None,
+const NOT_PLANAR: &str = "router requires a planar position";
+
+impl RouterShared {
+    /// The region a wire position homes in (`None` for road-network and
+    /// non-finite positions — the router only partitions planar spaces
+    /// for now).
+    fn home(&self, pos: &WirePos) -> Option<RegionId> {
+        match *pos {
+            WirePos::Point { x, y } if x.is_finite() && y.is_finite() => {
+                Some(self.part.region_of(Point::new(x, y)))
+            }
+            _ => None,
+        }
     }
 }
 
 /// Maps region-local result ids through one table row (`None` row =
-/// identity). `None` means some id was out of range — a corrupt backend.
+/// identity tables). `None` means some id was out of range — a corrupt
+/// backend.
 fn rewrite_ids(row: Option<&Vec<u32>>, ids: Vec<u32>) -> Option<Vec<u32>> {
     match row {
         None => Some(ids),

@@ -288,3 +288,38 @@ fn backend_loss_drops_only_that_partitions_sessions() {
         right.next_result().expect("right keeps streaming");
     }
 }
+
+#[test]
+fn bad_configs_are_rejected_not_panicked_on_or_misrouted() {
+    let addr: SocketAddr = "127.0.0.1:9".parse().expect("addr");
+    let two = || Arc::new(GridPartitioner::strips(bounds(), 2));
+    let invalid = |r: std::io::Result<RouterServer>| match r {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}"),
+        Ok(router) => panic!("accepted a bad config: {router:?}"),
+    };
+
+    // One backend address for two regions.
+    invalid(RouterServer::bind(
+        "127.0.0.1:0",
+        two(),
+        RouterConfig::new(vec![addr]),
+    ));
+    // Fewer table rows than regions: region 1's local ids would reach
+    // clients as if they were global.
+    let short = RouterConfig {
+        tables: vec![vec![0, 1]],
+        ..RouterConfig::new(vec![addr, addr])
+    };
+    invalid(RouterServer::bind("127.0.0.1:0", two(), short));
+
+    // Identity (no tables) and one row per region are both fine, and
+    // `set_tables` holds a running router to the same rule.
+    let router = RouterServer::bind("127.0.0.1:0", two(), RouterConfig::new(vec![addr, addr]))
+        .expect("identity tables bind");
+    router
+        .set_tables(vec![vec![0, 1], vec![2]])
+        .expect("a row per region");
+    let e = router.set_tables(vec![vec![0, 1]]).expect_err("one row");
+    assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+    router.set_tables(Vec::new()).expect("back to identity");
+}

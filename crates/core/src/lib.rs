@@ -19,9 +19,9 @@
 //! | Influential set `S` of `O'` (Def. 1) | [`influential::validate_by_distance`] — the guarding predicate |
 //! | Minimal influential set (Def. 2) | [`mis`] — exact MIS via tagged order-k cells (oracle) |
 //! | Voronoi neighbor set (Def. 3) | `insq_voronoi::Voronoi::neighbors` |
-//! | Influential neighbor set (Def. 4) | [`Space::influential`] per space |
+//! | Influential neighbor set (Def. 4) | [`Space::influential_into`] per space |
 //! | Query processing (§III, §IV) | the generic [`Processor`] |
-//! | Theorem-2 validation | [`Space::scoped_knn`] per space |
+//! | Theorem-2 validation | [`Space::scoped_knn_into`] per space |
 //!
 //! Every processor implements [`MovingKnn`], shared with the baselines in
 //! `insq-baselines`, and certifies each returned result via the
@@ -54,7 +54,7 @@ pub use network::{
     Network,
 };
 pub use processor::{InsConfig, MovingKnn, Processor};
-pub use space::{DeltaIndex, Space, TouchedSet, Validated, Verdict};
+pub use space::{DeltaIndex, Space, TouchedSet, Verdict};
 pub use weighted::{WInsProcessor, WeightedEuclidean};
 
 /// The network processor configuration — identical to [`InsConfig`] now

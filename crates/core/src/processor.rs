@@ -224,7 +224,9 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
     /// The influential neighbor set `I(kNN)` of the current result.
     pub fn influential_set(&self) -> Vec<S::SiteId> {
         let ids: Vec<S::SiteId> = self.knn.iter().map(|&(s, _)| s).collect();
-        S::influential(self.index(), &ids)
+        let mut out = Vec::new();
+        S::influential_into(self.index(), &ids, &mut out);
+        out
     }
 
     /// The certified neighborhood a scope-probing validation reads:

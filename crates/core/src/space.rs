@@ -83,9 +83,9 @@ pub trait Space: Sized + Copy + Send + Sync + 'static {
     ///   because objects outside the probed cells would be dead
     ///   communication weight.
     ///
-    /// A space that keeps the default probe-based [`Space::validate`]
-    /// must set this to `true`; spaces that override `validate` with a
-    /// scan leave it `false`.
+    /// A space that keeps the default probe-based
+    /// [`Space::validate_into`] must set this to `true`; spaces that
+    /// override it with a scan leave it `false`.
     const SCOPED_VALIDATION: bool = false;
 
     /// Number of data objects in the snapshot.
@@ -175,66 +175,6 @@ pub trait Space: Sized + Copy + Send + Sync + 'static {
             (Verdict::Invalid, ops)
         }
     }
-
-    // ------------------------------------------------------------------
-    // Allocating conveniences over the `*_into` primitives — for tests,
-    // oracles and one-shot callers. The processor hot path never uses
-    // these.
-    // ------------------------------------------------------------------
-
-    /// Allocating [`Space::global_knn_into`] with a throwaway scratch.
-    fn global_knn(
-        index: &Self::Index,
-        pos: Self::Pos,
-        m: usize,
-    ) -> (Vec<(Self::SiteId, f64)>, u64) {
-        let mut scratch = Self::Scratch::default();
-        let mut out = Vec::with_capacity(m);
-        let ops = Self::global_knn_into(index, &mut scratch, pos, m, &mut out);
-        (out, ops)
-    }
-
-    /// Allocating [`Space::influential_into`].
-    fn influential(index: &Self::Index, ids: &[Self::SiteId]) -> Vec<Self::SiteId> {
-        let mut out = Vec::new();
-        Self::influential_into(index, ids, &mut out);
-        out
-    }
-
-    /// Allocating [`Space::scoped_knn_into`].
-    fn scoped_knn(
-        index: &Self::Index,
-        scratch: &mut Self::Scratch,
-        scope: &[Self::SiteId],
-        held: &[Self::SiteId],
-        pos: Self::Pos,
-        k: usize,
-    ) -> (Vec<(Self::SiteId, f64)>, u64) {
-        let mut out = Vec::with_capacity(k);
-        let ops = Self::scoped_knn_into(index, scratch, scope, held, pos, k, &mut out);
-        (out, ops)
-    }
-
-    /// Allocating [`Space::validate_into`], returning the verdict with
-    /// its payload.
-    #[allow(clippy::too_many_arguments)]
-    fn validate(
-        index: &Self::Index,
-        scratch: &mut Self::Scratch,
-        scope: &[Self::SiteId],
-        held: &[Self::SiteId],
-        current: &[(Self::SiteId, f64)],
-        pos: Self::Pos,
-        k: usize,
-    ) -> (Validated<Self::SiteId>, u64) {
-        let mut out = Vec::with_capacity(k);
-        let (verdict, ops) =
-            Self::validate_into(index, scratch, scope, held, current, pos, k, &mut out);
-        match verdict {
-            Verdict::Valid => (Validated::Valid(out), ops),
-            Verdict::Invalid => (Validated::Invalid(out), ops),
-        }
-    }
 }
 
 /// Outcome of [`Space::validate_into`] — the payload stays in the
@@ -247,17 +187,6 @@ pub enum Verdict {
     /// No longer certified: `out` holds the probe's candidate
     /// replacement set (to be certified by the update cases of §III-B).
     Invalid,
-}
-
-/// Outcome of [`Space::validate`] (the allocating convenience).
-#[derive(Debug, Clone)]
-pub enum Validated<Id> {
-    /// Still certified: the current result with distances refreshed at
-    /// the new position.
-    Valid(Vec<(Id, f64)>),
-    /// No longer certified: the probe's candidate replacement set (to be
-    /// certified by the update cases of §III-B).
-    Invalid(Vec<(Id, f64)>),
 }
 
 /// What one delta epoch touched, as site ordinals of the snapshot the

@@ -84,7 +84,7 @@ impl FrameBuf {
         }
         let msg = Message::decode_payload(&avail[4..4 + len])?;
         self.start += 4 + len;
-        self.compact();
+        compact(&mut self.buf, &mut self.start);
         Ok(Some((msg, 4 + len)))
     }
 
@@ -92,15 +92,18 @@ impl FrameBuf {
     pub fn at_frame_boundary(&self) -> bool {
         self.buffered() == 0
     }
+}
 
-    fn compact(&mut self) {
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        } else if self.start >= 4096 && self.start * 2 >= self.buf.len() {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
+/// Drops the consumed prefix `..start` of `buf`: for free once
+/// everything is consumed, by a copy only once the prefix is both
+/// sizeable and at least half the buffer.
+fn compact(buf: &mut Vec<u8>, start: &mut usize) {
+    if *start == buf.len() {
+        buf.clear();
+        *start = 0;
+    } else if *start >= 4096 && *start * 2 >= buf.len() {
+        buf.drain(..*start);
+        *start = 0;
     }
 }
 
@@ -171,13 +174,7 @@ impl WriteBuf {
                 Err(e) => return Err(e),
             }
         }
-        if self.start == self.buf.len() {
-            self.buf.clear();
-            self.start = 0;
-        } else if self.start >= 4096 && self.start * 2 >= self.buf.len() {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
+        compact(&mut self.buf, &mut self.start);
         Ok(written)
     }
 }

@@ -1,12 +1,14 @@
 //! The INSQ TCP client: a non-blocking core with blocking helpers on
 //! top.
 //!
-//! [`ClientCore`] is the event-driven half: a non-blocking socket, an
-//! incremental frame reassembler ([`crate::FrameBuf`]) and a bounded
-//! write buffer ([`crate::WriteBuf`]). [`ClientCore::try_send_update`]
-//! and [`ClientCore::poll_event`] never block, so thousands of client
-//! sessions can be driven from one thread and one `poll(2)` loop — the
-//! soak harness and the reactor fuzz tests do exactly that.
+//! [`ClientCore`] is the event-driven half: the same non-blocking
+//! socket + incremental frame reassembler ([`crate::FrameBuf`]) +
+//! bounded write buffer ([`crate::WriteBuf`]) unit the server-side
+//! reactor drives, without a loop of its own.
+//! [`ClientCore::try_send_update`] and [`ClientCore::poll_event`] never
+//! block, so thousands of client sessions can be driven from one thread
+//! and one readiness loop — the soak harness and the reactor fuzz tests
+//! do exactly that.
 //!
 //! [`NetClient`] is the original blocking convenience API
 //! (`register` / `update` / `next_knn`), re-expressed as thin waits
@@ -15,12 +17,13 @@
 //! `e_net` experiment) can report *measured* bytes per tick next to the
 //! paper's model-level communication counter.
 
-use std::io::{self, Read};
-use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{Shutdown, ToSocketAddrs};
 
 use insq_server::Epoch;
 
-use crate::buffer::{FrameBuf, WriteBuf, READ_CHUNK};
+use crate::buffer::READ_CHUNK;
+use crate::reactor::Link;
 use crate::space::WireSpace;
 use crate::sys;
 use crate::wire::{ErrorCode, Message, SpaceKind, WireOutcome};
@@ -109,9 +112,10 @@ pub enum ClientEvent {
     Closed,
 }
 
-/// Bound on a client's outbound buffer: far more than any sane number
-/// of coalescing position updates, still finite.
-const CLIENT_WRITE_BUF: usize = 1 << 20;
+/// Bound on a client's outbound buffer (and on a reactor's outbound
+/// connections): far more than any sane number of coalescing position
+/// updates, still finite.
+pub(crate) const CLIENT_WRITE_BUF: usize = 1 << 20;
 
 /// The non-blocking client core: one socket, zero blocking calls.
 ///
@@ -119,13 +123,13 @@ const CLIENT_WRITE_BUF: usize = 1 << 20;
 /// ([`ClientCore::try_send`] reports `WouldBlock` only if the buffer is
 /// full even after a flush attempt); receives reassemble frames
 /// incrementally and surface them as typed [`ClientEvent`]s. Callers
-/// multiplex many cores over [`crate::sys::poll`] using
+/// multiplex many cores over an [`insq_net::sys::Readiness`] set using
 /// [`ClientCore::raw_fd`].
+///
+/// [`insq_net::sys::Readiness`]: crate::sys::Readiness
 #[derive(Debug)]
 pub struct ClientCore {
-    stream: TcpStream,
-    rbuf: FrameBuf,
-    wbuf: WriteBuf,
+    link: Link,
     bytes_out: u64,
     bytes_in: u64,
     eof: bool,
@@ -134,23 +138,20 @@ pub struct ClientCore {
 impl ClientCore {
     /// Connects and switches the socket to non-blocking mode.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<ClientCore> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
         Ok(ClientCore {
-            stream,
-            rbuf: FrameBuf::new(),
-            wbuf: WriteBuf::with_capacity(CLIENT_WRITE_BUF),
+            link: Link::connect(addr)?,
             bytes_out: 0,
             bytes_in: 0,
             eof: false,
         })
     }
 
-    /// The raw descriptor, for multiplexing many cores over
-    /// [`crate::sys::poll`].
+    /// The raw descriptor, for multiplexing many cores over an
+    /// [`insq_net::sys::Readiness`] set.
+    ///
+    /// [`insq_net::sys::Readiness`]: crate::sys::Readiness
     pub fn raw_fd(&self) -> sys::RawFd {
-        sys::raw_fd(&self.stream)
+        sys::raw_fd(&self.link.stream)
     }
 
     /// Queues a message and flushes what the socket takes right now.
@@ -158,9 +159,9 @@ impl ClientCore {
     /// — poll for writability and retry.
     pub fn try_send(&mut self, msg: &Message) -> io::Result<()> {
         let frame = msg.encode_frame();
-        if !self.wbuf.push(&frame) {
+        if !self.link.wbuf.push(&frame) {
             self.flush()?;
-            if !self.wbuf.push(&frame) {
+            if !self.link.wbuf.push(&frame) {
                 return Err(io::ErrorKind::WouldBlock.into());
             }
         }
@@ -179,13 +180,13 @@ impl ClientCore {
     /// Writes as much queued output as the socket takes; `Ok(true)`
     /// means the buffer is fully drained.
     pub fn flush(&mut self) -> io::Result<bool> {
-        self.bytes_out += self.wbuf.write_to(&mut self.stream)? as u64;
-        Ok(self.wbuf.is_empty())
+        self.bytes_out += self.link.flush()? as u64;
+        Ok(self.link.wbuf.is_empty())
     }
 
     /// Bytes queued and not yet written.
     pub fn pending_out(&self) -> usize {
-        self.wbuf.pending()
+        self.link.wbuf.pending()
     }
 
     /// Whether the server has closed its end of the stream.
@@ -198,28 +199,23 @@ impl ClientCore {
     /// for readability); EOF is reported via [`ClientCore::is_eof`].
     pub fn poll_message(&mut self) -> io::Result<Option<Message>> {
         loop {
-            if let Some((msg, _)) = self.rbuf.next_message().map_err(io::Error::from)? {
+            if let Some((msg, _)) = self.link.rbuf.next_message().map_err(io::Error::from)? {
                 return Ok(Some(msg));
             }
             if self.eof {
                 return Ok(None);
             }
             let mut chunk = [0u8; READ_CHUNK];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
+            match self.link.fill(&mut chunk)? {
+                None => return Ok(None),
+                Some(0) => {
                     self.eof = true;
-                    if !self.rbuf.at_frame_boundary() {
+                    if !self.link.rbuf.at_frame_boundary() {
                         return Err(io::ErrorKind::UnexpectedEof.into());
                     }
                     return Ok(None);
                 }
-                Ok(n) => {
-                    self.bytes_in += n as u64;
-                    self.rbuf.extend(&chunk[..n]);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+                Some(n) => self.bytes_in += n as u64,
             }
         }
     }
@@ -250,7 +246,7 @@ impl ClientCore {
 
     /// Half-closes the write side (after a graceful deregister).
     pub fn shutdown_write(&mut self) -> io::Result<()> {
-        self.stream.shutdown(Shutdown::Write)
+        self.link.stream.shutdown(Shutdown::Write)
     }
 
     /// Wire bytes `(sent, received)` by this core so far.
@@ -307,12 +303,7 @@ impl NetClient {
     /// Registers a moving kNN query in space `S`; `pos` doubles as the
     /// position for the session's first tick.
     pub fn register<S: WireSpace>(&mut self, k: usize, rho: f64, pos: S::Pos) -> io::Result<()> {
-        self.send(&Message::Register {
-            space: S::KIND,
-            k: k as u32,
-            rho,
-            pos: S::pos_to_wire(pos),
-        })
+        self.register_raw(S::KIND, k, rho, S::pos_to_wire(pos))
     }
 
     /// Registers with an explicit [`SpaceKind`] discriminant (lets tests

@@ -15,25 +15,23 @@
 //! * [`WireSpace`] — wire conversions per [`insq_core::Space`]
 //!   (positions are validated against the served index; all three
 //!   in-tree spaces implement it).
-//! * [`NetServer`] — a **readiness-driven reactor** over an
-//!   epoch-versioned `World` + `FleetEngine`: one event loop on
-//!   non-blocking sockets (an in-tree [`sys::Readiness`] backend —
-//!   `epoll` on Linux for O(ready) wakeups, portable `poll(2)` as the
+//! * [`reactor`] — the one connection driver: a readiness-driven event
+//!   loop on non-blocking sockets (an in-tree [`sys::Readiness`] backend
+//!   — `epoll` on Linux for O(ready) wakeups, portable `poll(2)` as the
 //!   fallback, selectable via [`NetServerConfig::readiness`] or the
 //!   `INSQ_READINESS` environment variable; same no-deps discipline as
-//!   `crates/compat/`) drives accept → decode → batch → tick → push
-//!   with persistent interest registration (register on accept, modify
-//!   on write-buffer transitions, deregister on drop).
-//!   Sessions map 1:1 to never-reused `QueryId`s;
-//!   inbound frames reassemble incrementally ([`FrameBuf`]) across
-//!   arbitrary packet boundaries; results and epoch-swap notifications
-//!   push through bounded per-session write buffers ([`WriteBuf`]) —
-//!   so per-session memory is bounded and live sessions are limited by
-//!   file descriptors, not threads. *When* the fleet ticks is an
-//!   explicit `TickPolicy` ([`NetServerConfig::policy`]): `Barrier`
-//!   (lockstep, deterministic) or `Deadline` (event-driven — stale
-//!   sessions are re-served their last result instead of stalling the
-//!   fleet).
+//!   `crates/compat/`) that owns sockets, incremental frame reassembly
+//!   ([`FrameBuf`]), bounded write buffers ([`WriteBuf`]), the listener
+//!   and the close rules, and hands frames to a [`Handler`]. Per-session
+//!   memory is bounded and live sessions are limited by file
+//!   descriptors, not threads.
+//! * [`NetServer`] — the handler in front of an epoch-versioned `World`
+//!   and `FleetEngine`: sessions map 1:1 to never-reused `QueryId`s, and
+//!   results and epoch-swap notifications are pushed after each tick.
+//!   *When* the fleet ticks is an explicit `TickPolicy`
+//!   ([`NetServerConfig::policy`]): `Barrier` (lockstep, deterministic)
+//!   or `Deadline` (event-driven — stale sessions are re-served their
+//!   last result instead of stalling the fleet).
 //! * [`ClientCore`] / [`NetClient`] — the client library, split into a
 //!   non-blocking core (`try_send_update` / `poll_event` returning
 //!   typed [`ClientEvent`]s, so one thread can drive thousands of
@@ -93,6 +91,7 @@
 
 pub mod buffer;
 pub mod client;
+pub mod reactor;
 pub mod server;
 pub mod space;
 pub mod sys;
@@ -100,6 +99,7 @@ pub mod wire;
 
 pub use buffer::{FrameBuf, WriteBuf};
 pub use client::{ClientCore, ClientEvent, KnnUpdate, NetClient, NetError};
+pub use reactor::{Closed, ConnId, Conns, Handler, Reactor, ReactorHandle};
 pub use server::{NetServer, NetServerConfig};
 pub use space::{PosError, WireSpace};
 pub use sys::ReadinessKind;

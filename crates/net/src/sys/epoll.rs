@@ -3,8 +3,8 @@
 //! Interest registration lives in the kernel, so a wakeup costs
 //! O(ready events), not O(registered descriptors) — the property that
 //! carries the reactor past the `poll(2)` scan wall. Descriptors are
-//! registered **level-triggered** (no `EPOLLET`): the reactors bound
-//! work per wakeup (`READS_PER_WAKEUP`) and depend on unconsumed
+//! registered **level-triggered** (no `EPOLLET`): the reactor bounds
+//! work per wakeup (`READS_PER_WAKEUP`) and depends on unconsumed
 //! readiness being re-reported by the next `epoll_wait`, exactly as
 //! `poll(2)` behaves. This keeps the two backends semantically
 //! interchangeable, which the conformance suites assert by comparing

@@ -1,9 +1,8 @@
 //! Minimal OS readiness primitives behind one backend-neutral facade.
 //!
-//! The reactors in [`crate::server`] (and the cluster router) need
-//! exactly one thing from the OS that `std` does not expose: "which of
-//! these sockets are readable or writable right now?". This module
-//! provides it with the same offline-deps discipline as
+//! The event loop in [`crate::reactor`] needs exactly one thing from
+//! the OS that `std` does not expose: "which of these sockets are
+//! readable or writable right now?". This module provides it with the same offline-deps discipline as
 //! `crates/compat/` — hand-written FFI bindings, no external crates —
 //! behind a [`Readiness`] abstraction with **persistent interest
 //! registration**:
@@ -11,8 +10,8 @@
 //! * [`epoll`] (Linux) — the scaling backend. Interest lives in the
 //!   kernel; a wakeup costs O(ready), not O(live), so 100k mostly-idle
 //!   sessions cost nothing per wakeup. Registered **level-triggered**
-//!   (no `EPOLLET`), deliberately: the reactors bound work per wakeup
-//!   (`READS_PER_WAKEUP`) and rely on unconsumed readiness being
+//!   (no `EPOLLET`), deliberately: the reactor bounds work per wakeup
+//!   (`READS_PER_WAKEUP`) and relies on unconsumed readiness being
 //!   re-reported by the next wait.
 //! * [`poll`] (portable fallback) — the original `poll(2)` wrapper,
 //!   wrapped in a persistent interest registry so both backends expose
@@ -290,18 +289,16 @@ pub(crate) fn ceil_millis(d: Duration) -> i32 {
 /// Blocks until `fd` is readable (used by the blocking client wrappers
 /// around the non-blocking [`crate::ClientCore`]).
 pub fn wait_readable(fd: RawFd) -> io::Result<()> {
-    let mut fds = [PollFd::new(fd, true, false)];
-    loop {
-        poll(&mut fds, None)?;
-        if fds[0].ready() {
-            return Ok(());
-        }
-    }
+    wait_ready(PollFd::new(fd, true, false))
 }
 
 /// Blocks until `fd` is writable.
 pub fn wait_writable(fd: RawFd) -> io::Result<()> {
-    let mut fds = [PollFd::new(fd, false, true)];
+    wait_ready(PollFd::new(fd, false, true))
+}
+
+fn wait_ready(interest: PollFd) -> io::Result<()> {
+    let mut fds = [interest];
     loop {
         poll(&mut fds, None)?;
         if fds[0].ready() {
