@@ -12,7 +12,8 @@
 //!   cheap construction but more frequent recomputation.
 //!
 //! Together with `insq_core::InsProcessor` these populate the evaluation
-//! matrix of EXPERIMENTS.md: INS is the only method cheap on *both* axes.
+//! matrix of `insq-bench`'s `report` (E1–E9): INS is the only method cheap
+//! on *both* axes.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

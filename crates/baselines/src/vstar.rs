@@ -1,7 +1,8 @@
 //! The V*-diagram baseline (Nutanong et al., PVLDB 2008) — the relaxed
 //! safe-region competitor the paper positions INS against.
 //!
-//! Faithful functional model (see DESIGN.md, *Substitutions*): at each
+//! Faithful functional model — the V\*-diagram's known-region bound,
+//! without the original's region geometry: at each
 //! retrieval position `q0` the client fetches the `k + x` nearest objects.
 //! The *known region* is the disk of radius `r_kr = d(q0, p_{k+x})` around
 //! `q0`: every unretrieved object is provably at distance

@@ -1,6 +1,7 @@
-//! E-update as a criterion bench: incremental index maintenance kernels —
-//! delta application (copy-on-write clone + localized repair) vs the
-//! from-scratch rebuild it replaces, for both index substrates.
+//! Incremental index maintenance kernels — delta application
+//! (copy-on-write clone + localized repair) vs the from-scratch rebuild
+//! it replaces, for both index substrates: site deltas, and edge-weight
+//! (traffic) deltas on the road network.
 
 use std::sync::Arc;
 
@@ -8,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use insq_geom::Point;
 use insq_index::{SiteDelta, VorTree};
 use insq_roadnet::generators::{grid_network, random_site_vertices, GridConfig, SplitMix64};
-use insq_roadnet::{NetworkVoronoi, SiteIdx, SiteSet, VertexId};
+use insq_roadnet::{EdgeId, EdgeWeight, NetworkVoronoi, SiteIdx, SiteSet, VertexId};
 use insq_voronoi::SiteId;
 use insq_workload::Distribution;
 use std::hint::black_box;
@@ -91,6 +92,29 @@ fn bench_updates(c: &mut Criterion) {
         &sites.len(),
         |b, _| b.iter(|| black_box(NetworkVoronoi::build(&net, &sites)).num_sites()),
     );
+    // A traffic storm: `d` random edges congested 2.5x, repaired from the
+    // changed edges outward (what `NetworkWorld::apply_delta` does per
+    // weight delta) — to be read against `nvd_rebuild` above.
+    for d in [8usize, 64] {
+        let mut rng = SplitMix64::new(0x57081 + d as u64);
+        let mut edges = std::collections::BTreeSet::new();
+        while edges.len() < d {
+            edges.insert(EdgeId(rng.below(net.num_edges()) as u32));
+        }
+        let changed: Vec<EdgeId> = edges.into_iter().collect();
+        let storm: Vec<EdgeWeight> = changed
+            .iter()
+            .map(|&e| EdgeWeight::scaled(&net, e, 2.5))
+            .collect();
+        group.bench_with_input(BenchmarkId::new("nvd_reweight_storm", d), &d, |b, _| {
+            b.iter(|| {
+                let congested = net.reweighted(black_box(&storm)).expect("valid storm");
+                let mut repaired = nvd.clone();
+                repaired.reweight_edges(&net, &congested, &changed);
+                black_box(repaired.num_sites())
+            })
+        });
+    }
     group.finish();
 }
 

@@ -16,7 +16,7 @@ use insq_workload::Distribution;
 use crate::Effort;
 
 /// The 12-point configuration reconstructing Fig. 1's structure (see
-/// tests/fig1.rs and DESIGN.md).
+/// tests/fig1.rs, which asserts the structure the figure annotates).
 pub fn fig1_points() -> Vec<Point> {
     vec![
         Point::new(0.0, 8.5),

@@ -89,8 +89,9 @@ impl LatencyHistogram {
     }
 
     /// The `q`-quantile (`0.0..=1.0`) in microseconds, reported as the
-    /// geometric midpoint of the bucket holding that rank (exact to
-    /// within the bucket's factor-of-two width). 0 when empty.
+    /// arithmetic midpoint (`1.5 · lo`) of the bucket holding that rank,
+    /// capped at the largest sample (exact to within the bucket's
+    /// factor-of-two width). 0 when empty.
     pub fn quantile_us(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;

@@ -1,35 +1,30 @@
 //! # insq-bench
 //!
 //! The experiment harness that regenerates every figure of the INSQ paper
-//! and the evaluation axes of its companion paper (see DESIGN.md §3 for
-//! the experiment index, EXPERIMENTS.md for recorded results).
+//! and the evaluation axes of its companion paper; [`experiments`] is the
+//! index. Results are printed, never stored: the serving stack's numbers
+//! are the repository benchmark's (`BENCHMARK.json`, `benchmark/`).
 //!
 //! Each experiment is a pure function from an [`Effort`] level to a text
 //! report; the `report` binary selects and prints them. Criterion
-//! micro-benchmarks for the validation/construction kernels live in
-//! `benches/`.
+//! micro-benchmarks for the validation/construction/update kernels live
+//! in `benches/`; the `soak` binary (with [`latency`]) is the
+//! many-session scale test of the serving layer.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench_json;
-pub mod cluster_exp;
 pub mod euclidean_exp;
 pub mod figures;
-pub mod fleet_exp;
 pub mod latency;
-pub mod net_exp;
 pub mod network_exp;
-pub mod space_exp;
-pub mod traffic_exp;
-pub mod update_exp;
 
 /// How much work to spend per experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
     /// Reduced sizes for CI / smoke runs (seconds).
     Quick,
-    /// The full parameter ranges recorded in EXPERIMENTS.md (minutes).
+    /// The paper's full parameter ranges (minutes).
     Full,
 }
 
@@ -133,36 +128,6 @@ pub fn experiments() -> Vec<Experiment> {
             id: "e9",
             title: "E9 — safe-region construction micro-cost per recomputation",
             run: euclidean_exp::e9_construction_micro,
-        },
-        Experiment {
-            id: "e_fleet",
-            title: "E-fleet — multi-query fleet engine: throughput and thread scaling",
-            run: fleet_exp::e_fleet,
-        },
-        Experiment {
-            id: "e_update",
-            title: "E-update — incremental delta epochs vs full rebuild republishes",
-            run: update_exp::e_update,
-        },
-        Experiment {
-            id: "e_traffic",
-            title: "E-traffic — edge-weight delta epochs: NVD repair vs rebuild, rush-hour stream",
-            run: traffic_exp::e_traffic,
-        },
-        Experiment {
-            id: "e_net",
-            title: "E-net — TCP serving layer: measured wire bytes/tick vs model-level comm",
-            run: net_exp::e_net,
-        },
-        Experiment {
-            id: "e_cluster",
-            title: "E-cluster — spatial partitions behind the router: 1 vs 2 vs 4 shards",
-            run: cluster_exp::e_cluster,
-        },
-        Experiment {
-            id: "e_spaces",
-            title: "E-spaces — one scenario through every Space (euclidean/weighted/network)",
-            run: space_exp::e_spaces,
         },
         Experiment {
             id: "ablation",

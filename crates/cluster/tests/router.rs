@@ -98,23 +98,23 @@ fn one_session_crosses_the_border_and_stays_exact() {
     assert!(matches!(client.next_result(), Err(NetError::Closed)));
 }
 
-#[test]
-fn fleet_of_shuttles_survives_many_handoffs() {
+/// Six shuttle sessions behind `regions` strip backends, a thread each
+/// (under the barrier policy a re-homed session's first result waits on
+/// its new backend's other sessions, so clients must not take turns).
+/// Client `c` is at `x_at(c, t)` in its own lane at tick `t`; every
+/// answer must be certified and equal global brute force.
+fn shuttles(regions: u32, x_at: fn(u64, usize) -> f64, min_handoffs_each: u64) {
+    const SESSIONS: u64 = 6;
     let sites = Distribution::Uniform.generate(400, &bounds(), 7);
-    let (_plan, _backends, router) = cluster(2, sites.clone());
+    let (_plan, _backends, router) = cluster(regions, sites.clone());
 
     let addr = router.local_addr();
-    let handles: Vec<_> = (0..6u64)
+    let handles: Vec<_> = (0..SESSIONS)
         .map(|c| {
             let sites = sites.clone();
             thread::spawn(move || {
                 let mut client = NetClient::connect(addr).expect("connect");
-                let lane = 10.0 + 13.0 * c as f64;
-                let pos_at = |t: usize| {
-                    // A ping-pong shuttle across the border.
-                    let x = 48.0 + 8.0 * ((t as f64 * 0.7).sin());
-                    Point::new(x, lane)
-                };
+                let pos_at = |t: usize| Point::new(x_at(c, t), 10.0 + 13.0 * c as f64);
                 client
                     .register::<Euclidean>(K, 1.8, pos_at(0))
                     .expect("register");
@@ -123,21 +123,42 @@ fn fleet_of_shuttles_survives_many_handoffs() {
                         client.update::<Euclidean>(pos_at(t)).expect("update");
                     }
                     let upd = client.next_result().expect("result");
-                    assert_eq!(upd.flags, 0);
+                    assert_eq!(upd.flags, 0, "client {c} tick {t}: certified");
                     assert_eq!(
                         upd.ids,
                         brute_knn(&sites, pos_at(t), K),
-                        "client {c} tick {t}"
+                        "client {c} tick {t} ({regions} regions)"
                     );
                 }
                 client.deregister().expect("deregister");
+                assert!(matches!(client.next_result(), Err(NetError::Closed)));
             })
         })
         .collect();
     for h in handles {
         h.join().expect("client thread");
     }
-    assert!(router.handoffs() >= 6, "every shuttle crosses: {router:?}");
+    assert!(
+        router.handoffs() >= min_handoffs_each * SESSIONS,
+        "every shuttle crosses ({regions} regions): {router:?}"
+    );
+}
+
+#[test]
+fn fleet_of_shuttles_survives_many_handoffs() {
+    // A ping-pong across the one border of two strips.
+    shuttles(2, |_, t| 48.0 + 8.0 * (t as f64 * 0.7).sin(), 1);
+    // Four strips, full-width sweeps at 7.5 units a tick: three borders
+    // a traversal, a handoff every third tick or so, phases spread so
+    // each backend's session set keeps changing under the others.
+    shuttles(
+        4,
+        |c, t| {
+            let phase = (7.5 * t as f64 + 17.0 * c as f64) % 180.0;
+            5.0 + if phase <= 90.0 { phase } else { 180.0 - phase }
+        },
+        3,
+    );
 }
 
 /// A hostile backend for the fuzz cases: serves the first `well_behaved`

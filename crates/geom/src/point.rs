@@ -80,12 +80,6 @@ impl Point {
         Vector::new(other.x - self.x, other.y - self.y)
     }
 
-    /// Interprets the point as a vector from the origin.
-    #[inline]
-    pub fn as_vector(self) -> Vector {
-        Vector::new(self.x, self.y)
-    }
-
     /// Lexicographic comparison (by `x`, then `y`), a total order for finite
     /// points. Used to make constructions deterministic.
     #[inline]

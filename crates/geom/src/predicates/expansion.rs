@@ -72,14 +72,6 @@ fn two_one_diff(a1: f64, a0: f64, b: f64) -> (f64, f64, f64) {
     (x2, x1, x0)
 }
 
-/// `(a1 + a0) + b` as a three-component expansion `(x2, x1, x0)`.
-#[inline]
-fn two_one_sum(a1: f64, a0: f64, b: f64) -> (f64, f64, f64) {
-    let (i, x0) = two_sum(a0, b);
-    let (x2, x1) = two_sum(a1, i);
-    (x2, x1, x0)
-}
-
 /// Computes the exact expansion of `(a1 + a0) - (b1 + b0)` where each pair
 /// is a two-component expansion. Returns four components, smallest first.
 /// Shewchuk's `Two_Two_Diff`.
@@ -87,15 +79,6 @@ fn two_one_sum(a1: f64, a0: f64, b: f64) -> (f64, f64, f64) {
 pub fn two_two_diff(a1: f64, a0: f64, b1: f64, b0: f64) -> [f64; 4] {
     let (j, r0, x0) = two_one_diff(a1, a0, b0);
     let (x3, x2, x1) = two_one_diff(j, r0, b1);
-    [x0, x1, x2, x3]
-}
-
-/// Computes the exact expansion of `(a1 + a0) + (b1 + b0)`.
-/// Shewchuk's `Two_Two_Sum`.
-#[inline]
-pub fn two_two_sum(a1: f64, a0: f64, b1: f64, b0: f64) -> [f64; 4] {
-    let (j, r0, x0) = two_one_sum(a1, a0, b0);
-    let (x3, x2, x1) = two_one_sum(j, r0, b1);
     [x0, x1, x2, x3]
 }
 

@@ -276,11 +276,6 @@ impl NetClient {
         &mut self.core
     }
 
-    /// Unwraps into the non-blocking core.
-    pub fn into_core(self) -> ClientCore {
-        self.core
-    }
-
     /// Sends a raw protocol message, blocking until it is fully on the
     /// wire.
     pub fn send(&mut self, msg: &Message) -> io::Result<()> {

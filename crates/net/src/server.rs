@@ -136,14 +136,6 @@ impl NetServerConfig {
             ..NetServerConfig::default()
         }
     }
-
-    /// A configuration serving under the given [`TickPolicy`].
-    pub fn with_policy(policy: TickPolicy) -> NetServerConfig {
-        NetServerConfig {
-            policy,
-            ..NetServerConfig::default()
-        }
-    }
 }
 
 /// State shared between the reactor thread and the owner's API calls.

@@ -23,7 +23,7 @@ use insq_core::{DeltaIndex, InsConfig, MovingKnn, TickOutcome};
 use insq_index::SiteDelta;
 use insq_net::{NetClient, NetServer, NetServerConfig, ReadinessKind, WireOutcome, WireSpace};
 use insq_roadnet::{EdgeId, EdgeWeight, NetDelta, NetSiteDelta, SiteIdx, VertexId};
-use insq_server::{FleetConfig, FleetEngine, QueryId, SpaceQuery, World};
+use insq_server::{FleetConfig, FleetEngine, QueryId, SpaceQuery, TickPolicy, TickPos, World};
 use insq_workload::{FleetScenario, SpaceWorkload};
 
 /// One client's observed stream: `(epoch, knn wire ids, outcome)` per
@@ -64,7 +64,12 @@ where
         let positions: Vec<S::Pos> = (0..sc.clients)
             .map(|c| S::position(sc, fleet_state, c, tick))
             .collect();
-        let summary = engine.tick_all_outcomes(|id| positions[id.index()], &mut outcomes);
+        outcomes.clear();
+        let summary = engine.tick(
+            TickPolicy::Barrier,
+            |id| TickPos::Fresh(positions[id.index()]),
+            &mut outcomes,
+        );
         let by_id: HashMap<u64, TickOutcome> = outcomes.iter().map(|&(q, o)| (q.0, o)).collect();
         for (c, qid) in ids.iter().enumerate() {
             let q = engine.query(*qid).expect("live");
@@ -299,7 +304,7 @@ fn dropped_tcp_session_keeps_survivor_streams_and_ids_stable() {
         engine.register(SpaceQuery::<S>::new(&world, InsConfig::new(sc.k, sc.rho)).unwrap());
     }
     let mut ref_streams: Vec<Stream> = vec![Vec::new(); sc.clients + 1];
-    let mut outcomes = Vec::new();
+    let mut outcomes: Vec<(QueryId, TickOutcome)> = Vec::new();
     for tick in 0..sc.ticks {
         if tick == drop_at {
             let gone = engine.deregister(QueryId(drop_client as u64));
@@ -311,7 +316,12 @@ fn dropped_tcp_session_keeps_survivor_streams_and_ids_stable() {
         let positions: Vec<_> = (0..=sc.clients)
             .map(|c| <S as SpaceWorkload>::position(&sc, &fleet_state, c, tick))
             .collect();
-        let summary = engine.tick_all_outcomes(|id| positions[id.index()], &mut outcomes);
+        outcomes.clear();
+        let summary = engine.tick(
+            TickPolicy::Barrier,
+            |id| TickPos::Fresh(positions[id.index()]),
+            &mut outcomes,
+        );
         let by_id: HashMap<u64, TickOutcome> = outcomes.iter().map(|&(q, o)| (q.0, o)).collect();
         for c in 0..=sc.clients {
             if c == drop_client && tick >= drop_at {

@@ -1,10 +1,10 @@
 //! Synthetic road-network generators.
 //!
 //! The INSQ demo loads real city maps; this reproduction substitutes
-//! deterministic synthetic networks with the same structural regimes
-//! (documented in DESIGN.md): grid street plans with jittered geometry and
-//! optional diagonal shortcuts, and a ring-radial "old town" layout. All
-//! generators take an explicit seed and produce connected networks.
+//! deterministic synthetic networks with the same structural regimes:
+//! grid street plans with jittered geometry and optional diagonal
+//! shortcuts, and a ring-radial "old town" layout. All generators take an
+//! explicit seed and produce connected networks.
 
 use insq_geom::Point;
 

@@ -218,12 +218,6 @@ impl RoadNetwork {
         self.neighbors(v).len()
     }
 
-    /// The Euclidean midpoint of an edge (for rendering only).
-    pub fn edge_midpoint(&self, e: EdgeId) -> Point {
-        let rec = self.edge(e);
-        self.coord(rec.u).midpoint(self.coord(rec.v))
-    }
-
     /// Total length of all edges.
     pub fn total_length(&self) -> f64 {
         self.edges.iter().map(|e| e.len).sum()

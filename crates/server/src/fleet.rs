@@ -14,8 +14,8 @@
 //! pin); [`TickPolicy::Deadline`] ticks whatever positions have arrived,
 //! re-serves the rest, and force-refreshes any query held stale past
 //! `max_staleness` ticks so epoch swaps still propagate.
-//! [`FleetEngine::tick_all`] / [`FleetEngine::tick_all_outcomes`] are
-//! thin Barrier wrappers kept for every existing call site.
+//! [`FleetEngine::tick_all`] is the thin Barrier wrapper for callers that
+//! want no per-query record.
 //!
 //! **Determinism.** Queries are independent (they share only the
 //! immutable world snapshot), every query belongs to exactly one shard,
@@ -166,9 +166,9 @@ impl TickDisposition {
 ///
 /// `()` records nothing and keeps the exact zero-recording hot path
 /// ([`FleetEngine::tick_all`] uses it); `Vec<(QueryId, TickOutcome)>`
-/// collects outcomes of ticked queries only (the
-/// [`FleetEngine::tick_all_outcomes`] wrapper); `Vec<(QueryId,
+/// collects outcomes of ticked queries only; `Vec<(QueryId,
 /// TickDisposition)>` collects everything (the serving layer's sink).
+/// A `Vec` sink is appended to, not cleared.
 pub trait TickSink {
     /// Whether the engine must materialise per-query dispositions at
     /// all. `false` (the `()` sink) compiles recording away entirely.
@@ -268,7 +268,9 @@ pub struct FleetStats {
     pub total: QueryStats,
     /// Live queries.
     pub queries: usize,
-    /// Wall-clock time spent inside `tick_all` since engine creation.
+    /// Wall-clock time spent inside [`FleetEngine::tick`] (whatever the
+    /// policy or wrapper) since engine creation or the last
+    /// [`FleetEngine::reset_stats`].
     pub elapsed: Duration,
 }
 
@@ -411,7 +413,7 @@ where
 
     /// Visits every live query in shard order (registration order within
     /// a shard) — the same deterministic order
-    /// [`FleetEngine::tick_all_outcomes`] reports in, so results of a
+    /// [`FleetEngine::tick`] feeds its sink in, so results of a
     /// tick can be paired with their queries in one O(n) pass instead of
     /// n per-id [`FleetEngine::query`] scans.
     pub fn for_each_query(&self, mut f: impl FnMut(QueryId, &Q)) {
@@ -486,23 +488,6 @@ where
             |id| TickPos::Fresh(positions(id)),
             &mut (),
         )
-    }
-
-    /// [`FleetEngine::tick_all`] that additionally reports every query's
-    /// individual [`TickOutcome`], appended to `out` in shard order
-    /// (registration order within a shard) — deterministic at any thread
-    /// count, like everything else here. `out` is cleared first. A thin
-    /// wrapper over [`FleetEngine::tick`] with a `Vec` sink.
-    pub fn tick_all_outcomes<F>(
-        &mut self,
-        positions: F,
-        out: &mut Vec<(QueryId, TickOutcome)>,
-    ) -> TickSummary
-    where
-        F: Fn(QueryId) -> Q::Pos + Sync,
-    {
-        out.clear();
-        self.tick(TickPolicy::Barrier, |id| TickPos::Fresh(positions(id)), out)
     }
 
     /// The one tick loop behind every policy. With `RECORD`, every

@@ -11,7 +11,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use insq_core::{InsConfig, MovingKnn, QueryStats, TickOutcome};
-use insq_server::{FleetConfig, FleetEngine, InsFleetQuery, QueryId, World};
+use insq_server::{FleetConfig, FleetEngine, InsFleetQuery, QueryId, TickPolicy, TickPos, World};
 use insq_workload::{FleetScenario, SpaceWorkload};
 
 type S = insq_core::Euclidean;
@@ -135,9 +135,14 @@ fn mid_run_churn_leaves_survivors_bit_identical() {
             let positions: Vec<_> = (0..=sc.clients)
                 .map(|c| S::position(&sc, &fleet_state, c, tick))
                 .collect();
-            let summary = engine.tick_all_outcomes(|id| positions[id.index()], &mut outcomes);
+            outcomes.clear();
+            let summary = engine.tick(
+                TickPolicy::Barrier,
+                |id| TickPos::Fresh(positions[id.index()]),
+                &mut outcomes,
+            );
             assert_eq!(summary.ticked as usize, engine.len());
-            // tick_all_outcomes reports exactly the live queries.
+            // The sink hears of exactly the live queries.
             let mut reported: Vec<QueryId> = outcomes.iter().map(|&(q, _)| q).collect();
             reported.sort_unstable();
             assert_eq!(reported, engine.ids());

@@ -1,9 +1,8 @@
 //! The tick contract: `FleetEngine::tick(policy, positions, sink)`.
 //!
-//! * `Barrier` through the generic entry point is bit-identical to the
-//!   `tick_all_outcomes` wrapper (and hence, via
-//!   `tests/fleet_equivalence.rs`, to sequential execution) at 1/2/8
-//!   threads, across an epoch swap.
+//! * `Barrier` requires a fresh position from every live query (its
+//!   bit-identity to sequential execution at 1/2/8 threads, across an
+//!   epoch swap, is `tests/fleet_equivalence.rs`).
 //! * `Deadline { max_staleness }` re-serves stale queries (their result
 //!   stands, disposition `Stale`), never holds one stale past the
 //!   bound (force-tick → `Refreshed`, which also propagates epoch
@@ -16,7 +15,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use insq_core::{InsConfig, MovingKnn, TickOutcome};
+use insq_core::{InsConfig, MovingKnn};
 use insq_geom::{Point, Trajectory};
 use insq_index::VorTree;
 use insq_server::{
@@ -59,68 +58,6 @@ fn positions(sc: &FleetScenario, trajs: &[Trajectory], tick: usize) -> Vec<Point
     (0..sc.clients)
         .map(|c| sc.position(&trajs[c], c, tick))
         .collect()
-}
-
-#[test]
-fn barrier_through_generic_tick_matches_tick_all_outcomes() {
-    let sc = scenario();
-    let idx_v0 = Arc::new(VorTree::build(sc.points(0), sc.clip_window()).unwrap());
-    let idx_v1 = Arc::new(VorTree::build(sc.points(1), sc.clip_window()).unwrap());
-    let trajs: Vec<Trajectory> = (0..sc.clients).map(|c| sc.client_trajectory(c)).collect();
-
-    // Reference: the classic wrapper, single-threaded.
-    let world = Arc::new(World::from_arc(Arc::clone(&idx_v0)));
-    let mut reference = build_fleet(&world, &sc, 1, 7);
-    let mut ref_outcomes: Vec<Vec<(QueryId, TickOutcome)>> = Vec::new();
-    let mut ref_summaries: Vec<TickSummary> = Vec::new();
-    for tick in 0..sc.ticks {
-        if tick == SWAP_AT {
-            world.publish_arc(Arc::clone(&idx_v1));
-        }
-        let pos = positions(&sc, &trajs, tick);
-        let mut out = Vec::new();
-        ref_summaries.push(reference.tick_all_outcomes(|id| pos[id.index()], &mut out));
-        ref_outcomes.push(out);
-    }
-    let ref_total = reference.stats().total;
-
-    for threads in [1usize, 2, 8] {
-        let world = Arc::new(World::from_arc(Arc::clone(&idx_v0)));
-        let mut fleet = build_fleet(&world, &sc, threads, 7);
-        for tick in 0..sc.ticks {
-            if tick == SWAP_AT {
-                world.publish_arc(Arc::clone(&idx_v1));
-            }
-            let pos = positions(&sc, &trajs, tick);
-            let mut sink: Vec<(QueryId, TickDisposition)> = Vec::new();
-            let summary = fleet.tick(
-                TickPolicy::Barrier,
-                |id| TickPos::Fresh(pos[id.index()]),
-                &mut sink,
-            );
-            assert_eq!(summary, ref_summaries[tick], "summary (t={tick})");
-            assert_eq!(summary.stale, 0, "a barrier tick never re-serves");
-            assert_eq!(summary.refreshed, 0);
-            // Dispositions are all Fresh and carry the wrapper's exact
-            // outcomes in the wrapper's exact order.
-            let as_outcomes: Vec<(QueryId, TickOutcome)> = sink
-                .iter()
-                .map(|&(id, d)| match d {
-                    TickDisposition::Fresh(o) => (id, o),
-                    other => panic!("barrier produced {other:?} for {id:?}"),
-                })
-                .collect();
-            assert_eq!(as_outcomes, ref_outcomes[tick], "outcomes (t={tick})");
-        }
-        assert_eq!(fleet.stats().total, ref_total, "threads={threads}");
-        for c in 0..sc.clients {
-            assert_eq!(
-                fleet.query(QueryId(c as u64)).unwrap().current_knn(),
-                reference.query(QueryId(c as u64)).unwrap().current_knn(),
-                "client {c} knn (threads={threads})"
-            );
-        }
-    }
 }
 
 /// Which clients send no update at `tick`: a deterministic pure pattern

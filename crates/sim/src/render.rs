@@ -1,5 +1,6 @@
 //! ASCII rendering of simulation states — the reproduction's stand-in for
-//! the INSQ Swing UI (see DESIGN.md, *Substitutions*).
+//! the INSQ Swing UI: the demo draws these states on a map canvas, this
+//! crate prints them as character grids.
 //!
 //! Legend (both modes):
 //!

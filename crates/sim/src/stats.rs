@@ -44,20 +44,9 @@ impl Comparison {
 
     /// Adds one run.
     pub fn add<Id: Clone + PartialEq>(&mut self, run: &RunRecord<Id>) {
-        self.add_stats(&run.method, &run.stats, run.elapsed);
-    }
-
-    /// Adds a row from bare aggregate statistics — how multi-query fleet
-    /// runs (whose per-query [`RunRecord`]s are never materialised) feed
-    /// their merged [`insq_core::QueryStats`] into the same comparison tables.
-    pub fn add_stats(
-        &mut self,
-        method: &str,
-        stats: &insq_core::QueryStats,
-        elapsed: std::time::Duration,
-    ) {
+        let stats = &run.stats;
         self.rows.push(Row {
-            method: method.to_string(),
+            method: run.method.clone(),
             ticks: stats.ticks,
             recomputations: stats.recomputations,
             local_updates: stats.swaps + stats.local_reranks,
@@ -68,7 +57,7 @@ impl Comparison {
             us_per_tick: if stats.ticks == 0 {
                 0.0
             } else {
-                elapsed.as_secs_f64() * 1e6 / stats.ticks as f64
+                run.elapsed.as_secs_f64() * 1e6 / stats.ticks as f64
             },
         });
     }
@@ -146,20 +135,6 @@ mod tests {
         assert_eq!(c.rows().len(), 2);
         assert_eq!(c.row("INS").unwrap().recomputations, 3);
         assert!(c.row("nope").is_none());
-    }
-
-    #[test]
-    fn add_stats_matches_add() {
-        let run = fake_run("INS", 4);
-        let mut via_run = Comparison::new();
-        via_run.add(&run);
-        let mut via_stats = Comparison::new();
-        via_stats.add_stats("INS", &run.stats, run.elapsed);
-        let (a, b) = (via_run.row("INS").unwrap(), via_stats.row("INS").unwrap());
-        assert_eq!(a.ticks, b.ticks);
-        assert_eq!(a.recomputations, b.recomputations);
-        assert_eq!(a.comm_objects, b.comm_objects);
-        assert!((a.us_per_tick - b.us_per_tick).abs() < 1e-12);
     }
 
     #[test]

@@ -205,25 +205,6 @@ impl DynamicDelaunay {
         out
     }
 
-    /// Whether vertex `v` currently lies on the convex hull.
-    pub fn on_hull(&self, v: u32) -> bool {
-        let e0 = self.vert_edge[v as usize];
-        if e0 == EMPTY {
-            return false;
-        }
-        let mut e = e0;
-        loop {
-            if self.ghost_slot(e / 3).is_some() {
-                return true;
-            }
-            e = self.halfedges[prev_halfedge(e) as usize];
-            if e == e0 {
-                break;
-            }
-        }
-        false
-    }
-
     // ------------------------------------------------------------ plumbing
 
     fn alloc_triangle(&mut self, a: u32, b: u32, c: u32) -> u32 {

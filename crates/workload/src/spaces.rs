@@ -4,9 +4,10 @@
 //! fleet run needs that is *not* part of query processing: building the
 //! index snapshot of each epoch version from a [`FleetScenario`], and
 //! producing every client's position at every tick. One generic harness
-//! (`insq-server`'s cross-space conformance suite, `insq-bench`'s fleet
-//! experiments) then drives any space through the identical scenario —
-//! a new space implements this trait once and inherits all of them.
+//! (`insq-server`'s cross-space conformance suite, `insq-net`'s loopback
+//! equivalence suite) then drives any space through the identical
+//! scenario — a new space implements this trait once and inherits all of
+//! them.
 //!
 //! Everything derives deterministically from the scenario's master seed,
 //! so fleet runs are exactly reproducible — which is what the

@@ -2,7 +2,7 @@
 //! exactly the brute-force kNN set at every timestamp, for every method,
 //! over multiple scenarios.
 //!
-//! This is what makes the cost comparisons of EXPERIMENTS.md meaningful:
+//! This is what makes the cost comparisons of `report`'s E1–E9 meaningful:
 //! all methods compute the same answers; they differ only in how much work
 //! and communication it takes.
 

@@ -2,7 +2,7 @@
 //! road network, the MIS of `Oknn = {p6, p7}`, the equidistant mid-point
 //! `b` between p7 and p8, and Theorems 1 and 2.
 //!
-//! The figure's exact geometry is not published; DESIGN.md documents this
+//! The figure's exact geometry is not published; this is a
 //! reconstruction: 14 vertices, 9 data objects, with p6/p7 central so that
 //! the order-2 cell labels around `V^2({p6, p7})` are exactly the pairs
 //! the figure annotates — (5,6), (4,7), (7,8), (6,9) — and
