@@ -1,7 +1,8 @@
-//! Incremental index maintenance kernels — delta application
-//! (copy-on-write clone + localized repair) vs the from-scratch rebuild
-//! it replaces, for both index substrates: site deltas, and edge-weight
-//! (traffic) deltas on the road network.
+//! Incremental index maintenance kernels — delta application (a
+//! localized repair on a fresh clone, or through `World::apply` on the
+//! reclaimed previous snapshot) vs the from-scratch rebuild it replaces,
+//! for both index substrates: site deltas, and edge-weight (traffic)
+//! deltas on the road network.
 
 use std::sync::Arc;
 
@@ -10,6 +11,7 @@ use insq_geom::Point;
 use insq_index::{SiteDelta, VorTree};
 use insq_roadnet::generators::{grid_network, random_site_vertices, GridConfig, SplitMix64};
 use insq_roadnet::{EdgeId, EdgeWeight, NetworkVoronoi, SiteIdx, SiteSet, VertexId};
+use insq_server::World;
 use insq_voronoi::SiteId;
 use insq_workload::Distribution;
 use std::hint::black_box;
@@ -44,6 +46,26 @@ fn bench_updates(c: &mut Criterion) {
             })
         });
     }
+    // A world nobody reads, growing and shrinking by 16 sites in turn:
+    // every `apply` but the first reclaims the snapshot retired one
+    // epoch ago and replays the delta it missed — no clone, so this is to
+    // `vortree_apply_delta/16` what `server.apply_us` is to
+    // `index.apply_us`.
+    let world = World::new((*index).clone());
+    let mut rng = SplitMix64::new(0x57ead);
+    let grow = SiteDelta::insert(
+        (0..16)
+            .map(|_| Point::new(rng.range(0.0, 100.0), rng.range(0.0, 100.0)))
+            .collect(),
+    );
+    let shrink = SiteDelta::remove((n as u32..n as u32 + 16).map(SiteId).collect());
+    let mut grown = false;
+    group.bench_with_input(BenchmarkId::new("world_apply_steady", 16), &16, |b, _| {
+        b.iter(|| {
+            grown = !grown;
+            black_box(world.apply(if grown { &grow } else { &shrink })).expect("valid delta")
+        })
+    });
     group.bench_with_input(BenchmarkId::new("vortree_rebuild", n), &n, |b, _| {
         b.iter(|| {
             black_box(

@@ -234,8 +234,8 @@ impl TouchedSet {
 /// epoch's snapshot by patching a copy instead of rebuilding from
 /// scratch. `insq_server::World::apply` is generic over this trait.
 pub trait DeltaIndex: Sized {
-    /// The batched-update type.
-    type Delta;
+    /// The batched-update type (a world keeps the last one: the bounds).
+    type Delta: Clone + Send + Sync + 'static;
     /// The error type of a rejected delta.
     type Error;
 
@@ -253,51 +253,70 @@ pub trait DeltaIndex: Sized {
     ) -> Result<(Self, Option<TouchedSet>), Self::Error> {
         Ok((self.apply_delta(delta)?, None))
     }
-}
 
-impl DeltaIndex for VorTree {
-    type Delta = SiteDelta;
-    type Error = VoronoiError;
-
-    fn apply_delta(&self, delta: &SiteDelta) -> Result<VorTree, VoronoiError> {
-        let mut next = self.clone();
-        next.apply(delta)?;
-        Ok(next)
-    }
-
-    fn apply_delta_traced(
+    /// [`DeltaIndex::apply_delta_traced`] for a caller that still owns
+    /// the snapshot `self` was patched from: `retired` with `missed`
+    /// applied has exactly the content of `self`. An implementation may
+    /// build the result in `retired`'s storage — replay `missed`, then
+    /// apply `delta` — instead of copying `self`, so that an epoch costs
+    /// what its deltas cost. The touched set describes `delta` alone.
+    /// `retired` is owned: nobody reads it, and on error it is discarded,
+    /// half-patched or not. The default drops it and patches a copy —
+    /// right for an index whose repair costs more than its copy.
+    ///
+    /// Replaying is sound only if applying a delta is a **pure function
+    /// of the snapshot's content**. For the Euclidean indexes it is:
+    /// exact predicates, free lists and pool offsets that are themselves
+    /// copied content, hash tables that are looked up but never iterated
+    /// (`insq-server`'s two-buffer conformance suite pins it).
+    fn apply_delta_reclaiming(
         &self,
-        delta: &SiteDelta,
-    ) -> Result<(VorTree, Option<TouchedSet>), VoronoiError> {
-        let mut next = self.clone();
-        let mut touched = Vec::new();
-        next.apply_traced(delta, &mut touched)?;
-        let touched = TouchedSet::from_ordinals(self.len(), touched.iter().map(|s| s.idx()));
-        Ok((next, Some(touched)))
+        delta: &Self::Delta,
+        retired: Self,
+        missed: &Self::Delta,
+    ) -> Result<(Self, Option<TouchedSet>), Self::Error> {
+        drop((retired, missed));
+        self.apply_delta_traced(delta)
     }
 }
 
-impl DeltaIndex for WeightedVorTree {
-    type Delta = SiteDelta;
-    type Error = VoronoiError;
+/// Both Euclidean indexes patch a `SiteDelta` the same way, and state
+/// the patch once: a fresh copy is a retired snapshot that missed
+/// nothing.
+macro_rules! impl_site_delta_index {
+    ($($index:ty),*) => {$(
+        impl DeltaIndex for $index {
+            type Delta = SiteDelta;
+            type Error = VoronoiError;
 
-    fn apply_delta(&self, delta: &SiteDelta) -> Result<WeightedVorTree, VoronoiError> {
-        let mut next = self.clone();
-        next.apply(delta)?;
-        Ok(next)
-    }
+            fn apply_delta(&self, delta: &SiteDelta) -> Result<Self, VoronoiError> {
+                Ok(self.apply_delta_traced(delta)?.0)
+            }
 
-    fn apply_delta_traced(
-        &self,
-        delta: &SiteDelta,
-    ) -> Result<(WeightedVorTree, Option<TouchedSet>), VoronoiError> {
-        let mut next = self.clone();
-        let mut touched = Vec::new();
-        next.apply_traced(delta, &mut touched)?;
-        let touched = TouchedSet::from_ordinals(self.len(), touched.iter().map(|s| s.idx()));
-        Ok((next, Some(touched)))
-    }
+            fn apply_delta_traced(
+                &self,
+                delta: &SiteDelta,
+            ) -> Result<(Self, Option<TouchedSet>), VoronoiError> {
+                self.apply_delta_reclaiming(delta, self.clone(), &SiteDelta::default())
+            }
+
+            fn apply_delta_reclaiming(
+                &self,
+                delta: &SiteDelta,
+                mut retired: Self,
+                missed: &SiteDelta,
+            ) -> Result<(Self, Option<TouchedSet>), VoronoiError> {
+                retired.apply(missed)?;
+                let mut touched = Vec::new();
+                retired.apply_traced(delta, &mut touched)?;
+                let touched = touched.iter().map(|s| s.idx());
+                Ok((retired, Some(TouchedSet::from_ordinals(self.len(), touched))))
+            }
+        }
+    )*};
 }
+
+impl_site_delta_index!(VorTree, WeightedVorTree);
 
 impl DeltaIndex for NetworkWorld {
     /// The combined delta: site insertions/removals *and* edge re-weights

@@ -231,45 +231,43 @@ impl RTree {
     fn insert_rec(&mut self, node: u32, entry: Entry) -> Option<(u32, Aabb)> {
         let ni = node as usize;
         self.nodes[ni].bbox.expand_to(entry.point);
-        match &mut self.nodes[ni].kind {
-            NodeKind::Leaf { entries } => {
-                entries.push(entry);
-                if entries.len() > MAX_ENTRIES {
-                    return Some(self.split_leaf(node));
-                }
-                None
+        if let NodeKind::Leaf { entries } = &mut self.nodes[ni].kind {
+            entries.push(entry);
+            if entries.len() > MAX_ENTRIES {
+                return Some(self.split_leaf(node));
             }
-            NodeKind::Internal { children } => {
-                // Choose the child needing least area enlargement.
-                let mut best = children[0];
-                let mut best_enlarge = f64::INFINITY;
-                let mut best_area = f64::INFINITY;
-                let children_snapshot = children.clone();
-                for &c in &children_snapshot {
-                    let bb = self.nodes[c as usize].bbox;
-                    let mut grown = bb;
-                    grown.expand_to(entry.point);
-                    let enlarge = grown.area() - bb.area();
-                    let area = bb.area();
-                    if enlarge < best_enlarge || (enlarge == best_enlarge && area < best_area) {
-                        best = c;
-                        best_enlarge = enlarge;
-                        best_area = area;
-                    }
-                }
-                if let Some((sibling, sibling_bbox)) = self.insert_rec(best, entry) {
-                    let NodeKind::Internal { children } = &mut self.nodes[ni].kind else {
-                        unreachable!("node kind cannot change during insert")
-                    };
-                    children.push(sibling);
-                    self.nodes[ni].bbox = self.nodes[ni].bbox.union(&sibling_bbox);
-                    if self.nodes[ni].len() > MAX_ENTRIES {
-                        return Some(self.split_internal(node));
-                    }
-                }
-                None
+            return None;
+        }
+        let NodeKind::Internal { children } = &self.nodes[ni].kind else {
+            unreachable!("not a leaf")
+        };
+        // Choose the child needing least area enlargement.
+        let mut best = children[0];
+        let mut best_enlarge = f64::INFINITY;
+        let mut best_area = f64::INFINITY;
+        for &c in children {
+            let bb = self.nodes[c as usize].bbox;
+            let mut grown = bb;
+            grown.expand_to(entry.point);
+            let enlarge = grown.area() - bb.area();
+            let area = bb.area();
+            if enlarge < best_enlarge || (enlarge == best_enlarge && area < best_area) {
+                best = c;
+                best_enlarge = enlarge;
+                best_area = area;
             }
         }
+        if let Some((sibling, sibling_bbox)) = self.insert_rec(best, entry) {
+            let NodeKind::Internal { children } = &mut self.nodes[ni].kind else {
+                unreachable!("node kind cannot change during insert")
+            };
+            children.push(sibling);
+            self.nodes[ni].bbox = self.nodes[ni].bbox.union(&sibling_bbox);
+            if self.nodes[ni].len() > MAX_ENTRIES {
+                return Some(self.split_internal(node));
+            }
+        }
+        None
     }
 
     /// Quadratic split of an overflowing leaf; returns the new sibling.
@@ -372,8 +370,12 @@ impl RTree {
                 true
             }
             NodeKind::Internal { children } => {
-                let kids = children.clone();
-                for &c in &kids {
+                // By position: a child without the entry changes nothing.
+                for at in 0..children.len() {
+                    let NodeKind::Internal { children } = &self.nodes[ni].kind else {
+                        unreachable!("node kind cannot change during remove")
+                    };
+                    let c = children[at];
                     if !self.nodes[c as usize].bbox.contains(point) {
                         continue;
                     }

@@ -56,10 +56,8 @@ impl VorTree {
         Ok(Self::from_voronoi(voronoi))
     }
 
-    /// Wraps an existing Voronoi diagram (freezing its neighbor lists —
-    /// a published index starts immutable).
-    pub fn from_voronoi(mut voronoi: Voronoi) -> VorTree {
-        voronoi.freeze();
+    /// Wraps an existing Voronoi diagram.
+    pub fn from_voronoi(voronoi: Voronoi) -> VorTree {
         let entries: Vec<Entry> = voronoi
             .points()
             .iter()
@@ -130,17 +128,19 @@ impl VorTree {
     /// hint, so the Delaunay walk is O(1)). Returns the new site's id,
     /// always `SiteId(len - 1)`.
     pub fn insert_site(&mut self, p: Point) -> Result<SiteId, VoronoiError> {
-        self.insert_site_traced(p, &mut Vec::new())
+        self.insert_site_traced(p, &mut RTreeScratch::default(), &mut Vec::new())
     }
 
     /// [`VorTree::insert_site`], reporting the touched ids (see
-    /// [`Voronoi::insert_site_traced`]).
+    /// [`Voronoi::insert_site_traced`]); `probe` is the hint search's
+    /// scratch, shared by the insertions of one delta.
     fn insert_site_traced(
         &mut self,
         p: Point,
+        probe: &mut RTreeScratch,
         touched: &mut Vec<SiteId>,
     ) -> Result<SiteId, VoronoiError> {
-        let hint = self.rtree.nearest(p).map(|(e, _)| SiteId(e.id));
+        let hint = self.rtree.nearest_with(probe, p).map(|(e, _)| SiteId(e.id));
         let id = self.voronoi.insert_site_traced(p, hint, touched)?;
         self.rtree.insert(p, id.0);
         self.xs.push(p.x);
@@ -173,12 +173,13 @@ impl VorTree {
         // Mirror the diagram's swap-remove in the SoA lanes.
         self.xs.swap_remove(s.idx());
         self.ys.swap_remove(s.idx());
+        // Real asserts: a diagram/R-tree desync must not be published.
         let found = self.rtree.remove(p, s.0);
-        debug_assert!(found, "R-tree entry for a live site");
+        assert!(found, "R-tree entry for a live site");
         if let Some(old) = moved {
             let q = self.voronoi.point(s);
             let found = self.rtree.remove(q, old.0);
-            debug_assert!(found, "R-tree entry for the moved site");
+            assert!(found, "R-tree entry for the moved site");
             self.rtree.insert(q, s.0);
         }
         Ok(moved)
@@ -188,8 +189,9 @@ impl VorTree {
     /// pre-delta ids, swap-remove semantics), then insertions in order.
     /// See [`SiteDelta`] for the id semantics; on error the index is left
     /// with the delta partially applied — callers that need atomicity
-    /// (like `insq_server::World::apply`) patch a clone and publish only
-    /// on success.
+    /// (like `insq_server::World::apply`) patch a copy nobody reads and
+    /// publish only on success. Neighbor lists are patched where they
+    /// are: nothing is re-laid-out afterwards, the repair is the cost.
     pub fn apply(&mut self, delta: &SiteDelta) -> Result<(), VoronoiError> {
         self.apply_traced(delta, &mut Vec::new())
     }
@@ -223,12 +225,10 @@ impl VorTree {
         for &s in removed.iter().rev() {
             self.remove_site_traced(s, touched)?;
         }
+        let mut probe = RTreeScratch::default();
         for &p in &delta.added {
-            self.insert_site_traced(p, touched)?;
+            self.insert_site_traced(p, &mut probe, touched)?;
         }
-        // The patched diagram is about to be published as an immutable
-        // epoch snapshot: re-freeze the neighbor lists into CSR.
-        self.voronoi.freeze();
         Ok(())
     }
 

@@ -1,7 +1,7 @@
 //! Footprint and rebind guards: a query costs what its guard set costs.
 //!
-//! Two claims, both about memory that must **not** scale with the number
-//! of sites in the index:
+//! Three claims, all about memory that must **not** scale with the
+//! number of sites in the index:
 //!
 //! 1. the bytes allocated to register one more query and give it its
 //!    first answer are the same on a 1 000-site and on a 100 000-site
@@ -10,7 +10,11 @@
 //! 2. a warm query that is rebound to another snapshot and recomputes —
 //!    what every query of a fleet does after a `World::publish`, and the
 //!    touched ones after a `World::apply` — performs zero allocation
-//!    events.
+//!    events;
+//! 3. a warm `World::apply` under a ticking fleet — the retired snapshot
+//!    reclaimed, the delta it missed replayed — allocates what its delta
+//!    needs, and the tick after it frees next to nothing: no snapshot is
+//!    copied or dropped per epoch.
 //!
 //! One `#[test]`, so no concurrent test thread allocates inside a
 //! measured window (see `alloc_guard.rs`).
@@ -122,4 +126,57 @@ fn a_query_costs_what_its_guard_set_costs() {
     let events = PROBE.events() - before;
     assert!(p.stats().recomputations >= recomputations + path.len() as u64 / 5);
     assert_eq!(events, 0, "a warm rebind + recompute allocated");
+
+    // ------------------------------------- an epoch costs its delta
+    let n = 100_000;
+    let world = Arc::new(World::new(build(n, 0xe90c)));
+    let mut fleet: FleetEngine<VorTree, InsFleetQuery> = FleetEngine::new(
+        Arc::clone(&world),
+        FleetConfig {
+            shards: 1,
+            threads: 1,
+        },
+    );
+    let mut next = lcg(0xd);
+    let clients: Vec<Point> = (0..64)
+        .map(|_| Point::new(next() * 100.0, next() * 100.0))
+        .collect();
+    for _ in &clients {
+        fleet.register(InsFleetQuery::new(&world, InsConfig::new(5, 1.6)).unwrap());
+    }
+    fleet.tick_all(|id| clients[id.index()]);
+    let (mut bytes, mut events, mut tick_frees) = (Vec::new(), Vec::new(), 0);
+    for epoch in 0..24 {
+        let added = (0..16)
+            .map(|_| Point::new(next() * 100.0, next() * 100.0))
+            .collect();
+        let mut removed: Vec<SiteId> = (0..16)
+            .map(|_| SiteId((next() * n as f64) as u32))
+            .collect();
+        removed.sort_unstable();
+        removed.dedup();
+        let delta = SiteDelta { added, removed };
+        let before = (PROBE.bytes(), PROBE.events());
+        world.apply(&delta).unwrap();
+        let cost = (PROBE.bytes() - before.0, PROBE.events() - before.1);
+        let before = PROBE.deallocations();
+        fleet.tick_all(|id| clients[id.index()]);
+        // The first epochs copy (nothing retired yet) and warm the buffers.
+        if epoch >= 4 {
+            bytes.push(cost.0);
+            events.push(cost.1);
+            tick_frees = tick_frees.max(PROBE.deallocations() - before);
+        }
+    }
+    bytes.sort_unstable();
+    events.sort_unstable();
+    let (bytes, events) = (bytes[bytes.len() / 2], events[events.len() / 2]);
+    assert!(
+        bytes < 256 * 1024 && events < 2_000,
+        "an epoch of 32 changes on {n} sites allocated {bytes} B in {events} events"
+    );
+    assert!(
+        tick_frees < 100,
+        "the tick after an epoch freed {tick_frees}"
+    );
 }

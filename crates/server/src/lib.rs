@@ -11,10 +11,11 @@
 //!   [`NetworkWorld`]), published atomically. Data-object updates become
 //!   a [`World::publish`] (full rebuild) or — the cheap path — a **delta
 //!   epoch** via [`World::apply`], one generic implementation over
-//!   `insq_core::DeltaIndex`: the snapshot is cloned copy-on-write and
-//!   patched incrementally, at cost proportional to the delta instead of
-//!   O(n log n). Live queries detect the epoch bump at their next tick
-//!   and self-rebind either way.
+//!   `insq_core::DeltaIndex`: a copy nobody reads — in steady state the
+//!   snapshot retired one epoch ago, with the delta it missed replayed —
+//!   is patched incrementally, at cost proportional to the delta instead
+//!   of O(n log n). Live queries detect the epoch bump at their next
+//!   tick and self-rebind either way.
 //! * [`SpaceQuery`] — the one fleet-client implementation, wrapping the
 //!   generic `insq_core::Processor` over an `Arc` world snapshot.
 //!   [`InsFleetQuery`] / [`NetFleetQuery`] / [`WFleetQuery`] are its

@@ -9,17 +9,28 @@
 //! * [`World::apply`] — **delta epochs**: available for every snapshot
 //!   type implementing [`insq_core::DeltaIndex`] (`VorTree`,
 //!   `WeightedVorTree`, [`NetworkWorld`] — one space-generic impl serves
-//!   all of them). The current snapshot is patched copy-on-write (cost
-//!   proportional to the delta's neighborhood, see
-//!   `insq_index::VorTree::apply` /
+//!   all of them). A copy nobody reads is patched (cost proportional
+//!   to the delta's neighborhood, see `insq_index::VorTree::apply` /
 //!   `insq_roadnet::NetworkVoronoi::insert_site` /
-//!   `insq_roadnet::NetworkVoronoi::reweight_edges`) and the patched
-//!   clone published. Structures untouched by the delta are shared via
-//!   `Arc` where the snapshot allows it (a [`NetworkWorld`] keeps its
-//!   road network across pure site-churn deltas; a traffic delta — a
-//!   `NetDelta` carrying edge re-weights — replaces it with a
-//!   re-weighted copy and repairs the NVD locally from the changed
-//!   edges).
+//!   `insq_roadnet::NetworkVoronoi::reweight_edges`) and published.
+//!   Structures untouched by the delta are shared via `Arc` where the
+//!   snapshot allows it (a [`NetworkWorld`] keeps its road network
+//!   across pure site-churn deltas; a traffic delta — a `NetDelta`
+//!   carrying edge re-weights — replaces it with a re-weighted copy and
+//!   repairs the NVD locally from the changed edges).
+//!
+//! **Two buffers.** Where that copy comes from is what an epoch costs.
+//! The world keeps the snapshot the last `apply` replaced and the delta
+//! it missed; once the last query has moved off it — under Barrier
+//! ticks, by the next epoch — the next `apply` takes it back, replays
+//! the missed delta and applies the new one in its storage
+//! ([`DeltaIndex::apply_delta_reclaiming`]): nothing O(n) is copied or
+//! freed, two physical snapshots alternate (the Left-Right scheme).
+//! While a reader still holds it, and on the first epoch after a
+//! creation or a `publish`, `apply` clones the current snapshot instead;
+//! nothing anyone can read is ever modified. The price is one retired
+//! snapshot kept between epochs — no higher peak: old and new coexist
+//! through the rebind tick anyway.
 //!
 //! Either way the [`World`] swaps its snapshot atomically and bumps the
 //! [`Epoch`]. Live queries keep reading their old `Arc`-held snapshot —
@@ -33,6 +44,7 @@
 //! still rebinds the whole fleet). This replaces the manual `rebind`
 //! dance of single-query code (`examples/data_updates.rs`).
 
+use std::any::Any;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use insq_core::{DeltaIndex, TouchedSet};
@@ -73,8 +85,18 @@ pub struct World<S> {
     state: RwLock<State<S>>,
     /// Serialises writers: `apply` is a read-modify-write, so two
     /// concurrent appliers (or an applier racing a publisher) must not
-    /// interleave. Readers are never blocked by this lock.
-    writer: Mutex<()>,
+    /// interleave. Readers are never blocked by this lock. It guards
+    /// what the last `apply` retired, for the next one to reclaim.
+    writer: Mutex<Option<Retired<S>>>,
+}
+
+/// The snapshot an `apply` replaced, and the `S::Delta` that turns it
+/// into the current one — type-erased, so that `World<S>` exists for
+/// payloads that have no delta type.
+#[derive(Debug)]
+struct Retired<S> {
+    snapshot: Arc<S>,
+    missed: Box<dyn Any + Send + Sync>,
 }
 
 /// What readers see, swapped as one unit.
@@ -101,7 +123,7 @@ impl<S> World<S> {
                 data,
                 touched: None,
             }),
-            writer: Mutex::new(()),
+            writer: Mutex::new(None),
         }
     }
 
@@ -113,7 +135,7 @@ impl<S> World<S> {
         self.state.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lock_writer(&self) -> MutexGuard<'_, ()> {
+    fn lock_writer(&self) -> MutexGuard<'_, Option<Retired<S>>> {
         self.writer.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -146,7 +168,9 @@ impl<S> World<S> {
     /// [`World::publish`] for an already-shared snapshot (lets sweeps
     /// republish the same prebuilt index without a rebuild).
     pub fn publish_arc(&self, data: Arc<S>) -> Epoch {
-        let _serial = self.lock_writer();
+        // Whatever `apply` retired is not one delta behind `data`.
+        let mut retired = self.lock_writer();
+        *retired = None;
         self.swap_in(data, None)
     }
 
@@ -165,24 +189,38 @@ impl<S> World<S> {
 }
 
 impl<S: DeltaIndex> World<S> {
-    /// Applies a batched delta as a **delta epoch**: the current snapshot
-    /// is patched copy-on-write ([`DeltaIndex::apply_delta`] — local
-    /// repair, no rebuild) and the patched clone published together
+    /// Applies a batched delta as a **delta epoch**: a copy of the
+    /// current snapshot that nobody reads — the reclaimed retired
+    /// snapshot, or else a clone; see "Two buffers" in the module docs —
+    /// is patched (local repair, no rebuild) and published together
     /// with what the delta touched, so only the queries holding a
-    /// touched object recompute (see the module docs). The repair scales
-    /// with the delta's neighborhood instead of O(n log n); the copy is
-    /// still O(n).
+    /// touched object recompute.
     ///
     /// On error nothing is published and the world is unchanged — a
     /// rejected delta (stale removal id, duplicate insertion, …) comes
-    /// back as the snapshot's error value, never a panic. Concurrent
-    /// `apply`/`publish` calls serialise; readers are never blocked for
-    /// longer than the final pointer swap.
+    /// back as the snapshot's error value, never a panic; the
+    /// half-patched copy is discarded. Concurrent `apply`/`publish`
+    /// calls serialise; readers are never blocked for longer than the
+    /// final pointer swap.
     pub fn apply(&self, delta: &S::Delta) -> Result<Epoch, S::Error> {
-        let _serial = self.lock_writer();
+        let mut retired = self.lock_writer();
         let current = Arc::clone(&self.read_state().data);
-        let (next, touched) = current.apply_delta_traced(delta)?;
-        Ok(self.swap_in(Arc::new(next), touched))
+        // Taken before anything can fail: a rejected delta leaves no
+        // half-patched buffer. `try_unwrap` succeeds iff no reader is left.
+        let reclaimed = retired.take().and_then(|r| {
+            let missed = r.missed.downcast::<S::Delta>().ok()?;
+            Some((Arc::try_unwrap(r.snapshot).ok()?, missed))
+        });
+        let (next, touched) = match reclaimed {
+            Some((snapshot, missed)) => current.apply_delta_reclaiming(delta, snapshot, &missed)?,
+            None => current.apply_delta_traced(delta)?,
+        };
+        let epoch = self.swap_in(Arc::new(next), touched);
+        *retired = Some(Retired {
+            snapshot: current,
+            missed: Box::new(delta.clone()),
+        });
+        Ok(epoch)
     }
 }
 

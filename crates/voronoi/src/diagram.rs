@@ -33,21 +33,123 @@ impl std::fmt::Display for SiteId {
     }
 }
 
-/// A frozen, flat (CSR) snapshot of the per-site neighbor lists.
+/// One site's neighbor list: `pool[start..start + len]`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    #[inline]
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+}
+
+/// The per-site neighbor lists in one flat pool, patched in place.
 ///
-/// One contiguous `targets` array plus an `offsets` fence per site:
-/// the neighbor expansion of a kNN query then walks a single cache-line
-/// friendly slice instead of chasing one heap pointer per visited site.
-/// Only valid while the diagram is immutable — any insert/remove drops
-/// it and reads fall back to the nested lists.
+/// A kNN expansion walks one contiguous slice per visited site, a clone
+/// is two `memcpy`s and a drop two frees whatever the site count, and
+/// an update rewrites only the lists it changed: over the old span when
+/// the new list fits, at the end of the pool otherwise. Spans are
+/// pairwise disjoint; pool entries no span covers are `dead`, and when
+/// they outnumber the live ones the pool is rewritten in site order.
+/// Every entry dies once and a compaction copies fewer entries than
+/// died since the last, so upkeep is amortised O(1) per entry written —
+/// and a pure function of the updates: two copies fed the same updates
+/// stay bit-identical.
 #[derive(Debug, Clone)]
-struct AdjCsr {
-    /// `offsets[s]..offsets[s + 1]` indexes `targets` for site `s`
-    /// (length `n + 1`).
-    offsets: Vec<u32>,
-    /// All neighbor lists, concatenated in site order (each sorted
-    /// ascending, exactly like the nested form).
-    targets: Vec<SiteId>,
+struct Adjacency {
+    spans: Vec<Span>,
+    pool: Vec<SiteId>,
+    /// `pool.len()` minus the sum of all span lengths.
+    dead: usize,
+}
+
+impl Adjacency {
+    /// The lists of `n` sites from every undirected edge, once: degree
+    /// count, prefix sum, fill, sort each span.
+    fn build(n: usize, edges: &[(u32, u32)]) -> Adjacency {
+        let mut spans = vec![Span::default(); n];
+        for &(u, v) in edges {
+            spans[u as usize].len += 1;
+            spans[v as usize].len += 1;
+        }
+        let mut end = 0usize;
+        for span in &mut spans {
+            span.start = u32::try_from(end).expect("adjacency pool exceeds u32 offsets");
+            end += span.len as usize;
+            span.len = 0;
+        }
+        let mut pool = vec![SiteId(0); end];
+        for &(u, v) in edges {
+            for (from, to) in [(u, v), (v, u)] {
+                let span = &mut spans[from as usize];
+                pool[span.range().end] = SiteId(to);
+                span.len += 1;
+            }
+        }
+        for span in &spans {
+            pool[span.range()].sort_unstable();
+        }
+        Adjacency {
+            spans,
+            pool,
+            dead: 0,
+        }
+    }
+
+    #[inline]
+    fn get(&self, s: usize) -> &[SiteId] {
+        &self.pool[self.spans[s].range()]
+    }
+
+    /// Replaces the list of site `s` with `list` (sorted ascending).
+    fn set(&mut self, s: usize, list: &[u32]) {
+        let old = self.spans[s];
+        // A list holds distinct site ids, so its length fits a `u32`.
+        let len = list.len() as u32;
+        let start = if len <= old.len {
+            self.dead += (old.len - len) as usize;
+            old.start
+        } else {
+            self.dead += old.len as usize;
+            let start = self.pool.len();
+            self.pool.resize(start + list.len(), SiteId(0));
+            u32::try_from(start).expect("adjacency pool exceeds u32 offsets")
+        };
+        let span = Span { start, len };
+        self.spans[s] = span;
+        for (slot, &nb) in self.pool[span.range()].iter_mut().zip(list) {
+            *slot = SiteId(nb);
+        }
+        if self.dead > self.pool.len() - self.dead {
+            self.compact();
+        }
+    }
+
+    /// Appends a site with an empty list.
+    fn push(&mut self) {
+        self.spans.push(Span::default());
+    }
+
+    /// Drops the list of site `s`; the last site takes its id.
+    fn swap_remove(&mut self, s: usize) {
+        self.dead += self.spans.swap_remove(s).len as usize;
+    }
+
+    /// Rewrites the pool without its dead entries, in site order.
+    fn compact(&mut self) {
+        let mut pool = Vec::with_capacity(self.pool.len() - self.dead);
+        for span in &mut self.spans {
+            let start = pool.len() as u32;
+            pool.extend_from_slice(&self.pool[span.range()]);
+            span.start = start;
+        }
+        self.pool = pool;
+        self.dead = 0;
+    }
 }
 
 /// An order-1 Voronoi diagram over a set of sites, clipped to a bounding
@@ -58,10 +160,7 @@ pub struct Voronoi {
     bounds: Aabb,
     tri: DynamicDelaunay,
     /// Per-site Voronoi neighbor lists, each sorted ascending.
-    adj: Vec<Vec<SiteId>>,
-    /// CSR view of `adj`, present iff the diagram is frozen (no
-    /// mutation since the last [`Voronoi::freeze`]).
-    csr: Option<AdjCsr>,
+    adj: Adjacency,
 }
 
 impl Voronoi {
@@ -71,52 +170,13 @@ impl Voronoi {
         let triangulation = Triangulation::build(&points)?;
         let n = points.len();
         let tri = DynamicDelaunay::from_triangulation(triangulation, n);
-
-        let mut adj: Vec<Vec<SiteId>> = vec![Vec::new(); n];
-        for (u, v) in tri.edges() {
-            adj[u as usize].push(SiteId(v));
-            adj[v as usize].push(SiteId(u));
-        }
-        for list in &mut adj {
-            list.sort_unstable();
-        }
-
-        let mut v = Voronoi {
+        let adj = Adjacency::build(n, &tri.edges());
+        Ok(Voronoi {
             points,
             bounds,
             tri,
             adj,
-            csr: None,
-        };
-        v.freeze();
-        Ok(v)
-    }
-
-    /// Freezes the neighbor lists into a flat CSR layout.
-    ///
-    /// Epoch snapshots are immutable, so the index layer calls this at
-    /// publish time (after a build or a delta apply); subsequent
-    /// [`Voronoi::neighbors`] reads come from one contiguous array.
-    /// A later [`Voronoi::insert_site`] / [`Voronoi::remove_site`]
-    /// silently drops the frozen view and falls back to the nested
-    /// lists — freezing is a layout change, never a semantic one.
-    pub fn freeze(&mut self) {
-        let total: usize = self.adj.iter().map(Vec::len).sum();
-        debug_assert!(total <= u32::MAX as usize, "adjacency exceeds u32 range");
-        let mut offsets = Vec::with_capacity(self.adj.len() + 1);
-        let mut targets = Vec::with_capacity(total);
-        offsets.push(0u32);
-        for list in &self.adj {
-            targets.extend_from_slice(list);
-            offsets.push(targets.len() as u32);
-        }
-        self.csr = Some(AdjCsr { offsets, targets });
-    }
-
-    /// Whether the diagram currently carries a frozen CSR neighbor view.
-    #[inline]
-    pub fn is_frozen(&self) -> bool {
-        self.csr.is_some()
+        })
     }
 
     /// Inserts a new site at `p` (which must lie inside the clipping
@@ -147,12 +207,11 @@ impl Voronoi {
                 index: self.points.len(),
             });
         }
-        self.csr = None;
         let v = self.points.len() as u32;
         self.points.push(p);
         match self.tri.insert(&self.points, v, hint.map(|s| s.0)) {
             Ok(affected) => {
-                self.adj.push(Vec::new());
+                self.adj.push();
                 self.refresh_adjacency(&affected);
                 touched.extend(affected.into_iter().map(SiteId));
                 Ok(SiteId(v))
@@ -198,7 +257,6 @@ impl Voronoi {
         if n <= 3 {
             return Err(VoronoiError::TooFewSites { needed: 4, got: n });
         }
-        self.csr = None;
         let affected = self.tri.remove(&self.points, s.0)?;
         let last = (n - 1) as u32;
         let moved = if s.0 != last {
@@ -217,7 +275,7 @@ impl Voronoi {
             .collect();
         if moved.is_some() {
             to_fix.push(s.0);
-            to_fix.extend(self.tri.neighbors_of(s.0));
+            self.tri.neighbors_of_into(s.0, &mut to_fix);
         }
         to_fix.sort_unstable();
         to_fix.dedup();
@@ -231,8 +289,11 @@ impl Voronoi {
     /// Recomputes the neighbor lists of the given sites from the
     /// triangulation.
     fn refresh_adjacency(&mut self, sites: &[u32]) {
+        let mut ring = Vec::new();
         for &w in sites {
-            self.adj[w as usize] = self.tri.neighbors_of(w).into_iter().map(SiteId).collect();
+            ring.clear();
+            self.tri.neighbors_of_into(w, &mut ring);
+            self.adj.set(w as usize, &ring);
         }
     }
 
@@ -281,13 +342,7 @@ impl Voronoi {
     /// which only requires a superset of the true neighbor set.
     #[inline]
     pub fn neighbors(&self, s: SiteId) -> &[SiteId] {
-        if let Some(csr) = &self.csr {
-            let lo = csr.offsets[s.idx()] as usize;
-            let hi = csr.offsets[s.idx() + 1] as usize;
-            &csr.targets[lo..hi]
-        } else {
-            &self.adj[s.idx()]
-        }
+        self.adj.get(s.idx())
     }
 
     /// Whether sites `a` and `b` are Voronoi neighbors.
@@ -562,35 +617,68 @@ mod tests {
         assert_matches_rebuild(&v);
     }
 
+    /// Spans are pairwise disjoint and `dead` counts exactly the pool
+    /// entries none of them covers.
+    fn assert_pool_accounted(v: &Voronoi) {
+        let mut spans = v.adj.spans.clone();
+        spans.retain(|s| s.len > 0);
+        spans.sort_by_key(|s| s.start);
+        assert!(spans
+            .windows(2)
+            .all(|w| w[0].range().end <= w[1].range().start));
+        let live: usize = spans.iter().map(|s| s.len as usize).sum();
+        assert_eq!(v.adj.dead, v.adj.pool.len() - live);
+    }
+
+    /// The flat adjacency under 2 400 seeded inserts and removes on
+    /// 50–400 sites, among them a hub in an otherwise empty disc that
+    /// keeps gaining neighbors on a ring around it: its list outgrows
+    /// its span again and again.
     #[test]
-    fn freeze_is_a_pure_layout_change() {
-        let mut next = lcg(0xc50f_f5e7);
-        let points: Vec<Point> = (0..40)
-            .map(|_| Point::new(next() * 10.0, next() * 10.0))
-            .collect();
-        let bounds = Aabb::new(Point::new(-1.0, -1.0), Point::new(11.0, 11.0));
+    fn flat_adjacency_tracks_rebuild_under_churn() {
+        let mut next = lcg(0xf1a7_ad1a);
+        let hub = Point::new(50.0, 50.0);
+        let mut outside_disc = move || loop {
+            let p = Point::new(next() * 100.0, next() * 100.0);
+            if p.distance(hub) > 12.0 {
+                return p;
+            }
+        };
+        let mut points: Vec<Point> = (0..120).map(|_| outside_disc()).collect();
+        points.push(hub);
+        let bounds = Aabb::new(Point::new(-10.0, -10.0), Point::new(110.0, 110.0));
         let mut v = Voronoi::build(points, bounds).unwrap();
-        // A fresh build is frozen; capture its CSR-backed neighbor lists.
-        assert!(v.is_frozen());
-        let frozen: Vec<Vec<SiteId>> = (0..v.len() as u32)
-            .map(|s| v.neighbors(SiteId(s)).to_vec())
-            .collect();
-        // Mutation drops the frozen view and reads fall back to the
-        // nested lists — with identical content for untouched sites.
-        let id = v.insert_site(Point::new(5.05, 5.05), None).unwrap();
-        assert!(!v.is_frozen());
-        v.remove_site(id).unwrap();
-        assert!(!v.is_frozen());
-        let nested: Vec<Vec<SiteId>> = (0..v.len() as u32)
-            .map(|s| v.neighbors(SiteId(s)).to_vec())
-            .collect();
-        // Re-freezing restores the flat layout with the same content.
-        v.freeze();
-        assert!(v.is_frozen());
-        for s in 0..v.len() as u32 {
-            assert_eq!(v.neighbors(SiteId(s)), &nested[s as usize][..]);
+        let hub_id =
+            |v: &Voronoi| SiteId(v.points().iter().position(|&p| p == hub).unwrap() as u32);
+
+        let mut next = lcg(0x0b5e_55ed);
+        let (mut compactions, mut outgrown) = (0, 0);
+        for step in 0..=2_400 {
+            let dead = v.adj.dead;
+            let degree = v.neighbors(hub_id(&v)).len();
+            if step % 8 == 0 && v.len() < 400 {
+                let angle = next() * std::f64::consts::TAU;
+                let on_ring = Point::new(50.0 + 10.0 * angle.cos(), 50.0 + 10.0 * angle.sin());
+                v.insert_site(on_ring, Some(hub_id(&v))).unwrap();
+            } else if v.len() < 50 || (v.len() < 400 && next() < 0.5) {
+                v.insert_site(outside_disc(), None).unwrap();
+            } else {
+                let s = SiteId((next() * v.len() as f64) as u32);
+                if s != hub_id(&v) {
+                    v.remove_site(s).unwrap();
+                }
+            }
+            compactions += usize::from(v.adj.dead < dead);
+            outgrown += usize::from(v.neighbors(hub_id(&v)).len() > degree);
+            if step % 16 == 0 {
+                assert_pool_accounted(&v);
+                assert_matches_rebuild(&v);
+            }
         }
-        assert_eq!(frozen, nested, "insert+remove round-trip changed lists");
+        assert!(
+            compactions >= 3 && outgrown >= 50,
+            "{compactions}, {outgrown}"
+        );
     }
 
     #[test]

@@ -183,12 +183,12 @@ impl DynamicDelaunay {
         out
     }
 
-    /// The finite Delaunay neighbors of `v`, sorted ascending.
-    pub fn neighbors_of(&self, v: u32) -> Vec<u32> {
-        let mut out = Vec::new();
+    /// Appends the finite Delaunay neighbors of `v` to `out`, ascending.
+    pub fn neighbors_of_into(&self, v: u32, out: &mut Vec<u32>) {
+        let from = out.len();
         let e0 = self.vert_edge[v as usize];
         if e0 == EMPTY {
-            return out;
+            return;
         }
         let mut e = e0;
         loop {
@@ -201,8 +201,7 @@ impl DynamicDelaunay {
                 break;
             }
         }
-        out.sort_unstable();
-        out
+        out[from..].sort_unstable();
     }
 
     // ------------------------------------------------------------ plumbing
@@ -901,6 +900,8 @@ mod tests {
         d.truncate_vertices(4);
         let live = vec![true; 4];
         assert_delaunay(&points, &live, &d);
-        assert_eq!(d.neighbors_of(1), vec![0, 2, 3]);
+        let mut ring = Vec::new();
+        d.neighbors_of_into(1, &mut ring);
+        assert_eq!(ring, vec![0, 2, 3]);
     }
 }

@@ -4,9 +4,10 @@
 //!
 //! Models a POI database edit mid-drive — on the **delta path**: instead
 //! of rebuilding the whole VoR-tree (O(n log n)) and publishing it, the
-//! server calls `World::apply(SiteDelta)`, which clones the snapshot
-//! copy-on-write and patches only the Delaunay cavity / R-tree entries
-//! the delta touches. The epoch bump also says which objects the delta
+//! server calls `World::apply(SiteDelta)`, which patches only the
+//! Delaunay cavity / R-tree entries the delta touches, in a copy nobody
+//! reads (a clone here; the reclaimed previous snapshot once epochs
+//! stream). The epoch bump also says which objects the delta
 //! touched (`World::snapshot_traced`), and the client does what every
 //! `FleetEngine` query does: `rebind_scoped` keeps its kNN and guards
 //! when it holds none of them — the epoch then costs it nothing — and
