@@ -39,15 +39,10 @@
 //! handoff per session.
 //!
 //! ```text
-//! soak [--sessions N] [--results R] [--herds H] [--partitions P]
-//!      [--readiness auto|poll|epoll] [--quick]
+//! soak [--sessions N] [--results R] [--herds H] [--partitions P] [--quick]
 //! soak --herd <addr> <count> <results> <seed> [shuttle]     (internal child role)
-//! soak --backend <region> <partitions> <readiness>          (internal child role)
+//! soak --backend <region> <partitions>                      (internal child role)
 //! ```
-//!
-//! `--readiness` selects the reactor's readiness backend (for the CI
-//! backend matrix); `auto` (the default) defers to `INSQ_READINESS`
-//! and then picks `epoll` on Linux, `poll(2)` elsewhere.
 
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::SocketAddr;
@@ -62,8 +57,8 @@ use insq_geom::{Aabb, Point};
 use insq_index::VorTree;
 use insq_net::buffer::READ_CHUNK;
 use insq_net::{
-    ClientCore, ClientEvent, Message, NetServer, NetServerConfig, ReadinessKind, SpaceKind,
-    WirePos, MAX_PAYLOAD_LEN,
+    ClientCore, ClientEvent, Message, NetServer, NetServerConfig, SpaceKind, WirePos,
+    MAX_PAYLOAD_LEN,
 };
 use insq_server::{FleetConfig, GridPartitioner, RegionId, TickPolicy, World};
 
@@ -73,28 +68,8 @@ const WORLD_SIDE: f64 = 100.0;
 const SOAK_MARGIN: f64 = 12.0;
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: soak [--sessions N] [--results R] [--herds H] [--partitions P] \
-         [--readiness auto|poll|epoll] [--quick]"
-    );
+    eprintln!("usage: soak [--sessions N] [--results R] [--herds H] [--partitions P] [--quick]");
     std::process::exit(2);
-}
-
-fn parse_readiness(word: &str) -> Option<ReadinessKind> {
-    match word {
-        "auto" => Some(ReadinessKind::Auto),
-        "poll" => Some(ReadinessKind::Poll),
-        "epoll" => Some(ReadinessKind::Epoll),
-        _ => None,
-    }
-}
-
-fn readiness_word(kind: ReadinessKind) -> &'static str {
-    match kind {
-        ReadinessKind::Auto => "auto",
-        ReadinessKind::Poll => "poll",
-        ReadinessKind::Epoll => "epoll",
-    }
 }
 
 fn main() {
@@ -113,13 +88,12 @@ fn main() {
     }
     if args.first().map(String::as_str) == Some("--backend") {
         // Internal role: serve one regional slice of the soak world.
-        if args.len() != 4 {
+        if args.len() != 3 {
             usage();
         }
         let region: u32 = args[1].parse().unwrap_or_else(|_| usage());
         let partitions: u32 = args[2].parse().unwrap_or_else(|_| usage());
-        let readiness = parse_readiness(&args[3]).unwrap_or_else(|| usage());
-        run_backend(region, partitions, readiness);
+        run_backend(region, partitions);
         return;
     }
 
@@ -127,7 +101,6 @@ fn main() {
     let mut results = 5usize;
     let mut herds = 0usize;
     let mut partitions = 0u32;
-    let mut readiness = ReadinessKind::from_env();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -156,12 +129,6 @@ fn main() {
                     .filter(|&p| p >= 1)
                     .unwrap_or_else(|| usage())
             }
-            "--readiness" => {
-                readiness = it
-                    .next()
-                    .and_then(|s| parse_readiness(s))
-                    .unwrap_or_else(|| usage())
-            }
             "--quick" => {
                 sessions = 1_000;
                 results = 3;
@@ -180,9 +147,9 @@ fn main() {
         herds = sessions.div_ceil(1_250);
     }
     if partitions > 0 {
-        run_cluster_soak(sessions, results, herds, partitions, readiness);
+        run_cluster_soak(sessions, results, herds, partitions);
     } else {
-        run_server(sessions, results, herds, readiness);
+        run_server(sessions, results, herds);
     }
 }
 
@@ -224,7 +191,7 @@ fn soak_plan(partitions: u32) -> (Arc<GridPartitioner>, ClusterPlan) {
 /// Internal child role: one partition backend. Binds a `NetServer` on
 /// its regional slice, announces the address on stdout, serves until
 /// the parent closes stdin, then reports its buffer high-water mark.
-fn run_backend(region: u32, partitions: u32, readiness: ReadinessKind) {
+fn run_backend(region: u32, partitions: u32) {
     let (_, plan) = soak_plan(partitions);
     let pts = plan.region_sites(RegionId(region));
     let world = Arc::new(World::new(
@@ -237,7 +204,6 @@ fn run_backend(region: u32, partitions: u32, readiness: ReadinessKind) {
         },
         policy: TickPolicy::Deadline { max_staleness: 3 },
         certify_within: Some(SOAK_MARGIN),
-        readiness,
         ..NetServerConfig::default()
     };
     let server: NetServer<Euclidean> =
@@ -253,13 +219,7 @@ fn run_backend(region: u32, partitions: u32, readiness: ReadinessKind) {
 
 /// The partitioned soak: N backend children behind a router, shuttle
 /// herds forcing a handoff from every session on every cycle.
-fn run_cluster_soak(
-    sessions: usize,
-    results: usize,
-    herds: usize,
-    partitions: u32,
-    readiness: ReadinessKind,
-) {
+fn run_cluster_soak(sessions: usize, results: usize, herds: usize, partitions: u32) {
     let fd_limit = insq_net::sys::max_open_files().unwrap_or(0);
     // The router (this process) holds a client leg and a backend leg
     // per session, plus a transient extra during each handoff drain.
@@ -277,7 +237,6 @@ fn run_cluster_soak(
                 .arg("--backend")
                 .arg(r.to_string())
                 .arg(partitions.to_string())
-                .arg(readiness_word(readiness))
                 .stdin(Stdio::piped())
                 .stdout(Stdio::piped())
                 .spawn()
@@ -305,7 +264,6 @@ fn run_cluster_soak(
         part,
         RouterConfig {
             tables: plan.tables(),
-            readiness,
             ..RouterConfig::new(addrs)
         },
     )
@@ -313,9 +271,7 @@ fn run_cluster_soak(
     let addr = router.local_addr().to_string();
     println!(
         "soak: {sessions} sessions x {results} result cycles through a router over \
-         {partitions} partition backends, {herds} herd processes, shuttle walks, \
-         {} readiness @ {addr}",
-        readiness_word(readiness)
+         {partitions} partition backends, {herds} herd processes, shuttle walks @ {addr}"
     );
 
     let t0 = Instant::now();
@@ -410,7 +366,7 @@ fn run_cluster_soak(
     );
 }
 
-fn run_server(sessions: usize, results: usize, herds: usize, readiness: ReadinessKind) {
+fn run_server(sessions: usize, results: usize, herds: usize) {
     let fd_limit = insq_net::sys::max_open_files().unwrap_or(0);
     let needed = sessions as u64 + 64;
     assert!(
@@ -429,7 +385,6 @@ fn run_server(sessions: usize, results: usize, herds: usize, readiness: Readines
         // deterministic in shape (one ramp, then steady cycling).
         min_clients: sessions,
         max_sessions: sessions + 16,
-        readiness,
         ..NetServerConfig::default()
     };
     let write_buf_cap = cfg.write_buf.max(4 + MAX_PAYLOAD_LEN);
@@ -438,8 +393,7 @@ fn run_server(sessions: usize, results: usize, herds: usize, readiness: Readines
     let addr = server.local_addr().to_string();
     println!(
         "soak: {sessions} sessions x {results} result cycles, {herds} herd processes, \
-         Deadline{{max_staleness: 3}}, {} readiness @ {addr}",
-        readiness_word(readiness)
+         Deadline{{max_staleness: 3}} @ {addr}"
     );
 
     let t0 = Instant::now();

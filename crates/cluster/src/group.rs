@@ -59,8 +59,9 @@ pub struct ClientResult {
     /// The kNN in **global** site ids, ascending by distance (ties by
     /// id) — directly comparable to a single-world engine's output.
     pub knn: Vec<u32>,
-    /// The overlap-margin contract held: the k-th neighbor distance is
-    /// within the certify bound, so this is provably the global kNN.
+    /// The overlap-margin contract held
+    /// ([`insq_core::Processor::certified_within`] the plan's margin),
+    /// so this is provably the global kNN.
     pub certified: bool,
     /// This tick crossed a partition border (deregister + re-register).
     pub handoff: bool,
@@ -83,7 +84,6 @@ pub struct PartitionGroup<S: WireSpace + Space<Pos = Point>> {
     by_qid: Vec<BTreeMap<u64, ClientId>>,
     next_client: u64,
     handoffs: u64,
-    certify_bound: f64,
 }
 
 impl<S: WireSpace + Space<Pos = Point>> std::fmt::Debug for PartitionGroup<S> {
@@ -101,14 +101,7 @@ impl<S: WireSpace + Space<Pos = Point>> PartitionGroup<S> {
     /// Wraps pre-built regional worlds (one per plan region, each
     /// indexing exactly [`ClusterPlan::region_sites`] in that order)
     /// into a routed group. Panics if the world count does not match the
-    /// plan.
-    ///
-    /// The certify bound defaults to the plan's margin — correct when
-    /// the space's distance *is* Euclidean distance. For metrics that
-    /// differ (weighted axes), set the bound to the largest metric
-    /// distance guaranteed covered by a Euclidean `margin` via
-    /// [`PartitionGroup::set_certify_bound`] (for axis weights `w`,
-    /// `margin * w.min()`).
+    /// plan. Results certify within [`ClusterPlan::margin`].
     pub fn new(
         plan: ClusterPlan,
         worlds: Vec<Arc<World<S::Index>>>,
@@ -124,7 +117,6 @@ impl<S: WireSpace + Space<Pos = Point>> PartitionGroup<S> {
             .map(|w| FleetEngine::new(Arc::clone(w), fleet))
             .collect();
         let by_qid = (0..plan.regions()).map(|_| BTreeMap::new()).collect();
-        let certify_bound = plan.margin();
         PartitionGroup {
             plan,
             worlds,
@@ -133,7 +125,6 @@ impl<S: WireSpace + Space<Pos = Point>> PartitionGroup<S> {
             by_qid,
             next_client: 0,
             handoffs: 0,
-            certify_bound,
         }
     }
 
@@ -165,17 +156,6 @@ impl<S: WireSpace + Space<Pos = Point>> PartitionGroup<S> {
     /// Live clients per region.
     pub fn population(&self) -> Vec<usize> {
         self.by_qid.iter().map(BTreeMap::len).collect()
-    }
-
-    /// The metric-distance bound used for certification (see
-    /// [`PartitionGroup::new`]).
-    pub fn certify_bound(&self) -> f64 {
-        self.certify_bound
-    }
-
-    /// Overrides the certification bound (weighted metrics).
-    pub fn set_certify_bound(&mut self, bound: f64) {
-        self.certify_bound = bound;
     }
 
     /// The region currently serving a client.
@@ -251,17 +231,14 @@ impl<S: WireSpace + Space<Pos = Point>> PartitionGroup<S> {
             let mut at = 0usize;
             let plan = &self.plan;
             let by_qid = &self.by_qid[r];
-            let bound = self.certify_bound;
             engine.for_each_query(|qid, q| {
                 let (did, disposition) = dispositions[at];
                 at += 1;
                 debug_assert_eq!(did, qid, "disposition order matches query order");
                 let client = by_qid[&qid.0];
                 let p = q.processor();
-                let knn_d = p.current_knn_with_dists();
-                let full = knn_d.len() >= p.config().k;
-                let kth = knn_d.last().map_or(f64::INFINITY, |&(_, d)| d);
-                let knn = knn_d
+                let knn = p
+                    .current_knn_with_dists()
                     .iter()
                     .map(|&(id, _)| {
                         plan.globalize(RegionId(r as u32), S::id_to_wire(id))
@@ -274,7 +251,7 @@ impl<S: WireSpace + Space<Pos = Point>> PartitionGroup<S> {
                     epoch: summary.epoch,
                     disposition,
                     knn,
-                    certified: full && kth <= bound,
+                    certified: p.certified_within(plan.margin()),
                     handoff: false,
                 });
             });

@@ -52,7 +52,6 @@ use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use insq_geom::Point;
-use insq_net::sys::ReadinessKind;
 use insq_net::wire::{ErrorCode, Message, SpaceKind, WirePos};
 use insq_net::{Closed, ConnId, Conns, Handler, Reactor, ReactorHandle};
 use insq_server::{Partitioner, RegionId};
@@ -71,12 +70,6 @@ pub struct RouterConfig {
     pub write_buf: usize,
     /// Hard cap on concurrent sessions (`0` = no cap).
     pub max_sessions: usize,
-    /// Which readiness backend drives the routing reactor (the router
-    /// multiplexes 2–3 descriptors per session, so it hits the
-    /// `poll(2)` scan wall even sooner than the net server). Defaults
-    /// like [`insq_net::NetServerConfig::readiness`]: the
-    /// `INSQ_READINESS` environment variable, else auto.
-    pub readiness: ReadinessKind,
 }
 
 impl RouterConfig {
@@ -87,7 +80,6 @@ impl RouterConfig {
             tables: Vec::new(),
             write_buf: 256 * 1024,
             max_sessions: 0,
-            readiness: ReadinessKind::from_env(),
         }
     }
 }
@@ -166,13 +158,7 @@ impl RouterServer {
         let routing = Routing {
             shared: Arc::clone(&shared),
         };
-        let reactor = Reactor::spawn(
-            addr,
-            cfg.readiness,
-            cfg.max_sessions,
-            cfg.write_buf,
-            routing,
-        )?;
+        let reactor = Reactor::spawn(addr, cfg.max_sessions, cfg.write_buf, routing)?;
         Ok(RouterServer { shared, reactor })
     }
 

@@ -221,6 +221,15 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
         &self.knn
     }
 
+    /// The cluster's overlap-margin contract: given that the index holds
+    /// every site within `margin` of the query, the current result is
+    /// provably the kNN over *all* sites — a full `k` neighbours, the
+    /// k-th no farther than `margin` (a tie at the margin certifies;
+    /// fewer than `k` never does).
+    pub fn certified_within(&self, margin: f64) -> bool {
+        self.knn.len() >= self.cfg.k && self.knn.last().is_some_and(|&(_, d)| d <= margin)
+    }
+
     /// The influential neighbor set `I(kNN)` of the current result.
     pub fn influential_set(&self) -> Vec<S::SiteId> {
         let ids: Vec<S::SiteId> = self.knn.iter().map(|&(s, _)| s).collect();

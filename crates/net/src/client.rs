@@ -13,9 +13,10 @@
 //! [`NetClient`] is the original blocking convenience API
 //! (`register` / `update` / `next_knn`), re-expressed as thin waits
 //! around the core: block until the socket is writable, flush; block
-//! until readable, poll. It keeps wire-byte accounting so callers (the
-//! `e_net` experiment) can report *measured* bytes per tick next to the
-//! paper's model-level communication counter.
+//! until readable, poll. It keeps wire-byte accounting so callers can
+//! report *measured* bytes per answer (the repo benchmark's
+//! `net.bytes_up_per_answer` / `net.bytes_down_per_answer` on
+//! `wire_fleet`) next to the paper's model-level communication counter.
 
 use std::io;
 use std::net::{Shutdown, ToSocketAddrs};

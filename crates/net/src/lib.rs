@@ -16,11 +16,10 @@
 //!   (positions are validated against the served index; all three
 //!   in-tree spaces implement it).
 //! * [`reactor`] — the one connection driver: a readiness-driven event
-//!   loop on non-blocking sockets (an in-tree [`sys::Readiness`] backend
-//!   — `epoll` on Linux for O(ready) wakeups, portable `poll(2)` as the
-//!   fallback, selectable via [`NetServerConfig::readiness`] or the
-//!   `INSQ_READINESS` environment variable; same no-deps discipline as
-//!   `crates/compat/`) that owns sockets, incremental frame reassembly
+//!   loop on non-blocking sockets (the in-tree [`sys::Readiness`] set:
+//!   `epoll`, level-triggered, O(ready) wakeups, so serving requires
+//!   Linux; same no-deps discipline as `crates/compat/`) that owns
+//!   sockets, incremental frame reassembly
 //!   ([`FrameBuf`]), bounded write buffers ([`WriteBuf`]), the listener
 //!   and the close rules, and hands frames to a [`Handler`]. Per-session
 //!   memory is bounded and live sessions are limited by file
@@ -36,8 +35,9 @@
 //!   non-blocking core (`try_send_update` / `poll_event` returning
 //!   typed [`ClientEvent`]s, so one thread can drive thousands of
 //!   sessions) and the blocking convenience API re-expressed on top,
-//!   with wire-byte accounting (the `e_net` experiment reports measured
-//!   bytes/tick next to the paper's `comm` counter).
+//!   with wire-byte accounting (the repo benchmark's `wire_fleet`
+//!   workload reports measured `net.bytes_*_per_answer` next to the
+//!   paper's `comm_objects_per_answer` counter).
 //!
 //! ## Determinism
 //!
@@ -102,7 +102,6 @@ pub use client::{ClientCore, ClientEvent, KnnUpdate, NetClient, NetError};
 pub use reactor::{Closed, ConnId, Conns, Handler, Reactor, ReactorHandle};
 pub use server::{NetServer, NetServerConfig};
 pub use space::{PosError, WireSpace};
-pub use sys::ReadinessKind;
 pub use wire::{
     Decode, DecodeError, Encode, ErrorCode, Message, Reader, SpaceKind, WireOutcome, WirePos,
     FLAG_UNCERTIFIED, MAX_IDS, MAX_PAYLOAD_LEN, WIRE_VERSION,

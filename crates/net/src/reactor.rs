@@ -11,8 +11,8 @@
 //! * the [`Readiness`] set with **persistent interest**: a socket is
 //!   registered once, its interest modified only when "wants reads" or
 //!   "has queued output" actually changes, and deregistered before it
-//!   closes — a wakeup costs O(ready events) on `epoll`, never an
-//!   interest-set rebuild;
+//!   closes — a wakeup costs O(ready events), never an interest-set
+//!   rebuild;
 //! * the **listener**, disarmed at the session cap and during the
 //!   `ACCEPT_ERROR_PAUSE` after descriptor exhaustion;
 //! * the **bounded read → frame-drain loop**: frames reassemble
@@ -68,8 +68,7 @@ use crate::wire::{ErrorCode, Message};
 
 /// How many [`READ_CHUNK`]s one connection may consume per wakeup
 /// before yielding to its peers (level-triggered readiness re-reports
-/// the rest — both backends register level-triggered; see
-/// [`crate::sys::epoll`]).
+/// the rest; see [`Readiness`]).
 const READS_PER_WAKEUP: usize = 4;
 
 /// The listener's readiness token (no connection can reach it: slots
@@ -226,7 +225,7 @@ struct Slot<T> {
     /// Queued in `Conns::dirty` for the end-of-event flush.
     dirty: bool,
     /// The `(read, write)` interest currently registered with the
-    /// readiness backend — a `modify` is issued only when the desired
+    /// readiness set — a `modify` is issued only when the desired
     /// interest diverges from this.
     reg: (bool, bool),
 }
@@ -391,9 +390,7 @@ impl<T> Conns<T> {
     fn release(&mut self, at: usize) -> Option<Slot<T>> {
         let slot = self.slots[at].take()?;
         Self::note_buffers(&self.shared, &slot.link);
-        // Detach from the readiness set before the descriptor closes (a
-        // closed fd left registered would poll NVAL forever on the
-        // portable backend).
+        // Detach from the readiness set before the descriptor closes.
         let _ = self.readiness.deregister(sys::raw_fd(&slot.link.stream));
         self.gens[at] = self.gens[at].wrapping_add(1);
         let _ = slot.link.stream.shutdown(Shutdown::Both);
@@ -535,10 +532,10 @@ impl<H: Handler> Reactor<H> {
     /// Binds a listener on `addr` (port 0 lets the OS pick) and starts
     /// the reactor thread. At most `max_sessions` accepted connections
     /// are open at once (`0` = no cap); each gets a `write_buf`-byte
-    /// output bound.
+    /// output bound. Fails with `Unsupported` off Linux (the readiness
+    /// set is `epoll`).
     pub fn spawn(
         addr: impl ToSocketAddrs,
-        readiness: ReadinessKind,
         max_sessions: usize,
         write_buf: usize,
         handler: H,
@@ -546,9 +543,9 @@ impl<H: Handler> Reactor<H> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        // Opened here, not in the reactor thread, so an unsupported
-        // `ReadinessKind` fails the bind call.
-        let readiness = Readiness::new(readiness)?;
+        // Opened here, not in the reactor thread, so a target without
+        // `epoll` fails the bind call.
+        let readiness = Readiness::new(ReadinessKind::Auto)?;
         let shared = Arc::new(Shared::default());
         let reactor = Reactor {
             handler,

@@ -60,8 +60,8 @@ use insq_server::{
 
 use crate::reactor::{Closed, ConnId, Conns, Handler, Reactor, ReactorHandle};
 use crate::space::WireSpace;
-use crate::sys::{self, ReadinessKind};
-use crate::wire::{ErrorCode, Message};
+use crate::sys;
+use crate::wire::{ErrorCode, Message, FLAG_UNCERTIFIED};
 
 /// Configuration of a [`NetServer`].
 #[derive(Debug, Clone, Copy)]
@@ -92,17 +92,12 @@ pub struct NetServerConfig {
     /// Partition-backend mode: the replication margin this server's
     /// world is guaranteed complete within. When set, every fresh
     /// [`Message::KnnResult`] carries
-    /// [`crate::wire::FLAG_UNCERTIFIED`] unless the query's k-th
-    /// neighbor distance (at its tick position) is ≤ this margin and a
-    /// full k neighbors exist — i.e. the served index provably contains
-    /// every site that could beat the result. `None` (the default, a
-    /// whole-world server) always certifies.
+    /// [`crate::wire::FLAG_UNCERTIFIED`] unless
+    /// [`insq_core::Processor::certified_within`] this margin — i.e.
+    /// the served index provably contains every site that could beat
+    /// the result. `None` (the default, a whole-world server) always
+    /// certifies.
     pub certify_within: Option<f64>,
-    /// Which readiness backend drives the reactor. The default defers
-    /// to the `INSQ_READINESS` environment variable (so a CI matrix can
-    /// force the portable backend suite-wide) and otherwise
-    /// auto-selects `epoll` on Linux, `poll(2)` elsewhere.
-    pub readiness: ReadinessKind,
     /// Kernel send-buffer bound applied (best effort) to every accepted
     /// session. Setting it locks the buffer against kernel autotuning,
     /// so a slow reader's backlog lands in the session's accountable
@@ -122,7 +117,6 @@ impl Default for NetServerConfig {
             tick_interval: Duration::from_millis(5),
             max_sessions: 0,
             certify_within: None,
-            readiness: ReadinessKind::from_env(),
             sndbuf: None,
         }
     }
@@ -193,13 +187,7 @@ impl<S: WireSpace> NetServer<S> {
             fresh: 0,
             last_tick: Instant::now(),
         };
-        let reactor = Reactor::spawn(
-            addr,
-            cfg.readiness,
-            cfg.max_sessions,
-            cfg.write_buf,
-            serving,
-        )?;
+        let reactor = Reactor::spawn(addr, cfg.max_sessions, cfg.write_buf, serving)?;
         Ok(NetServer { shared, reactor })
     }
 
@@ -449,16 +437,8 @@ impl<S: WireSpace> Serving<S> {
                     let knn = p.current_knn_with_dists();
                     let ids: Vec<u32> = knn.iter().map(|&(s, _)| S::id_to_wire(s)).collect();
                     let flags = match self.shared.cfg.certify_within {
-                        Some(margin) => {
-                            let full = knn.len() >= p.config().k;
-                            let kth = knn.last().map_or(f64::INFINITY, |&(_, d)| d);
-                            if full && kth <= margin {
-                                0
-                            } else {
-                                crate::wire::FLAG_UNCERTIFIED
-                            }
-                        }
-                        None => 0,
+                        Some(margin) if !p.certified_within(margin) => FLAG_UNCERTIFIED,
+                        _ => 0,
                     };
                     Message::KnnResult {
                         epoch: summary.epoch.0,

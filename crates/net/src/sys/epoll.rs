@@ -1,20 +1,16 @@
-//! The Linux `epoll` readiness backend.
+//! [`Readiness`]: the reactor's one readiness set, an `epoll` instance.
 //!
 //! Interest registration lives in the kernel, so a wakeup costs
-//! O(ready events), not O(registered descriptors) — the property that
-//! carries the reactor past the `poll(2)` scan wall. Descriptors are
-//! registered **level-triggered** (no `EPOLLET`): the reactor bounds
+//! O(ready events), not O(registered descriptors) — 100k mostly-idle
+//! sessions cost nothing per wakeup. Descriptors are registered
+//! **level-triggered** (no `EPOLLET`), deliberately: the reactor bounds
 //! work per wakeup (`READS_PER_WAKEUP`) and depends on unconsumed
-//! readiness being re-reported by the next `epoll_wait`, exactly as
-//! `poll(2)` behaves. This keeps the two backends semantically
-//! interchangeable, which the conformance suites assert by comparing
-//! result streams bit-for-bit.
+//! readiness being re-reported by the next `epoll_wait`.
 
-use std::collections::HashMap;
 use std::io;
 use std::time::Duration;
 
-use super::{Event, RawFd, WaitDeadline};
+use super::{Event, RawFd, ReadinessKind, WaitDeadline};
 
 const EPOLL_CLOEXEC: std::ffi::c_int = 0x80000;
 const EPOLL_CTL_ADD: std::ffi::c_int = 1;
@@ -65,28 +61,27 @@ fn interest_mask(read: bool, write: bool) -> u32 {
     m
 }
 
-/// Persistent-interest backend over an `epoll` instance. Tracks the
-/// registered set only to report [`len`](EpollBackend::len) and to
-/// keep register/deregister misuse errors identical to the poll
-/// backend; the kernel owns the real interest list.
+/// A readiness set with persistent interest registration: register a
+/// descriptor once, adjust its interest on state transitions, wait for
+/// whatever is ready. The kernel owns the interest list — there is no
+/// userspace registry beside it, and misuse comes back as the kernel
+/// reports it (`EEXIST` → `AlreadyExists`, `ENOENT` → `NotFound`).
 #[derive(Debug)]
-pub struct EpollBackend {
+pub struct Readiness {
     epfd: RawFd,
-    registered: HashMap<RawFd, ()>,
     buf: Vec<EpollEvent>,
 }
 
-impl EpollBackend {
+impl Readiness {
     /// Opens a fresh `epoll` instance (close-on-exec).
-    pub fn new() -> io::Result<EpollBackend> {
+    pub fn new(_kind: ReadinessKind) -> io::Result<Readiness> {
         // SAFETY: plain syscall, no pointers.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
         }
-        Ok(EpollBackend {
+        Ok(Readiness {
             epfd,
-            registered: HashMap::new(),
             buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
         })
     }
@@ -103,53 +98,39 @@ impl EpollBackend {
         Ok(())
     }
 
-    /// Adds `fd` to the kernel interest list (level-triggered).
+    /// Registers `fd` (level-triggered) with interest in readability
+    /// and/or writability. `token` comes back verbatim on every
+    /// [`Event`] for this descriptor. Registering an already-registered
+    /// descriptor is an `AlreadyExists` error.
     pub fn register(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-        if self.registered.contains_key(&fd) {
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                "fd already registered",
-            ));
-        }
-        self.ctl(EPOLL_CTL_ADD, fd, interest_mask(read, write), token)?;
-        self.registered.insert(fd, ());
-        Ok(())
+        self.ctl(EPOLL_CTL_ADD, fd, interest_mask(read, write), token)
     }
 
-    /// Replaces the interest (and token) of a registered descriptor.
+    /// Replaces the interest (and token) of a registered descriptor;
+    /// `NotFound` if it is not registered.
     pub fn modify(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-        if !self.registered.contains_key(&fd) {
-            return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
-        }
         self.ctl(EPOLL_CTL_MOD, fd, interest_mask(read, write), token)
     }
 
-    /// Removes a descriptor from the kernel interest list. Call before
-    /// closing the descriptor.
+    /// Removes a descriptor from the interest set; `NotFound` if it is
+    /// not registered. Call before closing the descriptor: the kernel
+    /// drops a closed descriptor's registration by itself only once no
+    /// duplicate of it stays open.
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        if self.registered.remove(&fd).is_none() {
-            return Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered"));
-        }
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
-    /// Waits for ready descriptors (see [`super::Readiness::wait`] for
-    /// the shared timeout contract).
+    /// Waits until at least one registered descriptor is ready or the
+    /// timeout passes (`None` waits indefinitely), filling `events`
+    /// with what is ready. Returns the number of events. Sub-ms
+    /// timeouts block (rounded up); `EINTR` restarts with the
+    /// remaining time.
     pub fn wait(
         &mut self,
         timeout: Option<Duration>,
         events: &mut Vec<Event>,
     ) -> io::Result<usize> {
         events.clear();
-        if self.registered.is_empty() {
-            // epoll_wait on an empty set would still block; honour the
-            // timeout as a sleep so an idle reactor paces identically
-            // to the poll backend.
-            if let Some(d) = timeout {
-                std::thread::sleep(d);
-                return Ok(0);
-            }
-        }
         let deadline = WaitDeadline::new(timeout);
         let n = loop {
             // SAFETY: `buf` is a live Vec of `repr(C)` event structs;
@@ -194,19 +175,9 @@ impl EpollBackend {
         }
         Ok(events.len())
     }
-
-    /// Registered descriptors.
-    pub fn len(&self) -> usize {
-        self.registered.len()
-    }
-
-    /// True when no descriptor is registered.
-    pub fn is_empty(&self) -> bool {
-        self.registered.is_empty()
-    }
 }
 
-impl Drop for EpollBackend {
+impl Drop for Readiness {
     fn drop(&mut self) {
         // SAFETY: closing the epoll fd we own; registered descriptors
         // are detached automatically by the kernel.

@@ -1,105 +1,61 @@
-//! Minimal OS readiness primitives behind one backend-neutral facade.
+//! The OS primitives the wire layer needs and `std` does not expose.
 //!
 //! The event loop in [`crate::reactor`] needs exactly one thing from
-//! the OS that `std` does not expose: "which of these sockets are
-//! readable or writable right now?". This module provides it with the same offline-deps discipline as
-//! `crates/compat/` — hand-written FFI bindings, no external crates —
-//! behind a [`Readiness`] abstraction with **persistent interest
-//! registration**:
+//! the OS: "which of these sockets are readable or writable right
+//! now?". [`Readiness`] answers it — one concrete type over Linux
+//! `epoll`, level-triggered, with persistent interest registration
+//! (register once, `modify` on a state transition, `deregister` before
+//! close) — with the same offline-deps discipline as `crates/compat/`:
+//! hand-written FFI bindings, no external crates. Off Linux there is no
+//! second implementation: [`Readiness::new`] returns
+//! [`io::ErrorKind::Unsupported`], so the codec and the clients build
+//! on any Unix while *serving* requires Linux.
 //!
-//! * [`epoll`] (Linux) — the scaling backend. Interest lives in the
-//!   kernel; a wakeup costs O(ready), not O(live), so 100k mostly-idle
-//!   sessions cost nothing per wakeup. Registered **level-triggered**
-//!   (no `EPOLLET`), deliberately: the reactor bounds work per wakeup
-//!   (`READS_PER_WAKEUP`) and relies on unconsumed readiness being
-//!   re-reported by the next wait.
-//! * [`poll`] (portable fallback) — the original `poll(2)` wrapper,
-//!   wrapped in a persistent interest registry so both backends expose
-//!   the identical register/modify/deregister/wait surface. The kernel
-//!   still scans O(live) descriptors per wakeup — that is the wall this
-//!   backend hits around 20k sessions — but the interest set is no
-//!   longer rebuilt per wakeup either.
+//! Beside it sit the raw [`poll`] call — what the blocking
+//! [`crate::NetClient`] parks on through [`wait_readable`] /
+//! [`wait_writable`] — and the rlimit, socket-buffer and CPU-clock
+//! helpers the soak and the fault-path tests use.
 //!
-//! Which backend serves is runtime-selectable ([`ReadinessKind`],
-//! surfaced on `NetServerConfig`/`RouterConfig` and overridable via the
-//! `INSQ_READINESS` environment variable) so both stay tested by the
-//! same suites.
-//!
-//! Both backends share the same timeout contract, pinned by unit tests:
+//! Every wait shares one timeout contract, pinned by unit tests:
 //! sub-millisecond timeouts are rounded **up** to the next millisecond
 //! (never truncated to a non-blocking zero — callers pacing on short
 //! deadlines must block, not busy-spin), and an `EINTR` restart retries
 //! with the **remaining** time to a fixed deadline, so repeated signals
 //! cannot extend the wait unboundedly.
-//!
-//! On non-Unix targets there is a degraded but correct fallback: the
-//! raw [`poll`] call sleeps a millisecond and reports every descriptor
-//! ready, so the reactor becomes a paced busy-poll (non-blocking
-//! reads/writes that aren't actually ready return `WouldBlock` and are
-//! retried).
 
 #![allow(unsafe_code)]
 
 use std::io;
 use std::time::{Duration, Instant};
 
+#[cfg(not(unix))]
+compile_error!("insq-net binds poll(2)/epoll by hand and needs a Unix target");
+
 #[cfg(target_os = "linux")]
-pub mod epoll;
+mod epoll;
 mod poll;
 
-pub use poll::{poll, PollBackend, PollFd};
+#[cfg(target_os = "linux")]
+pub use epoll::Readiness;
+pub use poll::{poll, PollFd};
 
-/// The raw socket descriptor type fed to the readiness backends.
-#[cfg(unix)]
+/// The raw socket descriptor type fed to [`Readiness`] and [`poll`].
 pub type RawFd = std::os::unix::io::RawFd;
 
-/// The raw socket descriptor type fed to the readiness backends
-/// (placeholder off Unix; see the module docs for the fallback
-/// semantics).
-#[cfg(not(unix))]
-pub type RawFd = i32;
-
 /// Extracts the raw descriptor of a socket for readiness registration.
-#[cfg(unix)]
 pub fn raw_fd<T: std::os::unix::io::AsRawFd>(t: &T) -> RawFd {
     t.as_raw_fd()
 }
 
-/// Extracts the raw descriptor of a socket for readiness registration
-/// (dummy off Unix; the fallback [`poll`] reports every descriptor
-/// ready anyway).
-#[cfg(not(unix))]
-pub fn raw_fd<T>(_t: &T) -> RawFd {
-    0
-}
-
-/// Which readiness backend a reactor runs on.
+/// The argument of [`Readiness::new`]: a placeholder with one value,
+/// selecting nothing. It exists only because `benchmark/` (which moves
+/// in its own PRs) names it — the next benchmark PR drops the argument
+/// and this type with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReadinessKind {
-    /// Pick the best available: `epoll` on Linux, `poll` elsewhere.
+    /// The one readiness backend: `epoll`.
     #[default]
     Auto,
-    /// Force the portable `poll(2)` backend (O(live) kernel scan per
-    /// wakeup; the conformance baseline).
-    Poll,
-    /// Force the Linux `epoll` backend (O(ready) wakeups); binding
-    /// fails on targets without it.
-    Epoll,
-}
-
-impl ReadinessKind {
-    /// The kind named by the `INSQ_READINESS` environment variable
-    /// (`poll` / `epoll` / `auto`, case-insensitive), or `Auto` when
-    /// unset or unrecognised. Server config defaults route through
-    /// this, so a CI matrix can force the fallback backend across an
-    /// entire test suite without touching any call site.
-    pub fn from_env() -> ReadinessKind {
-        match std::env::var("INSQ_READINESS") {
-            Ok(v) if v.eq_ignore_ascii_case("poll") => ReadinessKind::Poll,
-            Ok(v) if v.eq_ignore_ascii_case("epoll") => ReadinessKind::Epoll,
-            _ => ReadinessKind::Auto,
-        }
-    }
 }
 
 /// One ready descriptor, as reported by [`Readiness::wait`]. Carries
@@ -116,7 +72,8 @@ pub struct Event {
 }
 
 impl Event {
-    pub(crate) fn new(token: u64, readable: bool, writable: bool, error: bool) -> Event {
+    #[cfg(target_os = "linux")]
+    fn new(token: u64, readable: bool, writable: bool, error: bool) -> Event {
         Event {
             token,
             readable,
@@ -141,111 +98,34 @@ impl Event {
     }
 }
 
-/// A readiness backend with persistent interest registration: register
-/// a descriptor once, adjust its interest on state transitions, wait
-/// for whatever is ready. Backed by `epoll` on Linux or the portable
-/// `poll(2)` registry — enum dispatch, no boxing on the wakeup path.
+/// Off Linux nothing can serve: [`Readiness::new`] fails, so no value
+/// of the type exists and its methods are statically unreachable.
+#[cfg(not(target_os = "linux"))]
 #[derive(Debug)]
-pub enum Readiness {
-    /// The portable `poll(2)` registry backend.
-    Poll(PollBackend),
-    /// The Linux `epoll` backend.
-    #[cfg(target_os = "linux")]
-    Epoll(epoll::EpollBackend),
-}
+pub struct Readiness(std::convert::Infallible);
 
+#[cfg(not(target_os = "linux"))]
+#[allow(missing_docs)]
 impl Readiness {
-    /// Opens a backend of the requested kind. `Auto` resolves to
-    /// `epoll` on Linux and `poll` elsewhere; an explicit `Epoll` on a
-    /// target without it is an `Unsupported` error.
-    pub fn new(kind: ReadinessKind) -> io::Result<Readiness> {
-        match kind {
-            ReadinessKind::Poll => Ok(Readiness::Poll(PollBackend::new())),
-            #[cfg(target_os = "linux")]
-            ReadinessKind::Auto | ReadinessKind::Epoll => {
-                Ok(Readiness::Epoll(epoll::EpollBackend::new()?))
-            }
-            #[cfg(not(target_os = "linux"))]
-            ReadinessKind::Auto => Ok(Readiness::Poll(PollBackend::new())),
-            #[cfg(not(target_os = "linux"))]
-            ReadinessKind::Epoll => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "epoll backend requires Linux",
-            )),
-        }
+    pub fn new(_kind: ReadinessKind) -> io::Result<Readiness> {
+        let why = "the reactor's readiness set is epoll: serving requires Linux";
+        Err(io::Error::new(io::ErrorKind::Unsupported, why))
     }
 
-    /// The resolved backend kind (never `Auto`).
-    pub fn kind(&self) -> ReadinessKind {
-        match self {
-            Readiness::Poll(_) => ReadinessKind::Poll,
-            #[cfg(target_os = "linux")]
-            Readiness::Epoll(_) => ReadinessKind::Epoll,
-        }
+    pub fn register(&mut self, _: RawFd, _: u64, _: bool, _: bool) -> io::Result<()> {
+        match self.0 {}
     }
 
-    /// Registers `fd` with interest in readability and/or writability.
-    /// `token` comes back verbatim on every [`Event`] for this
-    /// descriptor. Registering an already-registered descriptor is an
-    /// error.
-    pub fn register(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-        match self {
-            Readiness::Poll(b) => b.register(fd, token, read, write),
-            #[cfg(target_os = "linux")]
-            Readiness::Epoll(b) => b.register(fd, token, read, write),
-        }
+    pub fn modify(&mut self, _: RawFd, _: u64, _: bool, _: bool) -> io::Result<()> {
+        match self.0 {}
     }
 
-    /// Replaces the interest (and token) of a registered descriptor.
-    pub fn modify(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-        match self {
-            Readiness::Poll(b) => b.modify(fd, token, read, write),
-            #[cfg(target_os = "linux")]
-            Readiness::Epoll(b) => b.modify(fd, token, read, write),
-        }
+    pub fn deregister(&mut self, _: RawFd) -> io::Result<()> {
+        match self.0 {}
     }
 
-    /// Removes a descriptor from the interest set. Must be called
-    /// **before** the descriptor is closed (the poll registry keys by
-    /// fd, and a closed fd in its set would poll as `POLLNVAL`
-    /// forever).
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match self {
-            Readiness::Poll(b) => b.deregister(fd),
-            #[cfg(target_os = "linux")]
-            Readiness::Epoll(b) => b.deregister(fd),
-        }
-    }
-
-    /// Waits until at least one registered descriptor is ready or the
-    /// timeout passes (`None` waits indefinitely), filling `events`
-    /// with what is ready. Returns the number of events. Sub-ms
-    /// timeouts block (rounded up); `EINTR` restarts with the
-    /// remaining time.
-    pub fn wait(
-        &mut self,
-        timeout: Option<Duration>,
-        events: &mut Vec<Event>,
-    ) -> io::Result<usize> {
-        match self {
-            Readiness::Poll(b) => b.wait(timeout, events),
-            #[cfg(target_os = "linux")]
-            Readiness::Epoll(b) => b.wait(timeout, events),
-        }
-    }
-
-    /// Registered descriptors (live interest set size).
-    pub fn len(&self) -> usize {
-        match self {
-            Readiness::Poll(b) => b.len(),
-            #[cfg(target_os = "linux")]
-            Readiness::Epoll(b) => b.len(),
-        }
-    }
-
-    /// Whether no descriptor is registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub fn wait(&mut self, _: Option<Duration>, _: &mut Vec<Event>) -> io::Result<usize> {
+        match self.0 {}
     }
 }
 
@@ -307,155 +187,37 @@ fn wait_ready(interest: PollFd) -> io::Result<()> {
     }
 }
 
-#[cfg(unix)]
-mod imp {
-    use super::*;
-
-    #[repr(C)]
-    struct RLimit {
-        cur: u64,
-        max: u64,
-    }
-    #[cfg(target_os = "linux")]
-    const RLIMIT_NOFILE: std::ffi::c_int = 7;
-    #[cfg(all(unix, not(target_os = "linux")))]
-    const RLIMIT_NOFILE: std::ffi::c_int = 8;
-    extern "C" {
-        fn getrlimit(resource: std::ffi::c_int, rlim: *mut RLimit) -> std::ffi::c_int;
-        fn setrlimit(resource: std::ffi::c_int, rlim: *const RLimit) -> std::ffi::c_int;
-    }
-
-    pub fn max_open_files_impl() -> io::Result<u64> {
-        let mut lim = RLimit { cur: 0, max: 0 };
-        // SAFETY: plain C struct out-parameter of the documented shape
-        // for these two syscalls on 64-bit Unix.
-        if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        if lim.cur < lim.max {
-            let raised = RLimit {
-                cur: lim.max,
-                max: lim.max,
-            };
-            // SAFETY: as above; raising the soft limit to the hard
-            // limit is always permitted.
-            if unsafe { setrlimit(RLIMIT_NOFILE, &raised) } == 0 {
-                lim.cur = lim.max;
-            }
-        }
-        Ok(lim.cur)
-    }
-
-    pub fn set_open_file_limit_impl(n: u64) -> io::Result<()> {
-        let mut lim = RLimit { cur: 0, max: 0 };
-        // SAFETY: as in `max_open_files_impl`.
-        if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let lowered = RLimit {
-            cur: n.min(lim.max),
-            max: lim.max,
-        };
-        // SAFETY: lowering (or restoring up to the hard limit) the
-        // soft limit is always permitted.
-        if unsafe { setrlimit(RLIMIT_NOFILE, &lowered) } != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    pub fn process_cpu_time_impl() -> io::Result<Duration> {
-        #[repr(C)]
-        struct Timespec {
-            sec: i64,
-            nsec: i64,
-        }
-        const CLOCK_PROCESS_CPUTIME_ID: std::ffi::c_int = 2;
-        extern "C" {
-            fn clock_gettime(clock: std::ffi::c_int, tp: *mut Timespec) -> std::ffi::c_int;
-        }
-        let mut ts = Timespec { sec: 0, nsec: 0 };
-        // SAFETY: documented out-parameter shape for clock_gettime on
-        // 64-bit Unix.
-        if unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) } != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(Duration::new(ts.sec as u64, ts.nsec as u32))
-    }
-
-    #[cfg(target_os = "linux")]
-    const SOL_SOCKET: std::ffi::c_int = 1;
-    #[cfg(target_os = "linux")]
-    const SO_SNDBUF: std::ffi::c_int = 7;
-    #[cfg(target_os = "linux")]
-    const SO_RCVBUF: std::ffi::c_int = 8;
-    #[cfg(all(unix, not(target_os = "linux")))]
-    const SOL_SOCKET: std::ffi::c_int = 0xffff;
-    #[cfg(all(unix, not(target_os = "linux")))]
-    const SO_SNDBUF: std::ffi::c_int = 0x1001;
-    #[cfg(all(unix, not(target_os = "linux")))]
-    const SO_RCVBUF: std::ffi::c_int = 0x1002;
-
-    fn set_buf_opt(fd: RawFd, name: std::ffi::c_int, bytes: usize) -> io::Result<()> {
-        extern "C" {
-            fn setsockopt(
-                fd: std::ffi::c_int,
-                level: std::ffi::c_int,
-                name: std::ffi::c_int,
-                value: *const std::ffi::c_void,
-                len: u32,
-            ) -> std::ffi::c_int;
-        }
-        let v: std::ffi::c_int = bytes.min(i32::MAX as usize) as std::ffi::c_int;
-        // SAFETY: passes a live c_int by pointer with its exact size;
-        // the kernel only reads `len` bytes from it.
-        let rc = unsafe {
-            setsockopt(
-                fd,
-                SOL_SOCKET,
-                name,
-                (&v as *const std::ffi::c_int).cast(),
-                std::mem::size_of::<std::ffi::c_int>() as u32,
-            )
-        };
-        if rc != 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
-    }
-
-    pub fn set_recv_buffer_impl(fd: RawFd, bytes: usize) -> io::Result<()> {
-        set_buf_opt(fd, SO_RCVBUF, bytes)
-    }
-
-    pub fn set_send_buffer_impl(fd: RawFd, bytes: usize) -> io::Result<()> {
-        set_buf_opt(fd, SO_SNDBUF, bytes)
-    }
+#[repr(C)]
+struct RLimit {
+    cur: u64,
+    max: u64,
+}
+#[cfg(target_os = "linux")]
+const RLIMIT_NOFILE: std::ffi::c_int = 7;
+#[cfg(not(target_os = "linux"))]
+const RLIMIT_NOFILE: std::ffi::c_int = 8;
+extern "C" {
+    fn getrlimit(resource: std::ffi::c_int, rlim: *mut RLimit) -> std::ffi::c_int;
+    fn setrlimit(resource: std::ffi::c_int, rlim: *const RLimit) -> std::ffi::c_int;
 }
 
-#[cfg(not(unix))]
-mod imp {
-    use super::*;
-
-    pub fn max_open_files_impl() -> io::Result<u64> {
-        Ok(u64::MAX)
+fn nofile_limit() -> io::Result<RLimit> {
+    let mut lim = RLimit { cur: 0, max: 0 };
+    // SAFETY: plain C struct out-parameter of the documented shape on
+    // 64-bit Unix.
+    if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
+        return Err(io::Error::last_os_error());
     }
+    Ok(lim)
+}
 
-    pub fn set_open_file_limit_impl(_n: u64) -> io::Result<()> {
-        Err(io::Error::new(io::ErrorKind::Unsupported, "no rlimits"))
+fn set_nofile_limit(lim: &RLimit) -> io::Result<()> {
+    // SAFETY: as above, read-only; moving the soft limit anywhere up to
+    // the hard limit is always permitted.
+    if unsafe { setrlimit(RLIMIT_NOFILE, lim) } != 0 {
+        return Err(io::Error::last_os_error());
     }
-
-    pub fn process_cpu_time_impl() -> io::Result<Duration> {
-        Err(io::Error::new(io::ErrorKind::Unsupported, "no cpu clock"))
-    }
-
-    pub fn set_recv_buffer_impl(_fd: RawFd, _bytes: usize) -> io::Result<()> {
-        Err(io::Error::new(io::ErrorKind::Unsupported, "no setsockopt"))
-    }
-
-    pub fn set_send_buffer_impl(_fd: RawFd, _bytes: usize) -> io::Result<()> {
-        Err(io::Error::new(io::ErrorKind::Unsupported, "no setsockopt"))
-    }
+    Ok(())
 }
 
 /// Raises the process's open-file soft limit to its hard limit (best
@@ -463,7 +225,17 @@ mod imp {
 /// needs one descriptor per session server-side (two through the
 /// router).
 pub fn max_open_files() -> io::Result<u64> {
-    imp::max_open_files_impl()
+    let mut lim = nofile_limit()?;
+    if lim.cur < lim.max {
+        let raised = RLimit {
+            cur: lim.max,
+            ..lim
+        };
+        if set_nofile_limit(&raised).is_ok() {
+            lim = raised;
+        }
+    }
+    Ok(lim.cur)
 }
 
 /// Sets the open-file **soft** limit (clamped to the hard limit) —
@@ -471,21 +243,81 @@ pub fn max_open_files() -> io::Result<u64> {
 /// a limit low enough to hit without hoarding tens of thousands of
 /// descriptors.
 pub fn set_open_file_limit(n: u64) -> io::Result<()> {
-    imp::set_open_file_limit_impl(n)
+    let lim = nofile_limit()?;
+    set_nofile_limit(&RLimit {
+        cur: n.min(lim.max),
+        ..lim
+    })
 }
 
 /// CPU time consumed by this process (all threads). Reactor regression
 /// tests use it to assert an error-path wait is actually a wait, not a
 /// busy spin.
 pub fn process_cpu_time() -> io::Result<Duration> {
-    imp::process_cpu_time_impl()
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+    const CLOCK_PROCESS_CPUTIME_ID: std::ffi::c_int = 2;
+    extern "C" {
+        fn clock_gettime(clock: std::ffi::c_int, tp: *mut Timespec) -> std::ffi::c_int;
+    }
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: documented out-parameter shape for clock_gettime on
+    // 64-bit Unix.
+    if unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) } != 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(Duration::new(ts.sec as u64, ts.nsec as u32))
+}
+
+#[cfg(target_os = "linux")]
+const SOL_SOCKET: std::ffi::c_int = 1;
+#[cfg(target_os = "linux")]
+const SO_SNDBUF: std::ffi::c_int = 7;
+#[cfg(target_os = "linux")]
+const SO_RCVBUF: std::ffi::c_int = 8;
+#[cfg(not(target_os = "linux"))]
+const SOL_SOCKET: std::ffi::c_int = 0xffff;
+#[cfg(not(target_os = "linux"))]
+const SO_SNDBUF: std::ffi::c_int = 0x1001;
+#[cfg(not(target_os = "linux"))]
+const SO_RCVBUF: std::ffi::c_int = 0x1002;
+
+fn set_buf_opt(fd: RawFd, name: std::ffi::c_int, bytes: usize) -> io::Result<()> {
+    extern "C" {
+        fn setsockopt(
+            fd: std::ffi::c_int,
+            level: std::ffi::c_int,
+            name: std::ffi::c_int,
+            value: *const std::ffi::c_void,
+            len: u32,
+        ) -> std::ffi::c_int;
+    }
+    let v: std::ffi::c_int = bytes.min(i32::MAX as usize) as std::ffi::c_int;
+    // SAFETY: passes a live c_int by pointer with its exact size;
+    // the kernel only reads `len` bytes from it.
+    let rc = unsafe {
+        setsockopt(
+            fd,
+            SOL_SOCKET,
+            name,
+            (&v as *const std::ffi::c_int).cast(),
+            std::mem::size_of::<std::ffi::c_int>() as u32,
+        )
+    };
+    if rc != 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
 }
 
 /// Shrinks a socket's kernel receive buffer — test scaffolding to
 /// force partial writes (and therefore write-interest arm/disarm
 /// transitions) on the peer without moving megabytes.
 pub fn set_recv_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
-    imp::set_recv_buffer_impl(fd, bytes)
+    set_buf_opt(fd, SO_RCVBUF, bytes)
 }
 
 /// Bounds (and locks — the kernel stops autotuning it) a socket's
@@ -494,7 +326,7 @@ pub fn set_recv_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
 /// backlog accumulates in the accountable per-session
 /// [`crate::WriteBuf`] instead of invisibly ballooning kernel memory.
 pub fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
-    imp::set_send_buffer_impl(fd, bytes)
+    set_buf_opt(fd, SO_SNDBUF, bytes)
 }
 
 #[cfg(test)]
@@ -511,15 +343,11 @@ mod tests {
         let (rx, _) = listener.accept().unwrap();
         rx.set_nonblocking(true).unwrap();
 
-        // Nothing written yet: not readable within a short timeout
-        // (the degraded non-Unix fallback reports ready; skip there).
-        #[cfg(unix)]
-        {
-            let mut fds = [PollFd::new(raw_fd(&rx), true, false)];
-            let n = poll(&mut fds, Some(Duration::from_millis(10))).unwrap();
-            assert_eq!(n, 0, "no data yet");
-            assert!(!fds[0].readable());
-        }
+        // Nothing written yet: not readable within a short timeout.
+        let mut fds = [PollFd::new(raw_fd(&rx), true, false)];
+        let n = poll(&mut fds, Some(Duration::from_millis(10))).unwrap();
+        assert_eq!(n, 0, "no data yet");
+        assert!(!fds[0].readable());
 
         tx.write_all(b"ping").unwrap();
         tx.flush().unwrap();
@@ -539,16 +367,8 @@ mod tests {
         assert!(n >= 256, "limit {n} too small to serve anything");
     }
 
-    fn backends() -> Vec<ReadinessKind> {
-        #[cfg(target_os = "linux")]
-        return vec![ReadinessKind::Poll, ReadinessKind::Epoll];
-        #[cfg(not(target_os = "linux"))]
-        return vec![ReadinessKind::Poll];
-    }
-
     /// The sub-millisecond truncation bug: a 100µs timeout must block,
     /// not degenerate into a non-blocking poll that callers spin on.
-    #[cfg(unix)]
     #[test]
     fn submillisecond_timeout_blocks_instead_of_truncating_to_zero() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -566,10 +386,10 @@ mod tests {
             "poll returned in {waited:?} — sub-ms timeout truncated to a busy poll"
         );
 
-        // Same contract through the backend facade, on every backend
-        // this target offers.
-        for kind in backends() {
-            let mut r = Readiness::new(kind).unwrap();
+        // Same contract through the reactor's readiness set.
+        #[cfg(target_os = "linux")]
+        {
+            let mut r = Readiness::new(ReadinessKind::Auto).unwrap();
             r.register(raw_fd(&rx), 7, true, false).unwrap();
             let mut events = Vec::new();
             let t0 = Instant::now();
@@ -577,75 +397,71 @@ mod tests {
                 .wait(Some(Duration::from_micros(100)), &mut events)
                 .unwrap();
             let waited = t0.elapsed();
-            assert_eq!(n, 0, "{kind:?}: nothing was sent");
+            assert_eq!(n, 0, "nothing was sent");
             assert!(
                 waited >= Duration::from_micros(100),
-                "{kind:?}: wait returned in {waited:?}"
+                "wait returned in {waited:?}"
             );
         }
     }
 
-    /// Register → event → modify (disarm/re-arm) → deregister, on every
-    /// backend: the persistent-interest lifecycle the reactors rely on.
-    #[cfg(unix)]
+    /// Register → event → modify (disarm/re-arm) → deregister: the
+    /// persistent-interest lifecycle the reactor relies on.
+    #[cfg(target_os = "linux")]
     #[test]
     fn backend_interest_lifecycle_is_conformant() {
-        for kind in backends() {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let mut tx = TcpStream::connect(addr).unwrap();
-            let (rx, _) = listener.accept().unwrap();
-            rx.set_nonblocking(true).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut tx = TcpStream::connect(addr).unwrap();
+        let (rx, _) = listener.accept().unwrap();
+        rx.set_nonblocking(true).unwrap();
 
-            let mut r = Readiness::new(kind).unwrap();
-            r.register(raw_fd(&rx), 42, true, false).unwrap();
-            assert_eq!(r.len(), 1);
+        let mut r = Readiness::new(ReadinessKind::Auto).unwrap();
+        r.register(raw_fd(&rx), 42, true, false).unwrap();
 
-            // Not readable yet.
-            let mut events = Vec::new();
-            let n = r.wait(Some(Duration::from_millis(5)), &mut events).unwrap();
-            assert_eq!(n, 0, "{kind:?}: spurious readiness");
+        // Not readable yet.
+        let mut events = Vec::new();
+        let n = r.wait(Some(Duration::from_millis(5)), &mut events).unwrap();
+        assert_eq!(n, 0, "spurious readiness");
 
-            tx.write_all(b"x").unwrap();
-            let n = r
-                .wait(Some(Duration::from_millis(1000)), &mut events)
-                .unwrap();
-            assert_eq!(n, 1, "{kind:?}: write not reported");
-            assert_eq!(events[0].token, 42);
-            assert!(events[0].readable());
+        tx.write_all(b"x").unwrap();
+        let n = r
+            .wait(Some(Duration::from_millis(1000)), &mut events)
+            .unwrap();
+        assert_eq!(n, 1, "write not reported");
+        assert_eq!(events[0].token, 42);
+        assert!(events[0].readable());
 
-            // Level-triggered: unconsumed readiness is re-reported.
-            let n = r
-                .wait(Some(Duration::from_millis(1000)), &mut events)
-                .unwrap();
-            assert_eq!(n, 1, "{kind:?}: level-triggered re-report missing");
+        // Level-triggered: unconsumed readiness is re-reported.
+        let n = r
+            .wait(Some(Duration::from_millis(1000)), &mut events)
+            .unwrap();
+        assert_eq!(n, 1, "level-triggered re-report missing");
 
-            // Disarm read interest: the data still sits unread, but no
-            // event may fire.
-            r.modify(raw_fd(&rx), 42, false, false).unwrap();
-            let n = r.wait(Some(Duration::from_millis(5)), &mut events).unwrap();
-            assert_eq!(n, 0, "{kind:?}: disarmed descriptor still fired");
+        // Disarm read interest: the data still sits unread, but no
+        // event may fire.
+        r.modify(raw_fd(&rx), 42, false, false).unwrap();
+        let n = r.wait(Some(Duration::from_millis(5)), &mut events).unwrap();
+        assert_eq!(n, 0, "disarmed descriptor still fired");
 
-            // Re-arm with a new token: fires again, new token attached.
-            r.modify(raw_fd(&rx), 43, true, false).unwrap();
-            let n = r
-                .wait(Some(Duration::from_millis(1000)), &mut events)
-                .unwrap();
-            assert_eq!(n, 1, "{kind:?}: re-armed descriptor silent");
-            assert_eq!(events[0].token, 43);
+        // Re-arm with a new token: fires again, new token attached.
+        r.modify(raw_fd(&rx), 43, true, false).unwrap();
+        let n = r
+            .wait(Some(Duration::from_millis(1000)), &mut events)
+            .unwrap();
+        assert_eq!(n, 1, "re-armed descriptor silent");
+        assert_eq!(events[0].token, 43);
 
-            // Deregister: silent again, and the registry empties.
-            r.deregister(raw_fd(&rx)).unwrap();
-            assert!(r.is_empty());
-            let n = r.wait(Some(Duration::from_millis(5)), &mut events).unwrap();
-            assert_eq!(n, 0, "{kind:?}: deregistered descriptor fired");
+        // Deregister: silent again.
+        r.deregister(raw_fd(&rx)).unwrap();
+        let n = r.wait(Some(Duration::from_millis(5)), &mut events).unwrap();
+        assert_eq!(n, 0, "deregistered descriptor fired");
 
-            // Double-register is an error; modify after deregister too.
-            r.register(raw_fd(&rx), 1, true, false).unwrap();
-            assert!(r.register(raw_fd(&rx), 2, true, false).is_err());
-            r.deregister(raw_fd(&rx)).unwrap();
-            assert!(r.modify(raw_fd(&rx), 1, true, false).is_err());
-        }
+        // Double-register is an error; modify after deregister too.
+        r.register(raw_fd(&rx), 1, true, false).unwrap();
+        assert!(r.register(raw_fd(&rx), 2, true, false).is_err());
+        r.deregister(raw_fd(&rx)).unwrap();
+        assert!(r.modify(raw_fd(&rx), 1, true, false).is_err());
     }
 
     #[test]
@@ -678,7 +494,6 @@ mod tests {
         assert_eq!(d.remaining_millis(), 0);
     }
 
-    #[cfg(unix)]
     #[test]
     fn process_cpu_time_is_monotonic() {
         let a = process_cpu_time().unwrap();

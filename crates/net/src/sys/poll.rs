@@ -1,17 +1,12 @@
-//! The portable `poll(2)` readiness backend.
-//!
-//! Two layers live here: the raw [`poll`] call (also used directly by
-//! the blocking client helpers in [`super`]), and [`PollBackend`] — a
-//! persistent interest registry over it that presents the same
-//! register/modify/deregister/wait surface as the epoll backend. The
-//! kernel still scans the whole interest set per wakeup (that is this
-//! backend's O(live) wall), but userspace no longer rebuilds it.
+//! The raw `poll(2)` call: one blocking wait on a handful of
+//! descriptors. The blocking client helpers in [`super`]
+//! ([`super::wait_readable`], [`super::wait_writable`]) are its users;
+//! the reactor's readiness set is [`super::Readiness`].
 
-use std::collections::HashMap;
 use std::io;
 use std::time::Duration;
 
-use super::{Event, RawFd, WaitDeadline};
+use super::{RawFd, WaitDeadline};
 
 /// One descriptor's poll request/response pair, matching the C
 /// `struct pollfd` layout.
@@ -27,7 +22,6 @@ const POLLIN: i16 = 0x001;
 const POLLOUT: i16 = 0x004;
 const POLLERR: i16 = 0x008;
 const POLLHUP: i16 = 0x010;
-const POLLNVAL: i16 = 0x020;
 
 impl PollFd {
     /// Interest in `fd` becoming readable and/or writable.
@@ -60,72 +54,16 @@ impl PollFd {
     pub fn ready(&self) -> bool {
         self.revents != 0
     }
-
-    fn error(&self) -> bool {
-        self.revents & (POLLERR | POLLHUP | POLLNVAL) != 0
-    }
 }
 
-#[cfg(unix)]
-mod imp {
-    use super::*;
+#[cfg(target_os = "linux")]
+type NfdsT = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NfdsT = std::ffi::c_uint;
 
-    #[cfg(target_os = "linux")]
-    type NfdsT = std::ffi::c_ulong;
-    #[cfg(all(unix, not(target_os = "linux")))]
-    type NfdsT = std::ffi::c_uint;
-
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: std::ffi::c_int) -> std::ffi::c_int;
-    }
-
-    pub fn poll_impl(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
-        let deadline = WaitDeadline::new(timeout);
-        loop {
-            // SAFETY: `fds` is a live, exclusively borrowed slice of
-            // `#[repr(C)]` pollfd structs; the kernel writes only the
-            // `revents` fields within its bounds.
-            let rc = unsafe {
-                poll(
-                    fds.as_mut_ptr(),
-                    fds.len() as NfdsT,
-                    deadline.remaining_millis(),
-                )
-            };
-            if rc >= 0 {
-                return Ok(rc as usize);
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
-            // EINTR: retry with whatever remains of the original
-            // deadline, never the full timeout again.
-            if deadline.expired() {
-                return Ok(0);
-            }
-        }
-    }
-}
-
-#[cfg(not(unix))]
-mod imp {
-    use super::*;
-
-    /// Degraded but correct fallback: sleep briefly, then claim every
-    /// descriptor is ready. Non-blocking reads/writes that are not in
-    /// fact ready return `WouldBlock` and get retried, so the reactor
-    /// becomes a paced busy-poll.
-    pub fn poll_impl(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
-        let pause = timeout
-            .unwrap_or(Duration::from_millis(1))
-            .min(Duration::from_millis(1));
-        std::thread::sleep(pause);
-        for f in fds.iter_mut() {
-            f.revents = f.events;
-        }
-        Ok(fds.len())
-    }
+extern "C" {
+    #[link_name = "poll"]
+    fn c_poll(fds: *mut PollFd, nfds: NfdsT, timeout: std::ffi::c_int) -> std::ffi::c_int;
 }
 
 /// Waits until at least one descriptor in `fds` is ready or the
@@ -135,96 +73,29 @@ mod imp {
 /// `EINTR` restart retries with the remaining time to the original
 /// deadline.
 pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
-    imp::poll_impl(fds, timeout)
-}
-
-/// Persistent-interest registry over [`poll`]: the interest set is
-/// mutated on register/modify/deregister transitions and handed to the
-/// kernel as-is on every wait, instead of being rebuilt per wakeup.
-#[derive(Debug, Default)]
-pub struct PollBackend {
-    fds: Vec<PollFd>,
-    tokens: Vec<u64>,
-    index: HashMap<RawFd, usize>,
-}
-
-impl PollBackend {
-    /// An empty registry.
-    pub fn new() -> PollBackend {
-        PollBackend::default()
-    }
-
-    /// Adds `fd` to the interest set.
-    pub fn register(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-        if self.index.contains_key(&fd) {
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                "fd already registered",
-            ));
+    let deadline = WaitDeadline::new(timeout);
+    loop {
+        // SAFETY: `fds` is a live, exclusively borrowed slice of
+        // `#[repr(C)]` pollfd structs; the kernel writes only the
+        // `revents` fields within its bounds.
+        let rc = unsafe {
+            c_poll(
+                fds.as_mut_ptr(),
+                fds.len() as NfdsT,
+                deadline.remaining_millis(),
+            )
+        };
+        if rc >= 0 {
+            return Ok(rc as usize);
         }
-        self.index.insert(fd, self.fds.len());
-        self.fds.push(PollFd::new(fd, read, write));
-        self.tokens.push(token);
-        Ok(())
-    }
-
-    /// Replaces the interest (and token) of a registered descriptor.
-    pub fn modify(&mut self, fd: RawFd, token: u64, read: bool, write: bool) -> io::Result<()> {
-        let &i = self
-            .index
-            .get(&fd)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-        self.fds[i] = PollFd::new(fd, read, write);
-        self.tokens[i] = token;
-        Ok(())
-    }
-
-    /// Removes a descriptor from the interest set. Call before closing
-    /// the descriptor (a closed fd left in the set polls `POLLNVAL`
-    /// forever).
-    pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        let i = self
-            .index
-            .remove(&fd)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-        self.fds.swap_remove(i);
-        self.tokens.swap_remove(i);
-        if i < self.fds.len() {
-            // A descriptor moved into the vacated slot; re-point it.
-            self.index.insert(self.fds[i].fd, i);
+        let err = io::Error::last_os_error();
+        if err.kind() != io::ErrorKind::Interrupted {
+            return Err(err);
         }
-        Ok(())
-    }
-
-    /// Waits for ready descriptors (see [`super::Readiness::wait`] for
-    /// the shared timeout contract).
-    pub fn wait(
-        &mut self,
-        timeout: Option<Duration>,
-        events: &mut Vec<Event>,
-    ) -> io::Result<usize> {
-        events.clear();
-        for f in self.fds.iter_mut() {
-            f.revents = 0;
+        // EINTR: retry with whatever remains of the original
+        // deadline, never the full timeout again.
+        if deadline.expired() {
+            return Ok(0);
         }
-        let n = poll(&mut self.fds, timeout)?;
-        if n > 0 {
-            for (f, &token) in self.fds.iter().zip(&self.tokens) {
-                if f.ready() {
-                    events.push(Event::new(token, f.readable(), f.writable(), f.error()));
-                }
-            }
-        }
-        Ok(events.len())
-    }
-
-    /// Registered descriptors.
-    pub fn len(&self) -> usize {
-        self.fds.len()
-    }
-
-    /// True when no descriptor is registered.
-    pub fn is_empty(&self) -> bool {
-        self.fds.is_empty()
     }
 }

@@ -6,8 +6,7 @@
 //! returning from the accept loop without disarming it re-wakes the
 //! reactor immediately — 100% CPU until a descriptor frees up. The fix
 //! pauses accepting (`ACCEPT_ERROR_PAUSE`) and disarms the listener for
-//! the duration; this test pins both halves of the contract, on every
-//! readiness backend:
+//! the duration; this test pins both halves of the contract:
 //!
 //! * **liveness**: an established session keeps round-tripping while
 //!   the process is out of descriptors and a victim connection sits
@@ -34,9 +33,7 @@ use insq_core::Euclidean;
 use insq_geom::{Aabb, Point};
 use insq_index::VorTree;
 use insq_net::wire::Message;
-use insq_net::{
-    sys, FrameBuf, NetClient, NetServer, NetServerConfig, ReadinessKind, SpaceKind, WirePos,
-};
+use insq_net::{sys, FrameBuf, NetClient, NetServer, NetServerConfig, SpaceKind, WirePos};
 use insq_server::World;
 
 const EMFILE: i32 = 24;
@@ -74,122 +71,112 @@ fn hoard_all_fds() -> Vec<File> {
 #[test]
 fn reactor_survives_fd_exhaustion_without_spinning() {
     // Low enough to exhaust with a small hoard; applies to the whole
-    // process for both backend passes.
+    // process.
     sys::set_open_file_limit(256).unwrap();
 
-    let backends: Vec<ReadinessKind> = vec![ReadinessKind::Poll, ReadinessKind::Epoll];
-    for readiness in backends {
-        let world = euclid_world();
-        let server: NetServer<Euclidean> = NetServer::bind(
-            "127.0.0.1:0",
-            Arc::clone(&world),
-            NetServerConfig {
-                readiness,
-                ..NetServerConfig::default()
-            },
-        )
+    let world = euclid_world();
+    let server: NetServer<Euclidean> = NetServer::bind(
+        "127.0.0.1:0",
+        Arc::clone(&world),
+        NetServerConfig::default(),
+    )
+    .unwrap();
+
+    // Session A is established and registered before the famine.
+    let mut a = NetClient::connect(server.local_addr()).unwrap();
+    a.register::<Euclidean>(3, 1.6, Point::new(50.0, 50.0))
         .unwrap();
+    let first = a.next_result().unwrap();
+    assert_eq!(first.ids.len(), 3);
 
-        // Session A is established and registered before the famine.
-        let mut a = NetClient::connect(server.local_addr()).unwrap();
-        a.register::<Euclidean>(3, 1.6, Point::new(50.0, 50.0))
+    // Exhaust the process's descriptors, then hand the single
+    // descriptor we free back to the *client side* of a new
+    // connection: the TCP handshake completes in the listener
+    // backlog, but the server's accept(2) has nothing left and
+    // fails with EMFILE.
+    let mut hoard = hoard_all_fds();
+    drop(hoard.pop());
+    let mut b = TcpStream::connect(server.local_addr()).unwrap();
+    b.set_nodelay(true).unwrap();
+
+    // Liveness: the starved reactor keeps serving session A.
+    for tick in 1..4u64 {
+        a.update::<Euclidean>(Point::new(50.0 + tick as f64, 50.0))
             .unwrap();
-        let first = a.next_result().unwrap();
-        assert_eq!(first.ids.len(), 3);
+        let upd = a.next_result().unwrap();
+        assert_eq!(upd.ids.len(), 3, "live session starved out at tick {tick}");
+    }
 
-        // Exhaust the process's descriptors, then hand the single
-        // descriptor we free back to the *client side* of a new
-        // connection: the TCP handshake completes in the listener
-        // backlog, but the server's accept(2) has nothing left and
-        // fails with EMFILE.
-        let mut hoard = hoard_all_fds();
-        drop(hoard.pop());
-        let mut b = TcpStream::connect(server.local_addr()).unwrap();
-        b.set_nodelay(true).unwrap();
+    // No spin: over an idle window the whole process must use far
+    // less CPU than wall clock. A hot accept/EMFILE loop would use
+    // ~the entire window.
+    let window = Duration::from_millis(600);
+    let cpu0 = sys::process_cpu_time().unwrap();
+    std::thread::sleep(window);
+    let burned = sys::process_cpu_time().unwrap() - cpu0;
+    assert!(
+        burned < window / 2,
+        "reactor burned {burned:?} CPU over an idle {window:?} starvation window \
+         — accept loop is spinning"
+    );
 
-        // Liveness: the starved reactor keeps serving session A.
-        for tick in 1..4u64 {
-            a.update::<Euclidean>(Point::new(50.0 + tick as f64, 50.0))
-                .unwrap();
-            let upd = a.next_result().unwrap();
-            assert_eq!(
-                upd.ids.len(),
-                3,
-                "live session starved out at tick {tick} on {readiness:?}"
-            );
-        }
+    // Recovery: free the descriptors; the backlogged connection is
+    // accepted (the accept pause expires on its own), registers,
+    // and is served alongside A.
+    drop(hoard);
+    let register = Message::Register {
+        space: SpaceKind::Euclidean,
+        k: 3,
+        rho: 1.6,
+        pos: WirePos::Point { x: 30.0, y: 30.0 },
+    };
+    b.write_all(&register.encode_frame()).unwrap();
+    b.set_nonblocking(true).unwrap();
 
-        // No spin: over an idle window the whole process must use far
-        // less CPU than wall clock. A hot accept/EMFILE loop would use
-        // ~the entire window.
-        let window = Duration::from_millis(600);
-        let cpu0 = sys::process_cpu_time().unwrap();
-        std::thread::sleep(window);
-        let burned = sys::process_cpu_time().unwrap() - cpu0;
+    let mut rx = FrameBuf::new();
+    let mut b_results = 0usize;
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let mut round = 0u64;
+    while b_results < 3 {
         assert!(
-            burned < window / 2,
-            "reactor burned {burned:?} CPU over an idle {window:?} starvation window \
-             on {readiness:?} — accept loop is spinning"
+            Instant::now() < deadline,
+            "recovered session got only {b_results} results"
         );
-
-        // Recovery: free the descriptors; the backlogged connection is
-        // accepted (the accept pause expires on its own), registers,
-        // and is served alongside A.
-        drop(hoard);
-        let register = Message::Register {
-            space: SpaceKind::Euclidean,
-            k: 3,
-            rho: 1.6,
-            pos: WirePos::Point { x: 30.0, y: 30.0 },
-        };
-        b.write_all(&register.encode_frame()).unwrap();
-        b.set_nonblocking(true).unwrap();
-
-        let mut rx = FrameBuf::new();
-        let mut b_results = 0usize;
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let mut round = 0u64;
-        while b_results < 3 {
-            assert!(
-                Instant::now() < deadline,
-                "recovered session got only {b_results} results on {readiness:?}"
-            );
-            round += 1;
-            if round > 1 {
-                // Keep B fresh so the barrier never stalls on it once
-                // it is registered (ordering of the two updates within
-                // a tick is the reactor's problem, not ours).
-                let update = Message::PositionUpdate {
-                    pos: WirePos::Point {
-                        x: 30.0 + round as f64 * 0.1,
-                        y: 30.0,
-                    },
-                };
-                b.write_all(&update.encode_frame()).unwrap();
-            }
-            a.update::<Euclidean>(Point::new(40.0 + round as f64 * 0.1, 50.0))
-                .unwrap();
-            let upd = a.next_result().unwrap();
-            assert_eq!(upd.ids.len(), 3);
-            let mut chunk = [0u8; 4096];
-            loop {
-                match b.read(&mut chunk) {
-                    Ok(0) => panic!("server closed the recovered session on {readiness:?}"),
-                    Ok(n) => {
-                        rx.extend(&chunk[..n]);
-                        while let Some((msg, _)) = rx.next_message().unwrap() {
-                            if let Message::KnnResult { ids, .. } = msg {
-                                assert_eq!(ids.len(), 3);
-                                b_results += 1;
-                            }
+        round += 1;
+        if round > 1 {
+            // Keep B fresh so the barrier never stalls on it once
+            // it is registered (ordering of the two updates within
+            // a tick is the reactor's problem, not ours).
+            let update = Message::PositionUpdate {
+                pos: WirePos::Point {
+                    x: 30.0 + round as f64 * 0.1,
+                    y: 30.0,
+                },
+            };
+            b.write_all(&update.encode_frame()).unwrap();
+        }
+        a.update::<Euclidean>(Point::new(40.0 + round as f64 * 0.1, 50.0))
+            .unwrap();
+        let upd = a.next_result().unwrap();
+        assert_eq!(upd.ids.len(), 3);
+        let mut chunk = [0u8; 4096];
+        loop {
+            match b.read(&mut chunk) {
+                Ok(0) => panic!("server closed the recovered session"),
+                Ok(n) => {
+                    rx.extend(&chunk[..n]);
+                    while let Some((msg, _)) = rx.next_message().unwrap() {
+                        if let Message::KnnResult { ids, .. } = msg {
+                            assert_eq!(ids.len(), 3);
+                            b_results += 1;
                         }
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) => panic!("recovered session read: {e}"),
                 }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("recovered session read: {e}"),
             }
         }
-        drop(b);
-        server.shutdown();
     }
+    drop(b);
+    server.shutdown();
 }

@@ -2,11 +2,8 @@
 //! mid-run `World::apply` delta epoch, must produce per-client kNN
 //! streams **bit-identical** to the in-process `FleetEngine` run of the
 //! same `FleetScenario` — for the Euclidean and road-network spaces, at
-//! two engine worker-thread counts each and on **every readiness
-//! backend this target offers** (`poll` everywhere, `epoll` on Linux —
-//! the backends must be observationally interchangeable) — plus the
-//! dropped-session / never-reused-`QueryId` regression over a real
-//! socket.
+//! two engine worker-thread counts each — plus the dropped-session /
+//! never-reused-`QueryId` regression over a real socket.
 //!
 //! The protocol makes this well-defined: the server ticks the fleet only
 //! when every live session has a fresh position, so driving the clients
@@ -21,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use insq_core::{DeltaIndex, InsConfig, MovingKnn, TickOutcome};
 use insq_index::SiteDelta;
-use insq_net::{NetClient, NetServer, NetServerConfig, ReadinessKind, WireOutcome, WireSpace};
+use insq_net::{NetClient, NetServer, NetServerConfig, WireOutcome, WireSpace};
 use insq_roadnet::{EdgeId, EdgeWeight, NetDelta, NetSiteDelta, SiteIdx, VertexId};
 use insq_server::{FleetConfig, FleetEngine, QueryId, SpaceQuery, TickPolicy, TickPos, World};
 use insq_workload::{FleetScenario, SpaceWorkload};
@@ -102,7 +99,6 @@ fn tcp_streams<S>(
     threads: usize,
     delta_at: usize,
     delta: &<S::Index as DeltaIndex>::Delta,
-    readiness: ReadinessKind,
 ) -> Vec<Stream>
 where
     S: SpaceWorkload + WireSpace,
@@ -116,7 +112,6 @@ where
         NetServerConfig {
             fleet: FleetConfig { shards: 8, threads },
             min_clients: sc.clients,
-            readiness,
             ..NetServerConfig::default()
         },
     )
@@ -186,25 +181,14 @@ where
             inproc, reference,
             "in-process determinism at {threads} threads"
         );
-        for backend in backend_kinds() {
-            let tcp = tcp_streams::<S>(sc, &fleet_state, &idx0, threads, delta_at, &delta, backend);
-            for (c, (got, want)) in tcp.iter().zip(reference.iter()).enumerate() {
-                assert_eq!(
-                    got, want,
-                    "TCP stream diverged for client {c} at {threads} engine threads \
-                     on the {backend:?} backend"
-                );
-            }
+        let tcp = tcp_streams::<S>(sc, &fleet_state, &idx0, threads, delta_at, &delta);
+        for (c, (got, want)) in tcp.iter().zip(reference.iter()).enumerate() {
+            assert_eq!(
+                got, want,
+                "TCP stream diverged for client {c} at {threads} engine threads"
+            );
         }
     }
-}
-
-/// Every readiness backend available on this target.
-fn backend_kinds() -> Vec<ReadinessKind> {
-    #[cfg(target_os = "linux")]
-    return vec![ReadinessKind::Poll, ReadinessKind::Epoll];
-    #[cfg(not(target_os = "linux"))]
-    return vec![ReadinessKind::Poll];
 }
 
 fn euclidean_scenario() -> FleetScenario {

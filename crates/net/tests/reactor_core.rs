@@ -1,10 +1,9 @@
 //! The reactor core on its own, driven by a scripted [`Handler`]: the
 //! close state machine, generation-tagged ids, bounded output, paused
 //! reads and shutdown — the rules `NetServer` and the cluster router
-//! both inherit, pinned without either protocol on top. Every case runs
-//! on each readiness backend this target offers.
+//! both inherit, pinned without either protocol on top.
 
-#![cfg(unix)]
+#![cfg(target_os = "linux")]
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -14,8 +13,7 @@ use std::time::{Duration, Instant};
 
 use insq_net::wire::Message;
 use insq_net::{
-    sys, Closed, ConnId, Conns, FrameBuf, Handler, Reactor, ReactorHandle, ReadinessKind,
-    WireOutcome, WirePos,
+    sys, Closed, ConnId, Conns, FrameBuf, Handler, Reactor, ReactorHandle, WireOutcome, WirePos,
 };
 
 /// What the scripted handler saw, by connection tag (accepted
@@ -71,7 +69,6 @@ where
 const SLICE: Duration = Duration::from_millis(5);
 
 fn spawn<F>(
-    kind: ReadinessKind,
     write_buf: usize,
     slice: Duration,
     sndbuf: Option<usize>,
@@ -88,15 +85,8 @@ where
         log: Arc::clone(&log),
         script,
     };
-    let reactor = Reactor::spawn("127.0.0.1:0", kind, 0, write_buf, handler).unwrap();
+    let reactor = Reactor::spawn("127.0.0.1:0", 0, write_buf, handler).unwrap();
     (reactor, log)
-}
-
-fn backends() -> Vec<ReadinessKind> {
-    #[cfg(target_os = "linux")]
-    return vec![ReadinessKind::Poll, ReadinessKind::Epoll];
-    #[cfg(not(target_os = "linux"))]
-    return vec![ReadinessKind::Poll];
 }
 
 fn wait_for(what: &str, cond: impl Fn() -> bool) {
@@ -178,46 +168,38 @@ fn read_to_end(peer: &mut TcpStream) -> (Vec<Message>, bool) {
 #[test]
 fn queued_output_survives_the_peers_half_close() {
     const FRAMES: u64 = 4000;
-    for kind in backends() {
-        let (reactor, log) = spawn(
-            kind,
-            4 << 20,
-            SLICE,
-            Some(16 * 1024),
-            |conns, id, _, msg| {
-                if matches!(msg, Message::Register { .. }) {
-                    for i in 0..FRAMES {
-                        assert!(conns.send(id, &result(i, 64).encode_frame()));
-                    }
-                }
-            },
-        );
-        let total = FRAMES * result(0, 64).encode_frame().len() as u64;
-
-        let mut peer = connect(&reactor);
-        sys::set_recv_buffer(sys::raw_fd(&peer), 16 * 1024).unwrap();
-        send(&mut peer, &[register()]);
-        wait_for("the first flush", || reactor.wire_bytes().1 > 0);
-
-        peer.shutdown(Shutdown::Write).unwrap();
-        wait_for("the EOF to be reported", || {
-            saw(&log, &Seen::Closed(0, Closed::Eof)) == 1
-        });
-        let sent = reactor.wire_bytes().1;
-        assert!(
-            sent < total,
-            "{kind:?}: nothing was left queued at the half-close ({sent} of {total} bytes \
-             already sent) — the case is not exercised"
-        );
-
-        let (got, clean) = read_to_end(&mut peer);
-        assert!(clean, "{kind:?}: the stream must end in a clean EOF");
-        assert_eq!(got.len() as u64, FRAMES, "{kind:?}: queued frames lost");
-        for (i, msg) in got.iter().enumerate() {
-            assert_eq!(*msg, result(i as u64, 64), "{kind:?}: frame {i}");
+    let (reactor, log) = spawn(4 << 20, SLICE, Some(16 * 1024), |conns, id, _, msg| {
+        if matches!(msg, Message::Register { .. }) {
+            for i in 0..FRAMES {
+                assert!(conns.send(id, &result(i, 64).encode_frame()));
+            }
         }
-        assert_eq!(reactor.wire_bytes().1, total);
+    });
+    let total = FRAMES * result(0, 64).encode_frame().len() as u64;
+
+    let mut peer = connect(&reactor);
+    sys::set_recv_buffer(sys::raw_fd(&peer), 16 * 1024).unwrap();
+    send(&mut peer, &[register()]);
+    wait_for("the first flush", || reactor.wire_bytes().1 > 0);
+
+    peer.shutdown(Shutdown::Write).unwrap();
+    wait_for("the EOF to be reported", || {
+        saw(&log, &Seen::Closed(0, Closed::Eof)) == 1
+    });
+    let sent = reactor.wire_bytes().1;
+    assert!(
+        sent < total,
+        "nothing was left queued at the half-close ({sent} of {total} bytes \
+         already sent) — the case is not exercised"
+    );
+
+    let (got, clean) = read_to_end(&mut peer);
+    assert!(clean, "the stream must end in a clean EOF");
+    assert_eq!(got.len() as u64, FRAMES, "queued frames lost");
+    for (i, msg) in got.iter().enumerate() {
+        assert_eq!(*msg, result(i as u64, 64), "frame {i}");
     }
+    assert_eq!(reactor.wire_bytes().1, total);
 }
 
 /// (b) A slot freed and re-occupied inside one event batch: the new
@@ -225,73 +207,71 @@ fn queued_output_survives_the_peers_half_close() {
 /// predecessor's id never reaches the new occupant.
 #[test]
 fn recycled_slot_never_sees_its_predecessors_event() {
-    for kind in backends() {
-        let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
-        let upstream_addr = upstream.local_addr().unwrap();
-        let ids = Arc::new(Mutex::new(Vec::<String>::new()));
-        let script_ids = Arc::clone(&ids);
-        let mut by_tag: HashMap<u32, ConnId> = HashMap::new();
-        let (reactor, log) = spawn(kind, 1 << 20, SLICE, None, move |conns, id, tag, msg| {
-            by_tag.insert(tag, id);
-            match msg {
-                // Tag 2 stalls the loop so tags 0 and 1 become ready
-                // together and land in one event batch, 0 first.
-                Message::Deregister => std::thread::sleep(Duration::from_millis(200)),
-                // Tag 0 drops tag 1 — whose event is still pending in
-                // this batch — and re-occupies its slot.
-                Message::Register { .. } => {
-                    let victim = by_tag[&1];
-                    conns.drop_conn(victim);
-                    let heir = conns.connect(upstream_addr, 99, false).unwrap();
-                    assert!(conns.get_mut(victim).is_none());
-                    assert!(!conns.send(victim, &result(13, 1).encode_frame()));
-                    *script_ids.lock().unwrap() = vec![format!("{victim:?}"), format!("{heir:?}")];
-                }
-                _ => {}
+    let upstream = TcpListener::bind("127.0.0.1:0").unwrap();
+    let upstream_addr = upstream.local_addr().unwrap();
+    let ids = Arc::new(Mutex::new(Vec::<String>::new()));
+    let script_ids = Arc::clone(&ids);
+    let mut by_tag: HashMap<u32, ConnId> = HashMap::new();
+    let (reactor, log) = spawn(1 << 20, SLICE, None, move |conns, id, tag, msg| {
+        by_tag.insert(tag, id);
+        match msg {
+            // Tag 2 stalls the loop so tags 0 and 1 become ready
+            // together and land in one event batch, 0 first.
+            Message::Deregister => std::thread::sleep(Duration::from_millis(200)),
+            // Tag 0 drops tag 1 — whose event is still pending in
+            // this batch — and re-occupies its slot.
+            Message::Register { .. } => {
+                let victim = by_tag[&1];
+                conns.drop_conn(victim);
+                let heir = conns.connect(upstream_addr, 99, false).unwrap();
+                assert!(conns.get_mut(victim).is_none());
+                assert!(!conns.send(victim, &result(13, 1).encode_frame()));
+                *script_ids.lock().unwrap() = vec![format!("{victim:?}"), format!("{heir:?}")];
             }
-        });
+            _ => {}
+        }
+    });
 
-        let (mut a, mut b, mut c) = (connect(&reactor), connect(&reactor), connect(&reactor));
-        send(&mut a, &[update(0)]);
-        wait_for("tag 0", || saw(&log, &Seen::Frame(0, update(0))) == 1);
-        send(&mut b, &[update(1)]);
-        wait_for("tag 1", || saw(&log, &Seen::Frame(1, update(1))) == 1);
-        send(&mut c, &[Message::Deregister]);
-        std::thread::sleep(Duration::from_millis(50));
-        send(&mut a, &[register()]);
-        send(&mut b, &[update(7), update(8), update(9)]);
+    let (mut a, mut b, mut c) = (connect(&reactor), connect(&reactor), connect(&reactor));
+    send(&mut a, &[update(0)]);
+    wait_for("tag 0", || saw(&log, &Seen::Frame(0, update(0))) == 1);
+    send(&mut b, &[update(1)]);
+    wait_for("tag 1", || saw(&log, &Seen::Frame(1, update(1))) == 1);
+    send(&mut c, &[Message::Deregister]);
+    std::thread::sleep(Duration::from_millis(50));
+    send(&mut a, &[register()]);
+    send(&mut b, &[update(7), update(8), update(9)]);
 
-        // The heir's peer speaks; only that reaches the heir.
-        let (mut heir_peer, _) = upstream.accept().unwrap();
-        send(&mut heir_peer, &[result(7, 2)]);
-        wait_for("the heir's frame", || {
-            saw(&log, &Seen::Frame(99, result(7, 2))) == 1
-        });
+    // The heir's peer speaks; only that reaches the heir.
+    let (mut heir_peer, _) = upstream.accept().unwrap();
+    send(&mut heir_peer, &[result(7, 2)]);
+    wait_for("the heir's frame", || {
+        saw(&log, &Seen::Frame(99, result(7, 2))) == 1
+    });
 
-        let ids = ids.lock().unwrap().clone();
-        let slot = |s: &str| s[..s.find("gen").unwrap()].to_string();
-        assert_eq!(slot(&ids[0]), slot(&ids[1]), "the freed slot is reused");
-        assert_ne!(ids[0], ids[1], "in a new generation");
-        let log = log.lock().unwrap().clone();
-        let of_victim: Vec<&Seen> = log
-            .iter()
-            .filter(|s| matches!(s, Seen::Frame(1, _) | Seen::Closed(1, _)))
-            .collect();
-        assert_eq!(
-            of_victim,
-            [&Seen::Frame(1, update(1)), &Seen::Closed(1, Closed::Local)],
-            "{kind:?}: the victim's pending frames were delivered after its drop"
-        );
-        let of_heir = log
-            .iter()
-            .filter(|s| matches!(s, Seen::Frame(99, _) | Seen::Closed(99, _)));
-        assert_eq!(of_heir.count(), 1, "{kind:?}: {log:?}");
-        // Nothing addressed to the victim leaked to the heir's peer.
-        heir_peer
-            .set_read_timeout(Some(Duration::from_millis(100)))
-            .unwrap();
-        assert!(heir_peer.read(&mut [0u8; 16]).is_err());
-    }
+    let ids = ids.lock().unwrap().clone();
+    let slot = |s: &str| s[..s.find("gen").unwrap()].to_string();
+    assert_eq!(slot(&ids[0]), slot(&ids[1]), "the freed slot is reused");
+    assert_ne!(ids[0], ids[1], "in a new generation");
+    let log = log.lock().unwrap().clone();
+    let of_victim: Vec<&Seen> = log
+        .iter()
+        .filter(|s| matches!(s, Seen::Frame(1, _) | Seen::Closed(1, _)))
+        .collect();
+    assert_eq!(
+        of_victim,
+        [&Seen::Frame(1, update(1)), &Seen::Closed(1, Closed::Local)],
+        "the victim's pending frames were delivered after its drop"
+    );
+    let of_heir = log
+        .iter()
+        .filter(|s| matches!(s, Seen::Frame(99, _) | Seen::Closed(99, _)));
+    assert_eq!(of_heir.count(), 1, "{log:?}");
+    // Nothing addressed to the victim leaked to the heir's peer.
+    heir_peer
+        .set_read_timeout(Some(Duration::from_millis(100)))
+        .unwrap();
+    assert!(heir_peer.read(&mut [0u8; 16]).is_err());
 }
 
 /// (c) A connection whose bounded write buffer overflows is dropped
@@ -299,52 +279,50 @@ fn recycled_slot_never_sees_its_predecessors_event() {
 #[test]
 fn overflowing_consumer_is_dropped_alone_and_without_an_error_frame() {
     const BIG: u32 = 60_000;
-    for kind in backends() {
-        // `write_buf` 0 clamps to one maximal frame — two and a bit of
-        // these replies.
-        let (reactor, log) = spawn(kind, 0, SLICE, Some(16 * 1024), |conns, id, _, msg| {
-            if let Message::PositionUpdate { .. } = msg {
-                conns.send(id, &result(0, BIG).encode_frame());
-            }
-        });
-        let mut neighbour = connect(&reactor);
-        let mut roundtrip = |i: u32| {
-            send(&mut neighbour, &[update(i)]);
-            let mut rx = FrameBuf::new();
-            let mut chunk = vec![0u8; 64 * 1024];
-            loop {
-                let n = neighbour.read(&mut chunk).unwrap();
-                assert!(n > 0, "{kind:?}: neighbour closed at round {i}");
-                rx.extend(&chunk[..n]);
-                if let Some((msg, _)) = rx.next_message().unwrap() {
-                    assert_eq!(msg, result(0, BIG));
-                    return;
-                }
-            }
-        };
-        roundtrip(0);
-
-        let mut stalled = connect(&reactor);
-        sys::set_recv_buffer(sys::raw_fd(&stalled), 16 * 1024).unwrap();
-        for i in 0..8 {
-            // (Once it has been dropped its writes fail; that is the
-            // point.)
-            let _ = stalled.write_all(&update(i).encode_frame());
-            roundtrip(i);
+    // `write_buf` 0 clamps to one maximal frame — two and a bit of
+    // these replies.
+    let (reactor, log) = spawn(0, SLICE, Some(16 * 1024), |conns, id, _, msg| {
+        if let Message::PositionUpdate { .. } = msg {
+            conns.send(id, &result(0, BIG).encode_frame());
         }
-        wait_for("the overflow drop", || {
-            saw(&log, &Seen::Closed(1, Closed::Overflow)) == 1
-        });
-        roundtrip(100);
+    });
+    let mut neighbour = connect(&reactor);
+    let mut roundtrip = |i: u32| {
+        send(&mut neighbour, &[update(i)]);
+        let mut rx = FrameBuf::new();
+        let mut chunk = vec![0u8; 64 * 1024];
+        loop {
+            let n = neighbour.read(&mut chunk).unwrap();
+            assert!(n > 0, "neighbour closed at round {i}");
+            rx.extend(&chunk[..n]);
+            if let Some((msg, _)) = rx.next_message().unwrap() {
+                assert_eq!(msg, result(0, BIG));
+                return;
+            }
+        }
+    };
+    roundtrip(0);
 
-        let (got, clean) = read_to_end(&mut stalled);
-        assert!(!clean || got.len() < 8, "{kind:?}: nothing was dropped");
-        assert!(
-            got.iter().all(|m| *m == result(0, BIG)),
-            "{kind:?}: an overflow drop sends no Error frame"
-        );
-        assert_eq!(saw(&log, &Seen::Closed(0, Closed::Overflow)), 0);
+    let mut stalled = connect(&reactor);
+    sys::set_recv_buffer(sys::raw_fd(&stalled), 16 * 1024).unwrap();
+    for i in 0..8 {
+        // (Once it has been dropped its writes fail; that is the
+        // point.)
+        let _ = stalled.write_all(&update(i).encode_frame());
+        roundtrip(i);
     }
+    wait_for("the overflow drop", || {
+        saw(&log, &Seen::Closed(1, Closed::Overflow)) == 1
+    });
+    roundtrip(100);
+
+    let (got, clean) = read_to_end(&mut stalled);
+    assert!(!clean || got.len() < 8, "nothing was dropped");
+    assert!(
+        got.iter().all(|m| *m == result(0, BIG)),
+        "an overflow drop sends no Error frame"
+    );
+    assert_eq!(saw(&log, &Seen::Closed(0, Closed::Overflow)), 0);
 }
 
 /// (d) Reads paused on a connection deliver nothing — not even frames
@@ -352,61 +330,59 @@ fn overflowing_consumer_is_dropped_alone_and_without_an_error_frame() {
 /// nothing is lost.
 #[test]
 fn paused_reads_deliver_nothing_until_resumed() {
-    for kind in backends() {
-        let mut by_tag: HashMap<u32, ConnId> = HashMap::new();
-        let (reactor, log) = spawn(kind, 1 << 20, SLICE, None, move |conns, id, tag, msg| {
-            by_tag.insert(tag, id);
-            match (tag, msg) {
-                (0, Message::Deregister) => conns.pause_reads(id, true),
-                (1, Message::Deregister) => conns.pause_reads(by_tag[&0], false),
-                _ => {}
-            }
-        });
-        let (mut paused, mut control) = (connect(&reactor), connect(&reactor));
-        // One write: the pause and three frames behind it in the same
-        // read chunk.
-        send(
-            &mut paused,
-            &[
-                update(0),
-                Message::Deregister,
-                update(1),
-                update(2),
-                update(3),
-            ],
-        );
-        wait_for("the pause", || {
-            saw(&log, &Seen::Frame(0, Message::Deregister)) == 1
-        });
-        send(&mut paused, &[update(4)]);
-        send(&mut control, &[update(50)]);
-        wait_for("the control connection", || {
-            saw(&log, &Seen::Frame(1, update(50))) == 1
-        });
-        let of_paused = |log: &Log| -> Vec<Seen> {
-            let log = log.lock().unwrap();
-            let mine = log.iter().filter(|s| matches!(s, Seen::Frame(0, _)));
-            mine.cloned().collect()
-        };
-        assert_eq!(
-            of_paused(&log),
-            [
-                Seen::Frame(0, update(0)),
-                Seen::Frame(0, Message::Deregister)
-            ],
-            "{kind:?}: frames were delivered while paused"
-        );
+    let mut by_tag: HashMap<u32, ConnId> = HashMap::new();
+    let (reactor, log) = spawn(1 << 20, SLICE, None, move |conns, id, tag, msg| {
+        by_tag.insert(tag, id);
+        match (tag, msg) {
+            (0, Message::Deregister) => conns.pause_reads(id, true),
+            (1, Message::Deregister) => conns.pause_reads(by_tag[&0], false),
+            _ => {}
+        }
+    });
+    let (mut paused, mut control) = (connect(&reactor), connect(&reactor));
+    // One write: the pause and three frames behind it in the same
+    // read chunk.
+    send(
+        &mut paused,
+        &[
+            update(0),
+            Message::Deregister,
+            update(1),
+            update(2),
+            update(3),
+        ],
+    );
+    wait_for("the pause", || {
+        saw(&log, &Seen::Frame(0, Message::Deregister)) == 1
+    });
+    send(&mut paused, &[update(4)]);
+    send(&mut control, &[update(50)]);
+    wait_for("the control connection", || {
+        saw(&log, &Seen::Frame(1, update(50))) == 1
+    });
+    let of_paused = |log: &Log| -> Vec<Seen> {
+        let log = log.lock().unwrap();
+        let mine = log.iter().filter(|s| matches!(s, Seen::Frame(0, _)));
+        mine.cloned().collect()
+    };
+    assert_eq!(
+        of_paused(&log),
+        [
+            Seen::Frame(0, update(0)),
+            Seen::Frame(0, Message::Deregister)
+        ],
+        "frames were delivered while paused"
+    );
 
-        send(&mut control, &[Message::Deregister]);
-        wait_for("the backlog", || saw(&log, &Seen::Frame(0, update(4))) == 1);
-        let expect: Vec<Seen> = [update(0), Message::Deregister]
-            .into_iter()
-            .chain((1..=4).map(update))
-            .map(|m| Seen::Frame(0, m))
-            .collect();
-        assert_eq!(of_paused(&log), expect, "{kind:?}: lost or reordered");
-        drop(reactor);
-    }
+    send(&mut control, &[Message::Deregister]);
+    wait_for("the backlog", || saw(&log, &Seen::Frame(0, update(4))) == 1);
+    let expect: Vec<Seen> = [update(0), Message::Deregister]
+        .into_iter()
+        .chain((1..=4).map(update))
+        .map(|m| Seen::Frame(0, m))
+        .collect();
+    assert_eq!(of_paused(&log), expect, "lost or reordered");
+    drop(reactor);
 }
 
 /// (e) Shutdown with connections in every state — fresh, closing with
@@ -414,49 +390,46 @@ fn paused_reads_deliver_nothing_until_resumed() {
 #[test]
 fn shutdown_joins_promptly_whatever_the_connections_are_doing() {
     let slice = Duration::from_millis(100);
-    for kind in backends() {
-        let (mut reactor, log) = spawn(
-            kind,
-            4 << 20,
-            slice,
-            Some(16 * 1024),
-            |conns, id, _, msg| match msg {
-                Message::Deregister => conns.pause_reads(id, true),
-                Message::PositionUpdate { .. } => {
-                    for i in 0..4000 {
-                        conns.send(id, &result(i, 64).encode_frame());
-                    }
-                    conns.close(id);
+    let (mut reactor, log) = spawn(
+        4 << 20,
+        slice,
+        Some(16 * 1024),
+        |conns, id, _, msg| match msg {
+            Message::Deregister => conns.pause_reads(id, true),
+            Message::PositionUpdate { .. } => {
+                for i in 0..4000 {
+                    conns.send(id, &result(i, 64).encode_frame());
                 }
-                _ => {}
-            },
-        );
-        let mut fresh = connect(&reactor);
-        let mut paused = connect(&reactor);
-        send(&mut paused, &[Message::Deregister]);
-        wait_for("the pause", || {
-            saw(&log, &Seen::Frame(0, Message::Deregister))
-                + saw(&log, &Seen::Frame(1, Message::Deregister))
-                == 1
-        });
-        let mut closing = connect(&reactor);
-        sys::set_recv_buffer(sys::raw_fd(&closing), 16 * 1024).unwrap();
-        send(&mut closing, &[update(0)]);
-        wait_for("the close", || {
-            saw(&log, &Seen::Closed(2, Closed::Local)) == 1
-        });
+                conns.close(id);
+            }
+            _ => {}
+        },
+    );
+    let mut fresh = connect(&reactor);
+    let mut paused = connect(&reactor);
+    send(&mut paused, &[Message::Deregister]);
+    wait_for("the pause", || {
+        saw(&log, &Seen::Frame(0, Message::Deregister))
+            + saw(&log, &Seen::Frame(1, Message::Deregister))
+            == 1
+    });
+    let mut closing = connect(&reactor);
+    sys::set_recv_buffer(sys::raw_fd(&closing), 16 * 1024).unwrap();
+    send(&mut closing, &[update(0)]);
+    wait_for("the close", || {
+        saw(&log, &Seen::Closed(2, Closed::Local)) == 1
+    });
 
-        let t0 = Instant::now();
-        reactor.stop();
-        let took = t0.elapsed();
-        assert!(
-            took <= 2 * slice,
-            "{kind:?}: shutdown took {took:?} with a {slice:?} poll slice"
-        );
-        // Shutdown is not a close-after-flush: the residue is cut off.
-        let (got, _) = read_to_end(&mut closing);
-        assert!(got.len() < 4000, "{kind:?}: residue survived shutdown");
-        assert!(read_to_end(&mut fresh).0.is_empty());
-        assert!(read_to_end(&mut paused).0.is_empty());
-    }
+    let t0 = Instant::now();
+    reactor.stop();
+    let took = t0.elapsed();
+    assert!(
+        took <= 2 * slice,
+        "shutdown took {took:?} with a {slice:?} poll slice"
+    );
+    // Shutdown is not a close-after-flush: the residue is cut off.
+    let (got, _) = read_to_end(&mut closing);
+    assert!(got.len() < 4000, "residue survived shutdown");
+    assert!(read_to_end(&mut fresh).0.is_empty());
+    assert!(read_to_end(&mut paused).0.is_empty());
 }

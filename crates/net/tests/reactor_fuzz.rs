@@ -18,12 +18,11 @@
 //!   session through `poll_event` without ever blocking;
 //! * backpressure: a client that stops reading while large results
 //!   accumulate forces the reactor through its persistent-interest
-//!   `POLLOUT` arm/disarm transitions, and still drains bit-identically
+//!   `EPOLLOUT` arm/disarm transitions, and still drains bit-identically
 //!   once it resumes.
 //!
-//! Every end-to-end case runs against each readiness backend this
-//! target offers (`poll` everywhere, `epoll` on Linux). All inputs
-//! derive from fixed-seed RNGs, so a failure reproduces exactly.
+//! All inputs derive from fixed-seed RNGs, so a failure reproduces
+//! exactly.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -35,8 +34,8 @@ use insq_geom::{Aabb, Point};
 use insq_index::VorTree;
 use insq_net::wire::{Message, MAX_PAYLOAD_LEN};
 use insq_net::{
-    sys, ClientCore, ClientEvent, FrameBuf, NetClient, NetServer, NetServerConfig, ReadinessKind,
-    SpaceKind, WireOutcome, WirePos,
+    sys, ClientCore, ClientEvent, FrameBuf, NetClient, NetServer, NetServerConfig, SpaceKind,
+    WireOutcome, WirePos,
 };
 use insq_server::World;
 use rand::rngs::StdRng;
@@ -152,14 +151,6 @@ fn bit_flips_in_valid_streams_error_cleanly() {
     }
 }
 
-/// Every readiness backend available on this target.
-fn backend_kinds() -> Vec<ReadinessKind> {
-    #[cfg(target_os = "linux")]
-    return vec![ReadinessKind::Poll, ReadinessKind::Epoll];
-    #[cfg(not(target_os = "linux"))]
-    return vec![ReadinessKind::Poll];
-}
-
 fn euclid_world(n: usize) -> Arc<World<VorTree>> {
     let bounds = Aabb::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
     let pts = (0..n)
@@ -176,24 +167,14 @@ fn euclid_world(n: usize) -> Arc<World<VorTree>> {
 }
 
 /// A client whose every frame reaches the server one byte per `write`
-/// call must see the same results as a well-behaved one — on every
-/// readiness backend.
+/// call must see the same results as a well-behaved one.
 #[test]
 fn byte_at_a_time_client_is_served_bit_identically() {
-    for kind in backend_kinds() {
-        byte_at_a_time_roundtrip(kind);
-    }
-}
-
-fn byte_at_a_time_roundtrip(readiness: ReadinessKind) {
     let world = euclid_world(100);
     let server: NetServer<Euclidean> = NetServer::bind(
         "127.0.0.1:0",
         Arc::clone(&world),
-        NetServerConfig {
-            readiness,
-            ..NetServerConfig::with_min_clients(2)
-        },
+        NetServerConfig::with_min_clients(2),
     )
     .unwrap();
 
@@ -289,24 +270,14 @@ fn byte_at_a_time_roundtrip(readiness: ReadinessKind) {
 }
 
 /// A non-blocking [`ClientCore`] session driven entirely through
-/// `try_send_update` / `poll_event` — no blocking call anywhere, on
-/// every readiness backend.
+/// `try_send_update` / `poll_event` — no blocking call anywhere.
 #[test]
 fn client_core_drives_a_session_without_blocking() {
-    for kind in backend_kinds() {
-        client_core_roundtrip(kind);
-    }
-}
-
-fn client_core_roundtrip(readiness: ReadinessKind) {
     let world = euclid_world(100);
     let server: NetServer<Euclidean> = NetServer::bind(
         "127.0.0.1:0",
         Arc::clone(&world),
-        NetServerConfig {
-            readiness,
-            ..NetServerConfig::default()
-        },
+        NetServerConfig::default(),
     )
     .unwrap();
 
@@ -348,7 +319,6 @@ fn client_core_roundtrip(readiness: ReadinessKind) {
 
 /// A dense uniform world (1024 sites inside the 0..100 bounds) so a
 /// k=512 query produces multi-kilobyte result frames.
-#[cfg(unix)]
 fn dense_world() -> Arc<World<VorTree>> {
     let bounds = Aabb::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
     let pts = (0..1024)
@@ -368,27 +338,18 @@ fn dense_world() -> Arc<World<VorTree>> {
 /// with a floor-sized kernel receive buffer stops reading while ~150
 /// large (k=512, ≈2 KiB) results are pushed at it. The socket clogs,
 /// the reactor must buffer in its per-session [`insq_net::WriteBuf`]
-/// and arm `POLLOUT` (then disarm it once the drain completes — a
+/// and arm `EPOLLOUT` (then disarm it once the drain completes — a
 /// stuck-armed arm would busy-wake, a never-armed one would stall the
 /// drain forever). When the client finally reads, its stream must be
 /// bit-identical to a well-behaved client on the same trajectory.
-#[cfg(unix)]
 #[test]
 fn stalled_reader_arms_pollout_and_drains_bit_identically() {
-    for kind in backend_kinds() {
-        stalled_reader_roundtrip(kind);
-    }
-}
-
-#[cfg(unix)]
-fn stalled_reader_roundtrip(readiness: ReadinessKind) {
     const TICKS: usize = 150;
     let world = dense_world();
     let server: NetServer<Euclidean> = NetServer::bind(
         "127.0.0.1:0",
         Arc::clone(&world),
         NetServerConfig {
-            readiness,
             // Lock the kernel send buffer small: the ~300 KiB backlog
             // must surface in the reactor's WriteBuf, not be silently
             // absorbed by sndbuf autotuning.
@@ -440,12 +401,11 @@ fn stalled_reader_roundtrip(readiness: ReadinessKind) {
         }
     }
 
-    // The clog showed up as reactor-side buffering (POLLOUT was armed),
+    // The clog showed up as reactor-side buffering (EPOLLOUT was armed),
     // far beyond what any smooth session ever holds.
     assert!(
         server.buffer_high_water() > 32 * 1024,
-        "expected the stalled session to buffer server-side, high water was {} bytes \
-         on the {readiness:?} backend",
+        "expected the stalled session to buffer server-side, high water was {} bytes",
         server.buffer_high_water()
     );
 
@@ -475,7 +435,7 @@ fn stalled_reader_roundtrip(readiness: ReadinessKind) {
     }
     assert_eq!(
         stalled_results, smooth_results,
-        "stalled client's drained stream diverged on the {readiness:?} backend"
+        "stalled client's drained stream diverged"
     );
     drop(stalled);
     server.shutdown();

@@ -1,8 +1,8 @@
 //! Rush hour: correlated commuter traffic over a live road network.
 //!
-//! The dynamic-traffic workload the `e_traffic` experiment and the
-//! traffic conformance tests drive. Two correlated ingredients, both
-//! deterministic in the scenario seed:
+//! The dynamic-traffic workload the repo benchmark's `road_rush`
+//! workload and the traffic conformance tests drive. Two correlated
+//! ingredients, both deterministic in the scenario seed:
 //!
 //! * **Commuter trajectories** — every client's tour runs from a seeded
 //!   home vertex *through the hub* (the vertex nearest the network

@@ -5,11 +5,9 @@
 //! ([`SpaceWorkload::position`]); a *serving* surface needs the
 //! transposed view — "what does client `c` put on the wire, in order?".
 //! [`UpdateStream`] is that view: a deterministic iterator of positions,
-//! one per scenario tick, for one client. The `insq-net` loopback
-//! drivers (`examples/net_fleet.rs`, the `e_net` experiment) feed these
-//! straight into TCP sessions, and because they derive from the same
-//! scenario state as the in-process run, the two are comparable
-//! tick-for-tick.
+//! one per scenario tick, for one client. It derives from the same
+//! scenario state as the in-process run, so a wire run fed from it is
+//! comparable to that run tick-for-tick.
 
 use crate::fleet::FleetScenario;
 use crate::spaces::SpaceWorkload;

@@ -57,7 +57,8 @@ fn main() {
         let pos = traj.position_looped(0.2 * tick as f64);
         if tick == update_at {
             // Server: one call, no rebuild. Cost scales with the delta —
-            // see `report --exp e_update` for the measured 5-25x margin.
+            // the repo benchmark's `euclid_churn` workload measures it
+            // (`server.apply_us`, `index.apply_us`).
             let before = index.len();
             let t0 = std::time::Instant::now();
             world.apply(&delta).expect("valid delta");
