@@ -22,6 +22,7 @@
 //! | Influential neighbor set (Def. 4) | [`Space::influential_into`] per space |
 //! | Query processing (§III, §IV) | the generic [`Processor`] |
 //! | Theorem-2 validation | [`Space::scoped_knn_into`] per space |
+//! | Brute-force reference | [`Space::brute_knn`] — a site scan; on [`Network`] one full oracle Dijkstra ranked by `(distance, site)`, never INE |
 //!
 //! Every processor implements [`MovingKnn`], shared with the baselines in
 //! `insq-baselines`, and certifies each returned result via the

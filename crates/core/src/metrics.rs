@@ -71,11 +71,6 @@ impl QueryStats {
         }
     }
 
-    /// Ticks at which the result set changed.
-    pub fn changed_ticks(&self) -> u64 {
-        self.swaps + self.local_reranks + self.recomputations
-    }
-
     /// Average validation operations per tick.
     pub fn validation_ops_per_tick(&self) -> f64 {
         if self.ticks == 0 {
@@ -142,7 +137,6 @@ mod tests {
         assert_eq!(s.swaps, 1);
         assert_eq!(s.local_reranks, 1);
         assert_eq!(s.recomputations, 1);
-        assert_eq!(s.changed_ticks(), 3);
         assert!((s.recompute_rate() - 0.2).abs() < 1e-12);
     }
 

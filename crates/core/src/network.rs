@@ -21,7 +21,7 @@
 
 use std::borrow::Borrow;
 
-use insq_roadnet::ine::{network_knn, network_knn_into};
+use insq_roadnet::ine::{all_site_distances, network_knn_into};
 use insq_roadnet::subnetwork::restricted_knn_into;
 use insq_roadnet::{
     DijkstraScratch, NetPosition, NetworkVoronoi, NetworkWorld, RoadNetwork, SiteIdx, SiteMask,
@@ -108,11 +108,15 @@ impl Space for Network {
         st.settled as u64
     }
 
+    /// One full oracle Dijkstra ([`all_site_distances`]) ranked by
+    /// `(distance, site index)` — not INE, which is the recompute path
+    /// this is the reference for.
     fn brute_knn(index: &NetworkWorld, pos: NetPosition, k: usize) -> Vec<SiteIdx> {
-        network_knn(&index.net, &index.sites, pos, k)
-            .into_iter()
-            .map(|(s, _)| s)
-            .collect()
+        let dist = all_site_distances(&index.net, &index.sites, pos);
+        let mut ranked: Vec<SiteIdx> = (0..dist.len() as u32).map(SiteIdx).collect();
+        ranked.sort_by(|a, b| dist[a.idx()].total_cmp(&dist[b.idx()]).then(a.cmp(b)));
+        ranked.truncate(k);
+        ranked
     }
 }
 
@@ -177,6 +181,7 @@ mod tests {
     use crate::metrics::TickOutcome;
     use crate::processor::{InsConfig, MovingKnn};
     use insq_roadnet::generators::{grid_network, random_site_vertices, GridConfig};
+    use insq_roadnet::ine::network_knn;
     use insq_roadnet::order_k::knn_sets_equal;
     use insq_roadnet::NetTrajectory;
     use std::sync::Arc;

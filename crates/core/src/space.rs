@@ -136,8 +136,12 @@ pub trait Space: Sized + Copy + Send + Sync + 'static {
     ) -> u64;
 
     /// Brute-force kNN — the conformance reference every processor
-    /// answer is checked against in the cross-space test suites. Not a
-    /// hot path; allocates freely.
+    /// answer is checked against in the cross-space test suites and by
+    /// the benchmark's post-run oracle. It must share no search code
+    /// with `global_knn_into`/`scoped_knn_into`: the Euclidean spaces
+    /// scan every site, the network space ranks one full oracle Dijkstra
+    /// (`insq_roadnet::ine::all_site_distances`) by `(distance, site
+    /// index)`. Not a hot path; allocates freely.
     fn brute_knn(index: &Self::Index, pos: Self::Pos, k: usize) -> Vec<Self::SiteId>;
 
     /// The per-tick validation step (§III-A / Theorem 2): decides

@@ -44,12 +44,6 @@ impl Circle {
         self.center.distance_sq(p) <= self.radius * self.radius
     }
 
-    /// Whether `p` lies strictly inside the circle.
-    #[inline]
-    pub fn contains_strict(&self, p: Point) -> bool {
-        self.center.distance_sq(p) < self.radius * self.radius
-    }
-
     /// Whether this circle is entirely contained in `other` (boundaries may
     /// touch).
     #[inline]
@@ -146,7 +140,6 @@ mod tests {
         let c = Circle::new(Point::new(0.0, 0.0), 2.0);
         assert!(c.contains(Point::new(1.0, 1.0)));
         assert!(c.contains(Point::new(2.0, 0.0))); // boundary
-        assert!(!c.contains_strict(Point::new(2.0, 0.0)));
         assert!(!c.contains(Point::new(2.1, 0.0)));
         let small = Circle::new(Point::new(0.5, 0.0), 1.0);
         assert!(small.inside(&c));

@@ -221,15 +221,6 @@ pub fn scale_expansion(e: &[f64], b: f64, out: &mut Vec<f64>) {
     }
 }
 
-/// Approximates the value of an expansion by summing its components from
-/// smallest to largest. The sign of the result equals the sign of the exact
-/// value when the expansion is non-overlapping (which all expansions built
-/// by this module are).
-#[inline]
-pub fn estimate(e: &[f64]) -> f64 {
-    e.iter().sum()
-}
-
 /// The sign of an expansion: the sign of its largest-magnitude (last
 /// non-zero) component.
 #[inline]

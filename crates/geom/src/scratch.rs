@@ -60,11 +60,11 @@ impl<I: Ord + PartialEq> Ord for DistEntry<I> {
 /// A reusable visited set over a dense `0..n` id range with O(1) clear.
 ///
 /// Call [`GenMarks::begin`] once per query to logically clear the set,
-/// then [`GenMarks::mark`] / [`GenMarks::is_marked`] slots. The backing
-/// array is allocated once (per size change) and reused forever; a
-/// generation counter distinguishes "marked this query" from leftovers
-/// of earlier queries, so reuse is observationally identical to a fresh
-/// `vec![false; n]` per call.
+/// then [`GenMarks::mark`] slots. The backing array is allocated once
+/// (per size change) and reused forever; a generation counter
+/// distinguishes "marked this query" from leftovers of earlier queries,
+/// so reuse is observationally identical to a fresh `vec![false; n]` per
+/// call.
 #[derive(Debug, Clone, Default)]
 pub struct GenMarks {
     stamp: Vec<u32>,
@@ -102,11 +102,6 @@ impl GenMarks {
             self.stamp[i] = self.gen;
             true
         }
-    }
-
-    /// Whether slot `i` has been marked since the last [`GenMarks::begin`].
-    pub fn is_marked(&self, i: usize) -> bool {
-        self.stamp[i] == self.gen
     }
 }
 
@@ -183,13 +178,11 @@ mod tests {
         m.begin(4);
         assert!(m.mark(2));
         assert!(!m.mark(2));
-        assert!(m.is_marked(2));
         m.begin(4);
-        assert!(!m.is_marked(2));
         assert!(m.mark(2));
         // Resizing also clears.
         m.begin(6);
-        assert!(!m.is_marked(2));
+        assert!(m.mark(2));
         assert!(m.mark(5));
     }
 
@@ -200,10 +193,9 @@ mod tests {
         m.mark(0);
         m.gen = u32::MAX; // fast-forward to the wrap point
         m.begin(2);
-        assert!(!m.is_marked(0));
         assert!(m.mark(0));
-        assert!(m.is_marked(0));
-        assert!(!m.is_marked(1));
+        assert!(!m.mark(0));
+        assert!(m.mark(1));
     }
 
     #[test]

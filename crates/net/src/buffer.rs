@@ -16,11 +16,6 @@ use std::io::{self, Write};
 
 use crate::wire::{DecodeError, Message, MAX_PAYLOAD_LEN};
 
-/// How many buffered bytes a [`FrameBuf`] may hold: one maximal frame
-/// (4-byte length prefix + payload) plus one reactor read chunk that
-/// may complete it.
-pub const MAX_FRAME_BUF: usize = 4 + MAX_PAYLOAD_LEN + READ_CHUNK;
-
 /// The reactor's per-wakeup socket read size. Every complete frame is
 /// decoded before the next read, so a session buffers at most one
 /// partial frame plus one chunk.

@@ -27,7 +27,7 @@
 //! `tests/codec_props.rs` proves `decode(encode(m)) == m` for arbitrary
 //! messages).
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Protocol version carried by every frame. A decoder rejects frames
 /// whose version byte differs — bump this when the message set changes
@@ -647,14 +647,6 @@ impl Message {
     }
 }
 
-/// Writes one framed message; returns the bytes put on the wire
-/// (`4 + payload`).
-pub fn write_message<W: Write>(w: &mut W, msg: &Message) -> io::Result<usize> {
-    let frame = msg.encode_frame();
-    w.write_all(&frame)?;
-    Ok(frame.len())
-}
-
 /// Reads one frame's payload. Returns `Ok(None)` on a clean EOF at a
 /// frame boundary; a length prefix above [`MAX_PAYLOAD_LEN`] (or below
 /// the 2-byte version+tag minimum) is rejected *before* any allocation
@@ -706,9 +698,8 @@ mod tests {
             outcome: WireOutcome::Swap,
             flags: FLAG_UNCERTIFIED,
         };
-        let mut wire = Vec::new();
-        let wrote = write_message(&mut wire, &msg).unwrap();
-        assert_eq!(wrote, wire.len());
+        let wire = msg.encode_frame();
+        let wrote = wire.len();
         let mut cursor = io::Cursor::new(&wire);
         let (back, read) = read_message(&mut cursor).unwrap().expect("one frame");
         assert_eq!(back, msg);

@@ -1,9 +1,14 @@
-//! Shortest-path computations: single-source, multi-source and k-label
-//! Dijkstra over [`RoadNetwork`]s.
+//! The distance oracle: plain allocating Dijkstra over a [`RoadNetwork`].
 //!
-//! All variants share the same binary-heap skeleton with lazily discarded
-//! stale entries — simpler and in practice faster than a decrease-key heap
-//! for the sparse graphs road networks are.
+//! Everything the tests and the benchmark's post-run check hold the
+//! query-time searches to comes from here — all-vertex distances from a
+//! vertex, a position or arbitrary seeds. It deliberately shares no code
+//! with what it checks (the kNN expansion in [`crate::scratch`], the NVD's
+//! label-setting kernel in [`crate::nvd`], A* in [`crate::astar`]).
+//!
+//! Binary heap with lazily discarded stale entries — simpler and in
+//! practice faster than a decrease-key heap for the sparse graphs road
+//! networks are.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -20,7 +25,8 @@ pub fn distances_from_vertex(net: &RoadNetwork, source: VertexId) -> Vec<f64> {
 
 /// Distances from a network position to every vertex.
 pub fn distances_from_position(net: &RoadNetwork, pos: NetPosition) -> Vec<f64> {
-    distances_from_seeds(net, &pos.seeds(net))
+    let (seeds, n) = pos.seed_array(net);
+    distances_from_seeds(net, &seeds[..n])
 }
 
 /// Dijkstra from a set of `(vertex, initial distance)` seeds.
@@ -47,138 +53,6 @@ pub fn distances_from_seeds(net: &RoadNetwork, seeds: &[(VertexId, f64)]) -> Vec
         }
     }
     dist
-}
-
-/// Network distance between two positions (via Dijkstra; `f64::INFINITY`
-/// never occurs on a connected network).
-pub fn distance_between(net: &RoadNetwork, from: NetPosition, to: NetPosition) -> f64 {
-    // Special case: both on the same edge — the direct along-edge path
-    // competes with paths through the endpoints.
-    let direct = match (from, to) {
-        (
-            NetPosition::OnEdge {
-                edge: e1,
-                offset: o1,
-            },
-            NetPosition::OnEdge {
-                edge: e2,
-                offset: o2,
-            },
-        ) if e1 == e2 => Some((o1 - o2).abs()),
-        _ => None,
-    };
-    let dist = distances_from_position(net, from);
-    let via_vertices = to
-        .seeds(net)
-        .into_iter()
-        .map(|(v, d)| dist[v.idx()] + d)
-        .fold(f64::INFINITY, f64::min);
-    match direct {
-        Some(d) => d.min(via_vertices),
-        None => via_vertices,
-    }
-}
-
-/// Shortest path (distance and vertex sequence) between two vertices.
-pub fn shortest_path(net: &RoadNetwork, from: VertexId, to: VertexId) -> (f64, Vec<VertexId>) {
-    let n = net.num_vertices();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut parent: Vec<VertexId> = vec![VertexId(u32::MAX); n];
-    let mut heap: BinaryHeap<Reverse<DistEntry<VertexId>>> = BinaryHeap::new();
-    dist[from.idx()] = 0.0;
-    heap.push(Reverse(DistEntry {
-        dist: 0.0,
-        id: from,
-    }));
-    while let Some(Reverse(DistEntry { dist: d, id: u })) = heap.pop() {
-        if d > dist[u.idx()] {
-            continue;
-        }
-        if u == to {
-            break;
-        }
-        for &(w, e) in net.neighbors(u) {
-            let nd = d + net.edge(e).len;
-            if nd < dist[w.idx()] {
-                dist[w.idx()] = nd;
-                parent[w.idx()] = u;
-                heap.push(Reverse(DistEntry { dist: nd, id: w }));
-            }
-        }
-    }
-    let mut path = vec![to];
-    let mut cur = to;
-    while cur != from {
-        cur = parent[cur.idx()];
-        if cur.0 == u32::MAX {
-            return (f64::INFINITY, Vec::new()); // unreachable (disconnected)
-        }
-        path.push(cur);
-    }
-    path.reverse();
-    (dist[to.idx()], path)
-}
-
-/// Multi-source Dijkstra: every vertex gets the distance to — and the label
-/// of — its nearest source. Returns `(dist, owner)` arrays; `owner[v]` is
-/// the index into `sources` (ties go to the source settling first, i.e. the
-/// smaller vertex id at equal distance).
-pub fn multi_source(net: &RoadNetwork, sources: &[VertexId]) -> (Vec<f64>, Vec<u32>) {
-    let n = net.num_vertices();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut owner = vec![u32::MAX; n];
-    let mut heap: BinaryHeap<Reverse<(DistEntry<VertexId>, u32)>> = BinaryHeap::new();
-    for (i, &v) in sources.iter().enumerate() {
-        // With duplicate source vertices the first listed wins.
-        if dist[v.idx()] > 0.0 || owner[v.idx()] == u32::MAX {
-            dist[v.idx()] = 0.0;
-            owner[v.idx()] = i as u32;
-            heap.push(Reverse((DistEntry { dist: 0.0, id: v }, i as u32)));
-        }
-    }
-    while let Some(Reverse((DistEntry { dist: d, id: u }, label))) = heap.pop() {
-        if d > dist[u.idx()] || owner[u.idx()] != label {
-            continue;
-        }
-        for &(w, e) in net.neighbors(u) {
-            let nd = d + net.edge(e).len;
-            if nd < dist[w.idx()] {
-                dist[w.idx()] = nd;
-                owner[w.idx()] = label;
-                heap.push(Reverse((DistEntry { dist: nd, id: w }, label)));
-            }
-        }
-    }
-    (dist, owner)
-}
-
-/// k-label Dijkstra: for every vertex, the `k` nearest sources with their
-/// distances, ascending. The workhorse behind exact network order-k
-/// Voronoi computations.
-///
-/// Complexity `O(k · (|E| + |V|) log(k |V|))`.
-pub fn k_label_dijkstra(net: &RoadNetwork, sources: &[VertexId], k: usize) -> Vec<Vec<(u32, f64)>> {
-    let n = net.num_vertices();
-    let mut labels: Vec<Vec<(u32, f64)>> = vec![Vec::with_capacity(k); n];
-    let mut heap: BinaryHeap<Reverse<(DistEntry<VertexId>, u32)>> = BinaryHeap::new();
-    for (i, &v) in sources.iter().enumerate() {
-        heap.push(Reverse((DistEntry { dist: 0.0, id: v }, i as u32)));
-    }
-    while let Some(Reverse((DistEntry { dist: d, id: u }, label))) = heap.pop() {
-        let lab = &mut labels[u.idx()];
-        if lab.len() >= k || lab.iter().any(|&(s, _)| s == label) {
-            continue;
-        }
-        lab.push((label, d));
-        for &(w, e) in net.neighbors(u) {
-            let nd = d + net.edge(e).len;
-            let wl = &labels[w.idx()];
-            if wl.len() < k && !wl.iter().any(|&(s, _)| s == label) {
-                heap.push(Reverse((DistEntry { dist: nd, id: w }, label)));
-            }
-        }
-    }
-    labels
 }
 
 #[cfg(test)]
@@ -244,82 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn distance_between_positions_same_edge() {
-        let net = grid();
-        let e = net.find_edge(VertexId(0), VertexId(1)).unwrap();
-        let a = NetPosition::on_edge(&net, e, 0.2).unwrap();
-        let b = NetPosition::on_edge(&net, e, 0.9).unwrap();
-        assert!((distance_between(&net, a, b) - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shortest_path_reconstruction() {
-        let net = grid();
-        let (d, path) = shortest_path(&net, VertexId(0), VertexId(8));
-        assert_eq!(d, 4.0);
-        assert_eq!(path.len(), 5);
-        assert_eq!(path[0], VertexId(0));
-        assert_eq!(path[4], VertexId(8));
-        // Consecutive path vertices are adjacent.
-        for w in path.windows(2) {
-            assert!(net.find_edge(w[0], w[1]).is_some());
-        }
-    }
-
-    #[test]
-    fn multi_source_ownership() {
-        let net = grid();
-        // Sources at opposite corners 0 and 8.
-        let (dist, owner) = multi_source(&net, &[VertexId(0), VertexId(8)]);
-        assert_eq!(owner[0], 0);
-        assert_eq!(owner[8], 1);
-        assert_eq!(dist[0], 0.0);
-        assert_eq!(dist[8], 0.0);
-        // Center vertex 4 is equidistant (2.0); either owner acceptable.
-        assert_eq!(dist[4], 2.0);
-        // Every vertex owned by its true nearest source.
-        let d0 = distances_from_vertex(&net, VertexId(0));
-        let d8 = distances_from_vertex(&net, VertexId(8));
-        for v in 0..9 {
-            assert_eq!(dist[v], d0[v].min(d8[v]));
-            if d0[v] < d8[v] {
-                assert_eq!(owner[v], 0);
-            } else if d8[v] < d0[v] {
-                assert_eq!(owner[v], 1);
-            }
-        }
-    }
-
-    #[test]
-    fn k_label_matches_brute_force() {
-        let net = grid();
-        let sources = [VertexId(0), VertexId(2), VertexId(6), VertexId(8)];
-        let k = 3;
-        let labels = k_label_dijkstra(&net, &sources, k);
-        let per_source: Vec<Vec<f64>> = sources
-            .iter()
-            .map(|&s| distances_from_vertex(&net, s))
-            .collect();
-        for v in 0..net.num_vertices() {
-            let mut brute: Vec<(u32, f64)> = (0..sources.len() as u32)
-                .map(|i| (i, per_source[i as usize][v]))
-                .collect();
-            brute.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            brute.truncate(k);
-            let got = &labels[v];
-            assert_eq!(got.len(), k);
-            // Distances must match exactly; label order may differ on ties.
-            for i in 0..k {
-                assert_eq!(got[i].1, brute[i].1, "vertex {v} rank {i}");
-            }
-            let got_set: std::collections::BTreeSet<u32> = got.iter().map(|&(s, _)| s).collect();
-            // On ties the label sets can differ; distances decide. Check
-            // multiset of distances only, plus set size.
-            assert_eq!(got_set.len(), k);
-        }
-    }
-
-    #[test]
     fn weighted_path_vs_grid() {
         // A shortcut edge changes the shortest path.
         let net = RoadNetwork::new(
@@ -334,8 +132,5 @@ mod tests {
         let d = distances_from_vertex(&net, VertexId(0));
         assert_eq!(d[2], 3.0);
         assert_eq!(d[1], 5.0); // not 8.0 via the shortcut
-        let (d02, path) = shortest_path(&net, VertexId(0), VertexId(2));
-        assert_eq!(d02, 3.0);
-        assert_eq!(path, vec![VertexId(0), VertexId(2)]);
     }
 }

@@ -5,26 +5,15 @@
 //! their vertices are settled. Expansion stops as soon as `k` sites are
 //! found, so the cost is proportional to the size of the region containing
 //! the k nearest sites — this is the *recompute* path of every road-network
-//! MkNN processor in this system.
-
-use std::cmp::Reverse;
-
-use insq_geom::DistEntry;
+//! MkNN processor in this system. It is the crate's one kNN expansion
+//! (`DijkstraScratch::expand_knn`) with every edge passable and every site
+//! accepted; [`all_site_distances`] is the independent oracle it is checked
+//! against.
 
 use crate::graph::RoadNetwork;
 use crate::position::NetPosition;
-use crate::scratch::DijkstraScratch;
+use crate::scratch::{DijkstraScratch, ExpansionStats};
 use crate::sites::{SiteIdx, SiteSet};
-
-/// Statistics of one INE run, used by the benchmark harness to report
-/// search effort.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IneStats {
-    /// Vertices settled by the expansion.
-    pub settled: usize,
-    /// Heap pushes performed.
-    pub pushes: usize,
-}
 
 /// The `k` sites nearest to `pos` in network distance, ascending (ties by
 /// site index). Returns fewer when the network hosts fewer sites.
@@ -43,7 +32,7 @@ pub fn network_knn_with_stats(
     sites: &SiteSet,
     pos: NetPosition,
     k: usize,
-) -> (Vec<(SiteIdx, f64)>, IneStats) {
+) -> (Vec<(SiteIdx, f64)>, ExpansionStats) {
     let mut scratch = DijkstraScratch::new();
     let mut result = Vec::with_capacity(k);
     let stats = network_knn_into(net, sites, &mut scratch, pos, k, &mut result);
@@ -62,51 +51,21 @@ pub fn network_knn_into(
     pos: NetPosition,
     k: usize,
     out: &mut Vec<(SiteIdx, f64)>,
-) -> IneStats {
-    let mut stats = IneStats::default();
-    out.clear();
-    if k == 0 {
-        return stats;
-    }
-    scratch.begin(net.num_vertices());
-    let (seeds, num_seeds) = pos.seed_array(net);
-    for &(v, d) in &seeds[..num_seeds] {
-        if d < scratch.dist.get(v.idx()) {
-            scratch.dist.set(v.idx(), d);
-            scratch.heap.push(Reverse(DistEntry { dist: d, id: v }));
-            stats.pushes += 1;
-        }
-    }
-    while let Some(Reverse(DistEntry { dist: d, id: u })) = scratch.heap.pop() {
-        if d > scratch.dist.get(u.idx()) {
-            continue;
-        }
-        stats.settled += 1;
-        if let Some(s) = sites.site_at(u) {
-            out.push((s, d));
-            if out.len() == k {
-                break;
-            }
-        }
-        for &(w, e) in net.neighbors(u) {
-            let nd = d + net.edge(e).len;
-            if nd < scratch.dist.get(w.idx()) {
-                scratch.dist.set(w.idx(), nd);
-                scratch.heap.push(Reverse(DistEntry { dist: nd, id: w }));
-                stats.pushes += 1;
-            }
-        }
-    }
-    // Equal-distance sites may settle in vertex order; normalise ties to
-    // ascending site index for deterministic output. The comparator is a
-    // total order, so the unstable sort is deterministic (and, unlike the
-    // stable one, allocation-free).
-    out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    stats
+) -> ExpansionStats {
+    let (seeds, n) = pos.seed_array(net);
+    scratch.expand_knn(
+        net,
+        seeds[..n].iter().copied(),
+        k,
+        |_| true,
+        |v| sites.site_at(v),
+        out,
+    )
 }
 
-/// Distances from `pos` to *every* site (one full Dijkstra) — the
-/// brute-force oracle the tests compare against.
+/// Distances from `pos` to *every* site — one full oracle Dijkstra
+/// ([`crate::dijkstra`]), sharing no code with the expansion above. Not
+/// a hot path; allocates freely.
 pub fn all_site_distances(net: &RoadNetwork, sites: &SiteSet, pos: NetPosition) -> Vec<f64> {
     let dist = crate::dijkstra::distances_from_position(net, pos);
     sites.vertices().iter().map(|&v| dist[v.idx()]).collect()

@@ -4,18 +4,28 @@
 //!
 //! * [`RoadNetwork`] — connected undirected weighted graphs in compact CSR
 //!   form, with [`NetPosition`]s on vertices or edge interiors;
-//! * [`dijkstra`] — single-source, multi-source and k-label shortest paths;
 //! * [`NetworkVoronoi`] — the network Voronoi diagram: vertex/edge
 //!   ownership, border ("mid-") points, per-site cell fragments and the
-//!   network **Voronoi neighbor sets** the INS is built from;
-//! * [`ine`] — Incremental Network Expansion kNN (the recompute path);
-//! * [`subnetwork`] — cell-restricted kNN search implementing the
-//!   Theorem-2 validation ("we just need to consider the (smaller) road
-//!   network formed by the current kNN set and the INS");
+//!   network **Voronoi neighbor sets** the INS is built from; its build
+//!   and its three repairs (site insert/remove, edge re-weight) run one
+//!   private label-setting kernel;
+//! * [`ine`] — Incremental Network Expansion kNN (the recompute path) and
+//!   [`subnetwork`] — the same expansion confined to the cells of
+//!   `kNN ∪ I(kNN)`, the Theorem-2 validation ("we just need to consider
+//!   the (smaller) road network formed by the current kNN set and the
+//!   INS"); both are the one kNN expansion on a [`DijkstraScratch`];
+//! * [`dijkstra`] — the allocating all-vertex distance oracle the two
+//!   above are tested against (it shares no code with them);
+//! * [`astar`] — goal-directed point-to-point paths, which route the
+//!   rush-hour commuters of `insq-workload`;
 //! * [`order_k`] — exact network order-k Voronoi segments (the labelled
 //!   edge segments of Fig. 2) and the network MIS of Definition 2;
 //! * [`generators`] / [`trajectory`] — synthetic street networks and
 //!   network-constrained query trajectories for the demo and benchmarks.
+//!
+//! The crate runs one expansion per job — four Dijkstra loops in all (the
+//! oracle, the NVD kernel, the kNN expansion, A*) and nothing that selects
+//! between them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,7 +47,7 @@ pub mod world;
 pub use graph::{EdgeId, EdgeRec, EdgeWeight, RoadNetwork, VertexId};
 pub use nvd::{BorderPoint, EdgeFragment, EdgeOwnership, NetworkVoronoi};
 pub use position::NetPosition;
-pub use scratch::DijkstraScratch;
+pub use scratch::{DijkstraScratch, ExpansionStats};
 pub use sites::{NetDelta, NetSiteDelta, SiteIdx, SiteSet};
 pub use subnetwork::SiteMask;
 pub use trajectory::NetTrajectory;

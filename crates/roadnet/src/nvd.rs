@@ -1,6 +1,6 @@
 //! The network Voronoi diagram (NVD).
 //!
-//! One multi-source Dijkstra from all sites assigns every vertex to its
+//! A Dijkstra expansion seeded at every site assigns each vertex to its
 //! nearest site; each edge is then either wholly owned by one site or split
 //! at a *border point* `b` equidistant from the two endpoint owners — the
 //! "mid-point" of the paper's Fig. 2, whose existence drives the proof of
@@ -13,19 +13,27 @@
 //!
 //! The diagram is also *incrementally maintainable*
 //! ([`NetworkVoronoi::insert_site`] / [`NetworkVoronoi::remove_site`] /
-//! [`NetworkVoronoi::reweight_edges`]): a site insertion runs one pruned
-//! Dijkstra limited to the new cell, a removal re-expands only the
-//! orphaned cell from its boundary, an edge re-weight invalidates and
-//! re-expands only the region whose shortest paths crossed the changed
-//! edges, and edge ownership plus neighbor sets are re-tallied for
-//! exactly the edges incident to re-owned vertices — cost proportional
-//! to the changed region, not the network (the delta-epoch path of
-//! `insq-server`).
+//! [`NetworkVoronoi::reweight_edges`]): a site insertion claims exactly
+//! the new cell, a removal re-expands only the orphaned cell from its
+//! boundary, an edge re-weight invalidates and re-expands only the region
+//! whose shortest paths crossed the changed edges, and edge ownership plus
+//! neighbor sets are re-tallied for exactly the edges incident to
+//! re-labelled vertices — cost proportional to the changed region, not the
+//! network (the delta-epoch path of `insq-server`).
+//!
+//! Build and all three repairs are one label-setting kernel over the
+//! persistent `(dist, owner)` arrays: they differ only in which labels
+//! they reset and which seeds they queue before calling `settle`. The
+//! relaxation rule lives in `relax` alone — **strict improvement only**:
+//! an equal-distance arrival never re-labels a vertex, so ties keep the
+//! owner that got there first (in `(distance, vertex id)` pop order) and a
+//! repair never disturbs a label it does not have to.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use crate::dijkstra::multi_source;
+use insq_geom::DistEntry;
+
 use crate::graph::{EdgeId, RoadNetwork, VertexId};
 use crate::sites::{SiteIdx, SiteSet};
 
@@ -90,120 +98,109 @@ pub struct NetworkVoronoi {
     border_counts: HashMap<(u32, u32), u32>,
 }
 
-/// A candidate in the localized re-expansion heaps, ordered by distance
-/// with vertex-id tie-breaks for determinism.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Cand {
-    dist: f64,
-    vertex: VertexId,
-}
-
-impl Eq for Cand {}
-impl PartialOrd for Cand {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Cand {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.dist
-            .total_cmp(&other.dist)
-            .then_with(|| self.vertex.cmp(&other.vertex))
-    }
-}
+/// The kernel's frontier, popped in `(distance, vertex id)` order.
+type Frontier = BinaryHeap<Reverse<DistEntry<VertexId>>>;
 
 impl NetworkVoronoi {
-    /// Builds the NVD with one multi-source Dijkstra plus a linear edge
-    /// scan.
-    pub fn build(net: &RoadNetwork, sites: &SiteSet) -> NetworkVoronoi {
-        let (dist, owner_raw) = multi_source(net, sites.vertices());
-        let owner: Vec<SiteIdx> = owner_raw.into_iter().map(SiteIdx).collect();
+    /// The relaxation rule: `w` takes the label `(nd, owner)` iff `nd` is
+    /// strictly nearer than its current one.
+    #[inline]
+    fn relax(
+        &mut self,
+        w: VertexId,
+        nd: f64,
+        owner: SiteIdx,
+        heap: &mut Frontier,
+        relabelled: &mut Vec<VertexId>,
+    ) {
+        if nd < self.dist[w.idx()] {
+            self.dist[w.idx()] = nd;
+            self.owner[w.idx()] = owner;
+            heap.push(Reverse(DistEntry { dist: nd, id: w }));
+            relabelled.push(w);
+        }
+    }
 
-        let mut edge_ownership = Vec::with_capacity(net.num_edges());
-        let mut border_counts: HashMap<(u32, u32), u32> = HashMap::new();
-        for rec in net.edges() {
-            let ou = owner[rec.u.idx()];
-            let ov = owner[rec.v.idx()];
-            if ou == ov {
-                edge_ownership.push(EdgeOwnership::Whole(ou));
-                continue;
+    /// The label-setting kernel: settles `heap` over the current labels,
+    /// appending every vertex it re-labels to `relabelled` (once per
+    /// improvement, so possibly repeated). Labels not reachable by a
+    /// strict improvement are left exactly as they were.
+    fn settle(&mut self, net: &RoadNetwork, heap: &mut Frontier, relabelled: &mut Vec<VertexId>) {
+        while let Some(Reverse(DistEntry { dist: d, id: u })) = heap.pop() {
+            if d > self.dist[u.idx()] {
+                continue; // stale
             }
-            // Border where dist(u) + t == dist(v) + (len - t).
-            let border = 0.5 * (rec.len + dist[rec.v.idx()] - dist[rec.u.idx()]);
-            let border = border.clamp(0.0, rec.len);
-            edge_ownership.push(EdgeOwnership::Split {
-                owner_u: ou,
-                owner_v: ov,
-                border,
-            });
-            *border_counts.entry(pair_key(ou, ov)).or_insert(0) += 1;
+            let owner = self.owner[u.idx()];
+            for &(w, e) in net.neighbors(u) {
+                self.relax(w, d + net.edge(e).len, owner, heap, relabelled);
+            }
         }
+    }
 
-        let mut adj: Vec<Vec<SiteIdx>> = vec![Vec::new(); sites.len()];
-        for &(a, b) in border_counts.keys() {
-            adj[a as usize].push(SiteIdx(b));
-            adj[b as usize].push(SiteIdx(a));
+    /// Offers every orphan (label reset to `∞`/[`NO_SITE`]) the labels of
+    /// its still-labelled neighbors, so `settle` re-expands the orphaned
+    /// region from its boundary inward.
+    fn seed_from_boundary(
+        &mut self,
+        net: &RoadNetwork,
+        orphans: &[VertexId],
+        heap: &mut Frontier,
+        relabelled: &mut Vec<VertexId>,
+    ) {
+        for &u in orphans {
+            for &(w, e) in net.neighbors(u) {
+                let owner = self.owner[w.idx()];
+                if owner != NO_SITE {
+                    let nd = self.dist[w.idx()] + net.edge(e).len;
+                    self.relax(u, nd, owner, heap, relabelled);
+                }
+            }
         }
-        for list in &mut adj {
-            list.sort_unstable();
-        }
+    }
 
-        NetworkVoronoi {
-            dist,
-            owner,
-            edge_ownership,
-            adj,
-            border_counts,
+    /// Builds the NVD: every site vertex seeded at distance 0, one
+    /// `settle`, then ownership of every edge.
+    pub fn build(net: &RoadNetwork, sites: &SiteSet) -> NetworkVoronoi {
+        let mut nvd = NetworkVoronoi {
+            dist: vec![f64::INFINITY; net.num_vertices()],
+            owner: vec![NO_SITE; net.num_vertices()],
+            edge_ownership: vec![EdgeOwnership::Whole(NO_SITE); net.num_edges()],
+            adj: vec![Vec::new(); sites.len()],
+            border_counts: HashMap::new(),
+        };
+        let mut heap = Frontier::new();
+        let mut relabelled = Vec::new();
+        for (i, &v) in sites.vertices().iter().enumerate() {
+            nvd.relax(v, 0.0, SiteIdx(i as u32), &mut heap, &mut relabelled);
         }
+        nvd.settle(net, &mut heap, &mut relabelled);
+        nvd.refresh_edges(net, (0..net.num_edges() as u32).map(EdgeId));
+        nvd
     }
 
     /// Extends the diagram with a new site at `vertex` (which must be the
-    /// vertex just appended to the matching [`SiteSet`]): one pruned
-    /// Dijkstra claims exactly the new cell — expansion stops wherever the
+    /// vertex just appended to the matching [`SiteSet`]): seeded at 0, the
+    /// kernel claims exactly the new cell — expansion stops wherever the
     /// existing distance is not strictly improved — then edge ownership
     /// and neighbor sets are re-tallied around the claimed vertices.
     /// Returns the new site's index.
     pub fn insert_site(&mut self, net: &RoadNetwork, vertex: VertexId) -> SiteIdx {
         let s = SiteIdx(self.adj.len() as u32);
         self.adj.push(Vec::new());
-
-        let mut changed: Vec<VertexId> = Vec::new();
-        let mut heap: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
         debug_assert!(
             self.dist[vertex.idx()] > 0.0,
             "site vertices are distinct (SiteSet enforces this)"
         );
-        self.dist[vertex.idx()] = 0.0;
-        self.owner[vertex.idx()] = s;
-        changed.push(vertex);
-        heap.push(Reverse(Cand { dist: 0.0, vertex }));
-        while let Some(Reverse(Cand { dist: d, vertex: u })) = heap.pop() {
-            if d > self.dist[u.idx()] || self.owner[u.idx()] != s {
-                continue; // stale, or reclaimed by nothing (ties keep old owners)
-            }
-            for &(w, e) in net.neighbors(u) {
-                let nd = d + net.edge(e).len;
-                if nd < self.dist[w.idx()] {
-                    if self.owner[w.idx()] != s {
-                        changed.push(w);
-                    }
-                    self.dist[w.idx()] = nd;
-                    self.owner[w.idx()] = s;
-                    heap.push(Reverse(Cand {
-                        dist: nd,
-                        vertex: w,
-                    }));
-                }
-            }
-        }
-
-        let edges = incident_edges(net, &changed);
-        self.refresh_edges(net, &edges);
+        let mut heap = Frontier::new();
+        let mut relabelled = Vec::new();
+        self.relax(vertex, 0.0, s, &mut heap, &mut relabelled);
+        self.settle(net, &mut heap, &mut relabelled);
+        self.refresh_edges(net, incident_edges(net, &relabelled));
         s
     }
 
     /// Removes site `s` from the diagram, re-owning its cell from the
-    /// boundary inward with one localized Dijkstra.
+    /// boundary inward.
     ///
     /// Must be called *after* the matching
     /// [`SiteSet::remove`](crate::SiteSet::remove); pass its return value
@@ -213,56 +210,22 @@ impl NetworkVoronoi {
     pub fn remove_site(&mut self, net: &RoadNetwork, s: SiteIdx, moved: Option<SiteIdx>) {
         debug_assert_ne!(Some(s), moved, "swap-remove never relabels onto itself");
         let mut orphans: Vec<VertexId> = Vec::new();
-        let mut changed: Vec<VertexId> = Vec::new();
+        let mut relabelled: Vec<VertexId> = Vec::new();
         for v in 0..self.owner.len() {
             if self.owner[v] == s {
                 self.owner[v] = NO_SITE;
                 self.dist[v] = f64::INFINITY;
                 orphans.push(VertexId(v as u32));
-                changed.push(VertexId(v as u32));
             } else if moved == Some(self.owner[v]) {
                 self.owner[v] = s;
-                changed.push(VertexId(v as u32));
+                relabelled.push(VertexId(v as u32));
             }
         }
 
-        // Seed the orphaned region from its boundary, then expand inward.
-        let mut heap: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
-        for &u in &orphans {
-            for &(w, e) in net.neighbors(u) {
-                if self.owner[w.idx()] == NO_SITE {
-                    continue;
-                }
-                let nd = self.dist[w.idx()] + net.edge(e).len;
-                if nd < self.dist[u.idx()] {
-                    self.dist[u.idx()] = nd;
-                    self.owner[u.idx()] = self.owner[w.idx()];
-                    heap.push(Reverse(Cand {
-                        dist: nd,
-                        vertex: u,
-                    }));
-                }
-            }
-        }
-        while let Some(Reverse(Cand { dist: d, vertex: u })) = heap.pop() {
-            if d > self.dist[u.idx()] {
-                continue;
-            }
-            for &(w, e) in net.neighbors(u) {
-                let nd = d + net.edge(e).len;
-                if nd < self.dist[w.idx()] {
-                    self.dist[w.idx()] = nd;
-                    self.owner[w.idx()] = self.owner[u.idx()];
-                    heap.push(Reverse(Cand {
-                        dist: nd,
-                        vertex: w,
-                    }));
-                }
-            }
-        }
-
-        let edges = incident_edges(net, &changed);
-        self.refresh_edges(net, &edges);
+        let mut heap = Frontier::new();
+        self.seed_from_boundary(net, &orphans, &mut heap, &mut relabelled);
+        self.settle(net, &mut heap, &mut relabelled);
+        self.refresh_edges(net, incident_edges(net, &relabelled));
 
         // Both the removed site's and the relabelled site's old pairs are
         // fully re-tallied above, so the popped tail slot is empty.
@@ -284,11 +247,11 @@ impl NetworkVoronoi {
     ///    label equals a predecessor's old label plus the old edge length
     ///    — then orphaned exactly like a removed cell. Site vertices keep
     ///    their zero labels, so a cell is never orphaned at its source.
-    /// 2. *Re-expand.* One lazy-deletion Dijkstra over the new lengths,
-    ///    seeded from the orphan boundary plus the endpoints of every
-    ///    edge that got **shorter** (the only entry points for a new,
-    ///    shorter path). Every surviving label is still an exact upper
-    ///    bound, so the expansion settles only the changed region.
+    /// 2. *Re-expand.* The kernel over the new lengths, seeded from the
+    ///    orphan boundary plus the endpoints of every edge that got
+    ///    **shorter** (the only entry points for a new, shorter path).
+    ///    Every surviving label is still an exact upper bound, so the
+    ///    expansion settles only the changed region.
     /// 3. *Re-tally.* Edge ownership and neighbor sets are refreshed for
     ///    edges incident to re-labelled vertices plus the changed edges
     ///    themselves (a border moves with its edge's length even when
@@ -338,7 +301,6 @@ impl NetworkVoronoi {
                 }
             }
         }
-        let mut changed_verts = orphans.clone();
         for &x in &orphans {
             debug_assert!(self.dist[x.idx()] > 0.0, "site vertices keep their labels");
             self.dist[x.idx()] = f64::INFINITY;
@@ -346,84 +308,39 @@ impl NetworkVoronoi {
         }
 
         // Pass 2: seed from the orphan boundary and from decreased edges,
-        // then settle with one Dijkstra over the new lengths (`touched`
-        // now doubles as the re-labelled mark).
-        let mut heap: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
-        for &u in &orphans {
-            for &(w, e) in new_net.neighbors(u) {
-                if self.owner[w.idx()] == NO_SITE {
-                    continue;
-                }
-                let nd = self.dist[w.idx()] + new_net.edge(e).len;
-                if nd < self.dist[u.idx()] {
-                    self.dist[u.idx()] = nd;
-                    self.owner[u.idx()] = self.owner[w.idx()];
-                    heap.push(Reverse(Cand {
-                        dist: nd,
-                        vertex: u,
-                    }));
-                }
-            }
-        }
+        // then settle over the new lengths.
+        let mut heap = Frontier::new();
+        let mut relabelled: Vec<VertexId> = Vec::new();
+        self.seed_from_boundary(new_net, &orphans, &mut heap, &mut relabelled);
         for &e in changed {
-            if new_net.edge(e).len >= old_net.edge(e).len {
-                continue;
-            }
             let rec = new_net.edge(e);
-            for (a, b) in [(rec.u, rec.v), (rec.v, rec.u)] {
-                if self.owner[a.idx()] == NO_SITE {
-                    continue;
-                }
-                let nd = self.dist[a.idx()] + rec.len;
-                if nd < self.dist[b.idx()] {
-                    if !touched[b.idx()] {
-                        touched[b.idx()] = true;
-                        changed_verts.push(b);
-                    }
-                    self.dist[b.idx()] = nd;
-                    self.owner[b.idx()] = self.owner[a.idx()];
-                    heap.push(Reverse(Cand {
-                        dist: nd,
-                        vertex: b,
-                    }));
-                }
-            }
-        }
-        while let Some(Reverse(Cand { dist: d, vertex: u })) = heap.pop() {
-            if d > self.dist[u.idx()] {
+            if rec.len >= old_net.edge(e).len {
                 continue;
             }
-            for &(w, e) in new_net.neighbors(u) {
-                let nd = d + new_net.edge(e).len;
-                if nd < self.dist[w.idx()] {
-                    if !touched[w.idx()] {
-                        touched[w.idx()] = true;
-                        changed_verts.push(w);
-                    }
-                    self.dist[w.idx()] = nd;
-                    self.owner[w.idx()] = self.owner[u.idx()];
-                    heap.push(Reverse(Cand {
-                        dist: nd,
-                        vertex: w,
-                    }));
+            for (a, b) in [(rec.u, rec.v), (rec.v, rec.u)] {
+                let owner = self.owner[a.idx()];
+                if owner != NO_SITE {
+                    let nd = self.dist[a.idx()] + rec.len;
+                    self.relax(b, nd, owner, &mut heap, &mut relabelled);
                 }
             }
         }
+        self.settle(new_net, &mut heap, &mut relabelled);
 
         // Pass 3: refresh ownership around everything that moved, plus
         // the changed edges themselves.
-        let mut edges = incident_edges(new_net, &changed_verts);
+        let mut edges = incident_edges(new_net, &relabelled);
         edges.extend_from_slice(changed);
         edges.sort_unstable();
         edges.dedup();
-        self.refresh_edges(new_net, &edges);
+        self.refresh_edges(new_net, edges);
     }
 
     /// Recomputes ownership of the given edges from the current
     /// vertex owners/distances, keeping the border-pair counts and the
     /// per-site neighbor lists in sync.
-    fn refresh_edges(&mut self, net: &RoadNetwork, edges: &[EdgeId]) {
-        for &e in edges {
+    fn refresh_edges(&mut self, net: &RoadNetwork, edges: impl IntoIterator<Item = EdgeId>) {
+        for e in edges {
             if let EdgeOwnership::Split {
                 owner_u, owner_v, ..
             } = self.edge_ownership[e.idx()]
@@ -440,6 +357,7 @@ impl NetworkVoronoi {
                     ou != NO_SITE && ov != NO_SITE,
                     "every vertex reaches a surviving site"
                 );
+                // Border where dist(u) + t == dist(v) + (len - t).
                 let border = 0.5 * (rec.len + self.dist[rec.v.idx()] - self.dist[rec.u.idx()]);
                 self.claim_pair(ou, ov);
                 EdgeOwnership::Split {

@@ -64,17 +64,10 @@ impl NetPosition {
     }
 
     /// Seeds for a Dijkstra search from this position: `(vertex, initial
-    /// distance)` pairs. A vertex position seeds itself at 0; an edge
-    /// position seeds both endpoints with the partial edge lengths.
-    pub fn seeds(&self, net: &RoadNetwork) -> Vec<(VertexId, f64)> {
-        let (arr, n) = self.seed_array(net);
-        arr[..n].to_vec()
-    }
-
-    /// Allocation-free [`NetPosition::seeds`]: writes the seeds into a
-    /// fixed-size array and returns how many are valid (1 for a vertex
-    /// position, 2 for an edge position). The hot tick path uses this so
-    /// seeding a Dijkstra expansion touches no allocator.
+    /// distance)` pairs in a fixed-size array plus how many are valid. A
+    /// vertex position seeds itself at 0; an edge position seeds both
+    /// endpoints with the partial edge lengths. No allocation, so seeding
+    /// an expansion on the hot tick path touches no allocator.
     pub fn seed_array(&self, net: &RoadNetwork) -> ([(VertexId, f64); 2], usize) {
         match *self {
             NetPosition::Vertex(v) => ([(v, 0.0), (v, 0.0)], 1),
@@ -165,24 +158,9 @@ mod tests {
     fn seeds_cover_both_endpoints() {
         let net = path_net();
         let pos = NetPosition::on_edge(&net, EdgeId(1), 1.0).unwrap();
-        let seeds = pos.seeds(&net);
-        assert_eq!(seeds, vec![(VertexId(1), 1.0), (VertexId(2), 2.0)]);
-        assert_eq!(
-            NetPosition::Vertex(VertexId(0)).seeds(&net),
-            vec![(VertexId(0), 0.0)]
-        );
-    }
-
-    #[test]
-    fn seed_array_agrees_with_seeds() {
-        let net = path_net();
-        for pos in [
-            NetPosition::Vertex(VertexId(1)),
-            NetPosition::on_edge(&net, EdgeId(0), 0.75).unwrap(),
-            NetPosition::on_edge(&net, EdgeId(1), 2.25).unwrap(),
-        ] {
-            let (arr, n) = pos.seed_array(&net);
-            assert_eq!(&arr[..n], pos.seeds(&net).as_slice());
-        }
+        let (seeds, n) = pos.seed_array(&net);
+        assert_eq!(seeds[..n], [(VertexId(1), 1.0), (VertexId(2), 2.0)]);
+        let (seeds, n) = NetPosition::Vertex(VertexId(0)).seed_array(&net);
+        assert_eq!(seeds[..n], [(VertexId(0), 0.0)]);
     }
 }

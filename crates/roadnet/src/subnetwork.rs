@@ -7,21 +7,19 @@
 //! union of those cells — the expansion cost is bounded by the size of
 //! `k + |INS|` cells instead of the whole network.
 //!
-//! Rather than materialising a subgraph, [`restricted_knn`] runs Dijkstra
-//! on the original adjacency but only relaxes along edge fragments owned by
-//! the allowed sites (border points act as walls). This is equivalent to
+//! Rather than materialising a subgraph, [`restricted_knn`] runs the
+//! crate's one kNN expansion (`DijkstraScratch::expand_knn`, the same
+//! loop as INE) on the original adjacency, crossing only edges whose
+//! fragments are all owned by allowed sites (border points act as walls)
+//! and seeding only across such fragments. This is equivalent to
 //! searching `D_{Oknn ∪ I(Oknn)}`; with a caller-held
 //! [`DijkstraScratch`] ([`restricted_knn_into`]) it allocates nothing
 //! per query at all.
 
-use std::cmp::Reverse;
-
-use insq_geom::DistEntry;
-
 use crate::graph::RoadNetwork;
 use crate::nvd::{EdgeOwnership, NetworkVoronoi};
 use crate::position::NetPosition;
-use crate::scratch::DijkstraScratch;
+use crate::scratch::{DijkstraScratch, ExpansionStats};
 use crate::sites::{SiteIdx, SiteSet};
 
 /// A reusable mask of allowed sites, sized to the site set.
@@ -87,15 +85,6 @@ impl SiteMask {
     }
 }
 
-/// Statistics of a restricted expansion.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RestrictedStats {
-    /// Vertices settled.
-    pub settled: usize,
-    /// Heap pushes.
-    pub pushes: usize,
-}
-
 /// kNN of `pos` on the subnetwork formed by the Voronoi cells of the masked
 /// sites, ascending by distance (ties by site index).
 ///
@@ -111,7 +100,7 @@ pub fn restricted_knn(
     mask: &SiteMask,
     pos: NetPosition,
     k: usize,
-) -> (Vec<(SiteIdx, f64)>, RestrictedStats) {
+) -> (Vec<(SiteIdx, f64)>, ExpansionStats) {
     let mut scratch = DijkstraScratch::new();
     let mut result = Vec::with_capacity(k);
     let stats = restricted_knn_into(net, sites, nvd, mask, &mut scratch, pos, k, &mut result);
@@ -132,106 +121,55 @@ pub fn restricted_knn_into(
     pos: NetPosition,
     k: usize,
     out: &mut Vec<(SiteIdx, f64)>,
-) -> RestrictedStats {
-    let mut stats = RestrictedStats::default();
-    out.clear();
-    if k == 0 {
-        return stats;
-    }
+) -> ExpansionStats {
+    let (seeds, n) = pos.seed_array(net);
+    let reach = masked_reach(nvd, mask, pos);
+    scratch.expand_knn(
+        net,
+        seeds[..n]
+            .iter()
+            .zip(reach)
+            .filter(|&(_, reachable)| reachable)
+            .map(|(&seed, _)| seed),
+        k,
+        // Traverse only edges entirely inside the masked region.
+        |e| match nvd.edge_ownership(e) {
+            EdgeOwnership::Whole(o) => mask.contains(o),
+            EdgeOwnership::Split {
+                owner_u, owner_v, ..
+            } => mask.contains(owner_u) && mask.contains(owner_v),
+        },
+        |v| sites.site_at(v).filter(|&s| mask.contains(s)),
+        out,
+    )
+}
 
-    scratch.begin(net.num_vertices());
-
-    // Seed: from a vertex, or from an edge position — but only across edge
-    // fragments owned by masked sites.
+/// Which of `pos`'s seeds ([`NetPosition::seed_array`] order) can be
+/// reached without leaving the masked cells: a vertex iff its owner is
+/// masked, an edge endpoint iff every fragment between the position and
+/// it is masked.
+fn masked_reach(nvd: &NetworkVoronoi, mask: &SiteMask, pos: NetPosition) -> [bool; 2] {
     match pos {
-        NetPosition::Vertex(v) => {
-            if mask.contains(nvd.owner(v)) {
-                scratch.dist.set(v.idx(), 0.0);
-                scratch.heap.push(Reverse(DistEntry { dist: 0.0, id: v }));
-                stats.pushes += 1;
-            }
-        }
-        NetPosition::OnEdge { edge, offset } => {
-            let rec = net.edge(edge);
-            // Reachability of the two endpoints from within the edge
-            // depends on the edge's ownership.
-            let (reach_u, reach_v) = match nvd.edge_ownership(edge) {
-                EdgeOwnership::Whole(o) => {
-                    let ok = mask.contains(o);
-                    (ok, ok)
-                }
-                EdgeOwnership::Split {
-                    owner_u,
-                    owner_v,
-                    border,
-                } => {
-                    let on_u_side = offset <= border;
-                    let ou = mask.contains(owner_u);
-                    let ov = mask.contains(owner_v);
-                    // Walking within the edge crosses the border point; that
-                    // is allowed iff both fragments are masked.
-                    if on_u_side {
-                        (ou, ou && ov)
-                    } else {
-                        (ov && ou, ov)
-                    }
-                }
-            };
-            if reach_u {
-                let d = offset;
-                if d < scratch.dist.get(rec.u.idx()) {
-                    scratch.dist.set(rec.u.idx(), d);
-                    scratch.heap.push(Reverse(DistEntry { dist: d, id: rec.u }));
-                    stats.pushes += 1;
+        NetPosition::Vertex(v) => [mask.contains(nvd.owner(v)); 2],
+        NetPosition::OnEdge { edge, offset } => match nvd.edge_ownership(edge) {
+            EdgeOwnership::Whole(o) => [mask.contains(o); 2],
+            EdgeOwnership::Split {
+                owner_u,
+                owner_v,
+                border,
+            } => {
+                let ou = mask.contains(owner_u);
+                let ov = mask.contains(owner_v);
+                // Walking within the edge crosses the border point; that
+                // is allowed iff both fragments are masked.
+                if offset <= border {
+                    [ou, ou && ov]
+                } else {
+                    [ov && ou, ov]
                 }
             }
-            if reach_v {
-                let d = rec.len - offset;
-                if d < scratch.dist.get(rec.v.idx()) {
-                    scratch.dist.set(rec.v.idx(), d);
-                    scratch.heap.push(Reverse(DistEntry { dist: d, id: rec.v }));
-                    stats.pushes += 1;
-                }
-            }
-        }
+        },
     }
-
-    while let Some(Reverse(DistEntry { dist: d, id: u })) = scratch.heap.pop() {
-        if d > scratch.dist.get(u.idx()) {
-            continue;
-        }
-        stats.settled += 1;
-        if let Some(s) = sites.site_at(u) {
-            if mask.contains(s) {
-                out.push((s, d));
-                if out.len() == k {
-                    break;
-                }
-            }
-        }
-        for &(w, e) in net.neighbors(u) {
-            // Traverse only edges entirely inside the masked region.
-            let passable = match nvd.edge_ownership(e) {
-                EdgeOwnership::Whole(o) => mask.contains(o),
-                EdgeOwnership::Split {
-                    owner_u, owner_v, ..
-                } => mask.contains(owner_u) && mask.contains(owner_v),
-            };
-            if !passable {
-                continue;
-            }
-            let nd = d + net.edge(e).len;
-            if nd < scratch.dist.get(w.idx()) {
-                scratch.dist.set(w.idx(), nd);
-                scratch.heap.push(Reverse(DistEntry { dist: nd, id: w }));
-                stats.pushes += 1;
-            }
-        }
-    }
-    // Total-order comparator: the unstable (allocation-free) sort is
-    // deterministic.
-    out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    stats
 }
 
 #[cfg(test)]

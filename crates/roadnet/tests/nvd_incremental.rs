@@ -3,7 +3,9 @@
 //! match a from-scratch `NetworkVoronoi::build` over the same site set
 //! and current edge lengths — structurally (distances bit-identical;
 //! owners, edge ownership and neighbor sets equal) on tie-free jittered
-//! networks, and up to tie choices on degenerate unit-length grids.
+//! networks, and up to tie choices on degenerate unit-length grids, where
+//! the relaxation rule (an equal-distance arrival never re-labels) is
+//! pinned per operation instead.
 
 use std::sync::Arc;
 
@@ -399,4 +401,157 @@ fn site_set_insert_remove_bookkeeping() {
     sites.remove(SiteIdx(1)).unwrap();
     assert_eq!(sites.len(), 1);
     assert!(sites.remove(SiteIdx(0)).is_err());
+}
+
+/// Edge ownership and neighbor sets are functions of the vertex labels:
+/// recompute both from `(dist, owner)` and compare. A repair that
+/// re-labels a vertex without re-tallying its edges fails here.
+fn assert_edges_follow_labels(net: &RoadNetwork, nvd: &NetworkVoronoi) {
+    let mut pairs = std::collections::BTreeSet::new();
+    for e in 0..net.num_edges() as u32 {
+        let rec = net.edge(EdgeId(e));
+        let (ou, ov) = (nvd.owner(rec.u), nvd.owner(rec.v));
+        let want = if ou == ov {
+            EdgeOwnership::Whole(ou)
+        } else {
+            pairs.insert((ou.min(ov), ou.max(ov)));
+            EdgeOwnership::Split {
+                owner_u: ou,
+                owner_v: ov,
+                border: (0.5 * (rec.len + nvd.dist(rec.v) - nvd.dist(rec.u))).clamp(0.0, rec.len),
+            }
+        };
+        assert_eq!(nvd.edge_ownership(EdgeId(e)), want, "edge {e}");
+    }
+    for a in 0..nvd.num_sites() as u32 {
+        let want: Vec<SiteIdx> = (0..nvd.num_sites() as u32)
+            .map(SiteIdx)
+            .filter(|&b| pairs.contains(&(SiteIdx(a).min(b), SiteIdx(a).max(b))))
+            .collect();
+        assert_eq!(nvd.neighbors(SiteIdx(a)), want, "neighbors of site {a}");
+    }
+}
+
+/// The relaxation rule — strict improvement only, an equal-distance
+/// arrival never re-labels — on a network where every interior vertex has
+/// equidistant candidates. Build and each repair must (i) reproduce the
+/// oracle's distances, (ii) give every vertex *a* nearest owner, and
+/// (iii) leave alone every label they did not strictly improve or orphan.
+/// (An insert-then-remove round trip does *not* restore tied owners in
+/// general — the re-expansion reaches ties in boundary order, not build
+/// order — so (iii) is stated per operation.)
+#[test]
+fn repairs_never_relabel_on_an_equal_distance_arrival() {
+    let net = grid_network(
+        &GridConfig {
+            cols: 8,
+            rows: 7,
+            jitter: 0.0,
+            diagonal_prob: 0.0,
+            deletion_prob: 0.0,
+            ..GridConfig::default()
+        },
+        0,
+    )
+    .unwrap();
+    let mut rng = SplitMix64::new(0x71E5);
+    let mut kept_on_a_tie = 0usize;
+    for seed in 0..12u64 {
+        let m = 2 + seed as usize % 6;
+        let mut sites = SiteSet::new(&net, random_site_vertices(&net, m, seed).unwrap()).unwrap();
+        let mut nvd = NetworkVoronoi::build(&net, &sites);
+        assert_exact_up_to_ties(&net, &nvd, &sites);
+        assert_edges_follow_labels(&net, &nvd);
+        let vertices = || (0..net.num_vertices() as u32).map(VertexId);
+
+        // insert_site: a label changes only by getting strictly nearer.
+        let v = vertices()
+            .cycle()
+            .skip(rng.below(net.num_vertices()))
+            .find(|&v| sites.site_at(v).is_none())
+            .unwrap();
+        let before = nvd.clone();
+        let s = sites.insert(&net, v).unwrap();
+        assert_eq!(nvd.insert_site(&net, v), s);
+        assert_exact_up_to_ties(&net, &nvd, &sites);
+        assert_edges_follow_labels(&net, &nvd);
+        let from_new = distances_from_vertex(&net, v);
+        for x in vertices() {
+            if nvd.dist(x) == before.dist(x) {
+                assert_eq!(nvd.owner(x), before.owner(x), "insert re-labelled {x:?}");
+                kept_on_a_tie += usize::from(from_new[x.idx()] == nvd.dist(x));
+            } else {
+                assert!(nvd.dist(x) < before.dist(x));
+                assert_eq!(nvd.owner(x), s);
+            }
+        }
+
+        // remove_site (with a swap rename): only the removed cell moves.
+        let gone = SiteIdx(rng.below(sites.len() - 1) as u32);
+        let before = nvd.clone();
+        let moved = sites.remove(gone).unwrap();
+        assert_eq!(moved, Some(SiteIdx(sites.len() as u32)));
+        nvd.remove_site(&net, gone, moved);
+        assert_exact_up_to_ties(&net, &nvd, &sites);
+        assert_edges_follow_labels(&net, &nvd);
+        for x in vertices() {
+            let old = before.owner(x);
+            if old != gone {
+                let renamed = if Some(old) == moved { gone } else { old };
+                assert_eq!(nvd.owner(x), renamed, "remove re-labelled {x:?}");
+                assert_eq!(nvd.dist(x).to_bits(), before.dist(x).to_bits());
+            }
+        }
+
+        // reweight_edges, decreases only (nothing is orphaned): again a
+        // label changes only by getting strictly nearer.
+        let storm: Vec<EdgeWeight> = random_storm(&net, 6, &mut rng)
+            .into_iter()
+            .map(|w| EdgeWeight { len: 0.5, ..w })
+            .collect();
+        let changed: Vec<EdgeId> = storm.iter().map(|w| w.edge).collect();
+        let fast = net.reweighted(&storm).unwrap();
+        let before = nvd.clone();
+        nvd.reweight_edges(&net, &fast, &changed);
+        assert_exact_up_to_ties(&fast, &nvd, &sites);
+        assert_edges_follow_labels(&fast, &nvd);
+        for x in vertices() {
+            if nvd.dist(x) == before.dist(x) {
+                assert_eq!(nvd.owner(x), before.owner(x), "reweight re-labelled {x:?}");
+            } else {
+                assert!(nvd.dist(x) < before.dist(x));
+            }
+        }
+
+        // A batch that re-asserts the current lengths is an exact no-op.
+        let same: Vec<EdgeWeight> = changed
+            .iter()
+            .map(|&e| EdgeWeight::scaled(&fast, e, 1.0))
+            .collect();
+        let before = nvd.clone();
+        nvd.reweight_edges(&fast, &fast.reweighted(&same).unwrap(), &changed);
+        for x in vertices() {
+            assert_eq!(nvd.owner(x), before.owner(x));
+            assert_eq!(nvd.dist(x).to_bits(), before.dist(x).to_bits());
+        }
+        for e in 0..net.num_edges() as u32 {
+            assert_eq!(
+                nvd.edge_ownership(EdgeId(e)),
+                before.edge_ownership(EdgeId(e))
+            );
+        }
+        for s in 0..sites.len() as u32 {
+            assert_eq!(nvd.neighbors(SiteIdx(s)), before.neighbors(SiteIdx(s)));
+        }
+
+        // And back up again (increases orphan tied regions; owners may
+        // legitimately move, distances and the partition may not).
+        nvd.reweight_edges(&fast, &net, &changed);
+        assert_exact_up_to_ties(&net, &nvd, &sites);
+        assert_edges_follow_labels(&net, &nvd);
+    }
+    assert!(
+        kept_on_a_tie > 20,
+        "the grid must actually exercise ties: {kept_on_a_tie}"
+    );
 }

@@ -2,9 +2,8 @@
 //! metric axioms, network Voronoi partitioning, INE correctness and
 //! trajectory kinematics, over randomly generated street networks.
 
-use insq_roadnet::dijkstra::{
-    distance_between, distances_from_vertex, k_label_dijkstra, multi_source, shortest_path,
-};
+use insq_roadnet::astar::{astar, astar_distance_checked};
+use insq_roadnet::dijkstra::{distances_from_position, distances_from_vertex};
 use insq_roadnet::generators::{grid_network, random_site_vertices, GridConfig};
 use insq_roadnet::ine::{all_site_distances, network_knn};
 use insq_roadnet::nvd::EdgeOwnership;
@@ -36,6 +35,30 @@ fn network_strategy() -> impl Strategy<Value = RoadNetwork> {
         })
 }
 
+/// Network distance between two positions from the oracle: through an
+/// endpoint of `to`'s edge, or straight along an edge the two share.
+fn position_distance(net: &RoadNetwork, from: NetPosition, to: NetPosition) -> f64 {
+    let dist = distances_from_position(net, from);
+    let (seeds, n) = to.seed_array(net);
+    let via_vertices = seeds[..n]
+        .iter()
+        .map(|&(v, d)| dist[v.idx()] + d)
+        .fold(f64::INFINITY, f64::min);
+    match (from, to) {
+        (
+            NetPosition::OnEdge {
+                edge: e1,
+                offset: o1,
+            },
+            NetPosition::OnEdge {
+                edge: e2,
+                offset: o2,
+            },
+        ) if e1 == e2 => via_vertices.min((o1 - o2).abs()),
+        _ => via_vertices,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
 
@@ -59,7 +82,10 @@ proptest! {
     fn shortest_path_is_consistent_with_distances(net in network_strategy(), a in 0u32..50, b in 0u32..50) {
         let n = net.num_vertices() as u32;
         let (a, b) = (VertexId(a % n), VertexId(b % n));
-        let (d, path) = shortest_path(&net, a, b);
+        // A* is the crate's one path-producing search (it routes the
+        // rush-hour commuters); the oracle gives the distance.
+        let res = astar(&net, a, b);
+        let (d, path) = (res.distance, res.path);
         let dists = distances_from_vertex(&net, a);
         prop_assert!((d - dists[b.idx()]).abs() < 1e-9);
         // The path's edge lengths sum to the distance.
@@ -84,36 +110,19 @@ proptest! {
     fn multi_source_is_min_of_single_sources(net in network_strategy(), seed in 0u64..1000) {
         let m = (net.num_vertices() / 4).clamp(2, 8);
         let sources = random_site_vertices(&net, m, seed).expect("enough vertices");
-        let (dist, owner) = multi_source(&net, &sources);
+        // The NVD build is the crate's multi-source expansion: its labels
+        // must be the minimum over per-site oracle runs.
+        let nvd = NetworkVoronoi::build(&net, &SiteSet::new(&net, sources.clone()).unwrap());
         let singles: Vec<Vec<f64>> = sources
             .iter()
             .map(|&s| distances_from_vertex(&net, s))
             .collect();
         for v in 0..net.num_vertices() {
             let want = singles.iter().map(|d| d[v]).fold(f64::INFINITY, f64::min);
-            prop_assert!((dist[v] - want).abs() < 1e-9);
+            let vid = VertexId(v as u32);
+            prop_assert!((nvd.dist(vid) - want).abs() < 1e-9);
             // The owner achieves the minimum.
-            prop_assert!((singles[owner[v] as usize][v] - want).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn k_label_top_k_distances(net in network_strategy(), seed in 0u64..1000, k in 1usize..4) {
-        let m = (net.num_vertices() / 3).clamp(3, 10);
-        let sources = random_site_vertices(&net, m, seed).expect("enough vertices");
-        let k = k.min(m);
-        let labels = k_label_dijkstra(&net, &sources, k);
-        let singles: Vec<Vec<f64>> = sources
-            .iter()
-            .map(|&s| distances_from_vertex(&net, s))
-            .collect();
-        for v in 0..net.num_vertices() {
-            let mut brute: Vec<f64> = singles.iter().map(|d| d[v]).collect();
-            brute.sort_by(f64::total_cmp);
-            prop_assert_eq!(labels[v].len(), k);
-            for (rank, &(_, d)) in labels[v].iter().enumerate() {
-                prop_assert!((d - brute[rank]).abs() < 1e-9, "vertex {v} rank {rank}");
-            }
+            prop_assert!((singles[nvd.owner(vid).idx()][v] - want).abs() < 1e-9);
         }
     }
 
@@ -163,10 +172,9 @@ proptest! {
 
     #[test]
     fn astar_equals_dijkstra(net in network_strategy(), a in 0u32..60, b in 0u32..60) {
-        use insq_roadnet::astar::{astar, astar_distance_checked};
         let n = net.num_vertices() as u32;
         let (a, b) = (VertexId(a % n), VertexId(b % n));
-        let (want, _) = shortest_path(&net, a, b);
+        let want = distances_from_vertex(&net, a)[b.idx()];
         let fast = astar(&net, a, b);
         let checked = astar_distance_checked(&net, a, b);
         prop_assert!((fast.distance - want).abs() < 1e-9);
@@ -188,7 +196,7 @@ proptest! {
         let mut prev = tour.position(&net, 0.0);
         for i in 1..=steps {
             let cur = tour.position(&net, step * i as f64);
-            let d = distance_between(&net, prev, cur);
+            let d = position_distance(&net, prev, cur);
             prop_assert!(d <= step + 1e-6, "step {i}: network dist {d} > step {step}");
             prev = cur;
         }

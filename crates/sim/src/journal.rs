@@ -54,12 +54,6 @@ impl<Id: Clone + PartialEq> RunRecord<Id> {
         out
     }
 
-    /// Ticks with a non-`Valid` outcome — the demo's "kNN set is invalid"
-    /// moments (Fig. 4b).
-    pub fn invalidations(&self) -> impl Iterator<Item = &TickRecord<Id>> {
-        self.ticks.iter().filter(|r| r.outcome.changed())
-    }
-
     /// Number of ticks recorded.
     pub fn len(&self) -> usize {
         self.ticks.len()
@@ -121,7 +115,6 @@ mod tests {
         assert_eq!(changes.len(), 2);
         assert_eq!(changes[0].tick, 0);
         assert_eq!(changes[1].tick, 2);
-        assert_eq!(run.invalidations().count(), 2);
     }
 
     #[test]

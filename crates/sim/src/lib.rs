@@ -13,11 +13,9 @@
 pub mod engine;
 pub mod journal;
 pub mod render;
-pub mod scenario_run;
 pub mod stats;
 
 pub use engine::{run_euclidean, run_network};
 pub use journal::{RunRecord, TickRecord};
 pub use render::{render_euclidean, render_network, Canvas};
-pub use scenario_run::{run_euclidean_scenario, run_network_scenario, ScenarioError};
 pub use stats::{Comparison, Row};

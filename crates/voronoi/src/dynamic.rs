@@ -98,12 +98,6 @@ impl DynamicDelaunay {
         d
     }
 
-    /// Number of live solid (finite) triangles.
-    #[inline]
-    pub fn num_solid(&self) -> usize {
-        self.solid
-    }
-
     /// Whether triangle slot `t` holds a live triangle.
     #[inline]
     fn is_live(&self, t: u32) -> bool {
@@ -132,14 +126,6 @@ impl DynamicDelaunay {
             self.triangles[base + 1],
             self.triangles[base + 2],
         ]
-    }
-
-    /// All live solid triangles.
-    pub fn solid_triangles(&self) -> Vec<[u32; 3]> {
-        (0..(self.triangles.len() / 3) as u32)
-            .filter(|&t| self.is_solid(t))
-            .map(|t| self.triangle_vertices(t))
-            .collect()
     }
 
     /// Every finite undirected Delaunay edge, once.
@@ -702,7 +688,11 @@ mod tests {
     /// Brute-force Delaunay property over the live vertex set.
     fn assert_delaunay(points: &[Point], live: &[bool], d: &DynamicDelaunay) {
         d.check_invariants(points);
-        for tri in d.solid_triangles() {
+        let solid: Vec<[u32; 3]> = (0..(d.triangles.len() / 3) as u32)
+            .filter(|&t| d.is_solid(t))
+            .map(|t| d.triangle_vertices(t))
+            .collect();
+        for &tri in &solid {
             let [a, b, c] = tri;
             let (pa, pb, pc) = (points[a as usize], points[b as usize], points[c as usize]);
             for (i, &p) in points.iter().enumerate() {
@@ -719,8 +709,8 @@ mod tests {
         // Every live vertex appears in some solid triangle; Euler count.
         let n = live.iter().filter(|&&l| l).count();
         let mut seen = vec![false; points.len()];
-        for tri in d.solid_triangles() {
-            for v in tri {
+        for tri in &solid {
+            for &v in tri {
                 seen[v as usize] = true;
             }
         }
@@ -728,7 +718,7 @@ mod tests {
             assert_eq!(seen[i], l, "vertex {i} live={l} but seen={}", seen[i]);
         }
         let h = d.hull().len();
-        assert_eq!(d.num_solid(), 2 * n - 2 - h, "Euler triangle count");
+        assert_eq!(solid.len(), 2 * n - 2 - h, "Euler triangle count");
     }
 
     #[test]

@@ -71,7 +71,7 @@ impl Default for FleetScenario {
 }
 
 impl FleetScenario {
-    /// The canonical data space (matches [`crate::EuclideanScenario`]).
+    /// The canonical data space.
     pub fn data_space(&self) -> Aabb {
         Aabb::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0))
     }
@@ -88,12 +88,6 @@ impl FleetScenario {
             .seed
             .wrapping_add((version as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         self.distribution.generate(self.n, &self.data_space(), seed)
-    }
-
-    /// The number of scheduled updates published at or before `tick`,
-    /// i.e. the epoch version live at that tick.
-    pub fn version_at(&self, tick: usize) -> usize {
-        self.updates.iter().filter(|&&u| u <= tick).count()
     }
 
     /// Materialises client `i`'s trajectory from the mix (an empty mix
@@ -168,11 +162,6 @@ mod tests {
             updates: vec![50, 120],
             ..Default::default()
         };
-        assert_eq!(sc.version_at(0), 0);
-        assert_eq!(sc.version_at(49), 0);
-        assert_eq!(sc.version_at(50), 1);
-        assert_eq!(sc.version_at(119), 1);
-        assert_eq!(sc.version_at(120), 2);
         // Different versions draw different point sets of the same size.
         let p0 = sc.points(0);
         let p1 = sc.points(1);

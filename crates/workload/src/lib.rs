@@ -2,12 +2,10 @@
 //!
 //! Deterministic workload generation for the INSQ system: data-object
 //! distributions ([`Distribution`]), query trajectory models
-//! ([`TrajectoryKind`]), complete experiment scenarios
-//! ([`EuclideanScenario`], [`NetworkScenario`]) with serde-serializable
-//! configuration (the demo UI's "Save"/"Read" settings), and
-//! space-parameterized fleet generation ([`SpaceWorkload`]): one
-//! [`FleetScenario`] materialises index snapshots and client positions
-//! for every registered `insq_core::Space` — plus the transposed,
+//! ([`TrajectoryKind`]), and space-parameterized fleet generation
+//! ([`SpaceWorkload`]): one [`FleetScenario`] materialises index
+//! snapshots and client positions for every registered
+//! `insq_core::Space` — plus the transposed,
 //! client-side view ([`client_updates`]): the per-client
 //! position-update streams a serving layer (`insq-net`) feeds over the
 //! wire — and the dynamic-traffic workload ([`RushHour`]): correlated
@@ -20,7 +18,6 @@
 pub mod datasets;
 pub mod fleet;
 pub mod rush;
-pub mod scenario;
 pub mod spaces;
 pub mod stream;
 pub mod trajectories;
@@ -28,7 +25,6 @@ pub mod trajectories;
 pub use datasets::Distribution;
 pub use fleet::FleetScenario;
 pub use rush::RushHour;
-pub use scenario::{EuclideanScenario, NetworkInstance, NetworkKind, NetworkScenario};
 pub use spaces::{NetFleet, SpaceWorkload};
 pub use stream::{client_updates, UpdateStream};
 pub use trajectories::TrajectoryKind;

@@ -133,8 +133,5 @@ pub mod prelude {
     };
     pub use insq_sim::{run_euclidean, run_network, Comparison, RunRecord};
     pub use insq_voronoi::{SiteId, Voronoi};
-    pub use insq_workload::{
-        Distribution, EuclideanScenario, FleetScenario, NetworkInstance, NetworkKind,
-        NetworkScenario, SpaceWorkload, TrajectoryKind,
-    };
+    pub use insq_workload::{Distribution, FleetScenario, SpaceWorkload, TrajectoryKind};
 }
