@@ -108,18 +108,59 @@ fn bench_roadnet(c: &mut Criterion) {
             ))
         })
     });
-    group.bench_function("restricted_knn_k8", |b| {
-        use insq_core::influential_neighbor_set_net;
-        use insq_roadnet::subnetwork::{restricted_knn, SiteMask};
+    // The Theorem-2 probe around vertex 820: a fresh restricted expansion,
+    // then the same search on a tick that stays on its edge, where the
+    // anchored kernel merges two held k-lists instead.
+    let scope_mask = {
         let pos = insq_roadnet::NetPosition::Vertex(VertexId(820));
         let knn: Vec<_> = insq_roadnet::ine::network_knn(&net, &sites, pos, 8)
             .into_iter()
             .map(|(s, _)| s)
             .collect();
-        let ins = influential_neighbor_set_net(&nvd, &knn);
-        let mut mask = SiteMask::new(sites.len());
+        let ins = insq_core::influential_neighbor_set_net(&nvd, &knn);
+        let mut mask = insq_roadnet::SiteMask::new(sites.len());
         mask.set(knn.iter().copied().chain(ins.iter().copied()));
-        b.iter(|| black_box(restricted_knn(&net, &sites, &nvd, &mask, black_box(pos), 8)))
+        mask
+    };
+    group.bench_function("restricted_knn_k8", |b| {
+        use insq_roadnet::subnetwork::restricted_knn;
+        let pos = insq_roadnet::NetPosition::Vertex(VertexId(820));
+        b.iter(|| {
+            black_box(restricted_knn(
+                &net,
+                &sites,
+                &nvd,
+                &scope_mask,
+                black_box(pos),
+                8,
+            ))
+        })
+    });
+    group.bench_function("anchored_validate_k8", |b| {
+        use insq_roadnet::subnetwork::{anchored_knn_into, EdgeAnchors};
+        use insq_roadnet::{DijkstraScratch, NetPosition};
+        let (_, edge) = net.neighbors(VertexId(820))[0];
+        let len = net.edge(edge).len;
+        let (mut dij, mut anchors, mut out) =
+            (DijkstraScratch::new(), EdgeAnchors::default(), Vec::new());
+        let mut tick = 0u32;
+        b.iter(|| {
+            tick = (tick + 1) % 8;
+            let offset = (0.1 + 0.1 * f64::from(tick)) * len;
+            let pos = black_box(NetPosition::on_edge(&net, edge, offset).unwrap());
+            anchored_knn_into(
+                &net,
+                &sites,
+                &nvd,
+                &scope_mask,
+                &mut dij,
+                &mut anchors,
+                pos,
+                8,
+                &mut out,
+            );
+            black_box(out.len())
+        })
     });
     group.finish();
 }

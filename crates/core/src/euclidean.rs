@@ -30,6 +30,7 @@ impl Space for Euclidean {
     type SiteId = SiteId;
     type Index = VorTree;
     type Scratch = VorTreeScratch;
+    type Anchor = ();
 
     const NAME: &'static str = "INS";
 
@@ -40,6 +41,7 @@ impl Space for Euclidean {
     fn ordinal(id: SiteId) -> usize {
         id.idx()
     }
+    fn forget_anchor(_: &mut ()) {}
 
     fn global_knn_into(
         index: &VorTree,
@@ -59,6 +61,7 @@ impl Space for Euclidean {
     fn scoped_knn_into(
         index: &VorTree,
         _scratch: &mut VorTreeScratch,
+        _anchor: &mut (),
         _scope: &[SiteId],
         held: &[SiteId],
         pos: Point,
@@ -75,6 +78,7 @@ impl Space for Euclidean {
     fn validate_into(
         index: &VorTree,
         _scratch: &mut VorTreeScratch,
+        _anchor: &mut (),
         _scope: &[SiteId],
         held: &[SiteId],
         current: &[(SiteId, f64)],

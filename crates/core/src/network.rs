@@ -3,10 +3,17 @@
 //! Differences from the Euclidean space:
 //!
 //! * distances are network distances — no constant-time evaluation exists,
-//!   so the per-tick validation runs a *restricted* Incremental Network
-//!   Expansion confined to the subnetwork formed by the Voronoi cells of
-//!   `kNN ∪ I(kNN)` (Theorem 2: if that restricted search returns the
-//!   current kNN set, the set is globally valid);
+//!   so validation is a *restricted* kNN search confined to the
+//!   subnetwork `G'` formed by the Voronoi cells of `kNN ∪ I(kNN)`
+//!   (Theorem 2: if that restricted search returns the current kNN set,
+//!   the set is globally valid);
+//! * that search is **anchored at the endpoints of the query's edge**
+//!   (`insq_roadnet::subnetwork`): for `q` at offset `o` on `(u, v)`,
+//!   `d(q, s) = min(o + d_G'(u, s), len − o + d_G'(v, s))`, so the k-lists
+//!   of `u` and `v`, held per query in [`Space::Anchor`], answer every tick
+//!   on that edge in O(k), up to the last ulp and rank-`k` ties. The
+//!   [`Processor`] forgets them on recompute, invalidate and rebind and
+//!   before it probes another scope;
 //! * the influential neighbor set comes from the precomputed *network*
 //!   Voronoi diagram's adjacency (Theorem 1: `MIS ⊆ INS` holds under
 //!   network distance as well);
@@ -22,7 +29,7 @@
 use std::borrow::Borrow;
 
 use insq_roadnet::ine::{all_site_distances, network_knn_into};
-use insq_roadnet::subnetwork::restricted_knn_into;
+use insq_roadnet::subnetwork::{anchored_knn_into, EdgeAnchors};
 use insq_roadnet::{
     DijkstraScratch, NetPosition, NetworkVoronoi, NetworkWorld, RoadNetwork, SiteIdx, SiteMask,
     SiteSet,
@@ -53,6 +60,7 @@ impl Space for Network {
     type SiteId = SiteIdx;
     type Index = NetworkWorld;
     type Scratch = NetScratch;
+    type Anchor = EdgeAnchors;
 
     const NAME: &'static str = "INS-road";
     const IMPLICIT_FETCH: bool = true;
@@ -67,6 +75,10 @@ impl Space for Network {
 
     fn ordinal(id: SiteIdx) -> usize {
         id.idx()
+    }
+
+    fn forget_anchor(anchor: &mut EdgeAnchors) {
+        anchor.clear()
     }
 
     fn global_knn_into(
@@ -87,6 +99,7 @@ impl Space for Network {
     fn scoped_knn_into(
         index: &NetworkWorld,
         scratch: &mut NetScratch,
+        anchor: &mut EdgeAnchors,
         scope: &[SiteIdx],
         _held: &[SiteIdx],
         pos: NetPosition,
@@ -95,12 +108,13 @@ impl Space for Network {
     ) -> u64 {
         scratch.mask.resize(index.sites.len());
         scratch.mask.set(scope.iter().copied());
-        let st = restricted_knn_into(
+        let st = anchored_knn_into(
             &index.net,
             &index.sites,
             &index.nvd,
             &scratch.mask,
             &mut scratch.dij,
+            anchor,
             pos,
             k,
             out,

@@ -142,6 +142,8 @@ pub struct Processor<S: Space, B: Borrow<S::Index>> {
     /// shard-shared scratch instead, so thousands of queries share a
     /// handful of O(index-size) scratch arenas.
     scratch: S::Scratch,
+    /// Valid for the bound snapshot and `scope`: whoever changes either forgets it.
+    anchor: S::Anchor,
     /// Reusable result buffers: every per-tick transient of the INS
     /// protocol lives in one of these, so in steady state (capacities
     /// grown to the working set) a tick performs zero heap allocations.
@@ -186,6 +188,7 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
             scope: Vec::new(),
             held: HeldSet::default(),
             scratch: S::Scratch::default(),
+            anchor: S::Anchor::default(),
             val_buf: Vec::new(),
             probe_buf: Vec::new(),
             ids_buf: Vec::new(),
@@ -276,6 +279,7 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
         self.held.reset(0);
         self.knn.clear();
         self.scope.clear();
+        S::forget_anchor(&mut self.anchor);
         self.initialized = false;
     }
 
@@ -319,6 +323,7 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
                 .any(|&s| touched.contains(S::ordinal(s)));
         if keep {
             self.index = index;
+            S::forget_anchor(&mut self.anchor);
         } else {
             self.rebind(index);
         }
@@ -357,6 +362,7 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
     /// top-k of `R`. Allocation-free in steady state: the probe writes
     /// into reusable buffers and the cache refill stays within capacity.
     fn recompute(&mut self, scratch: &mut S::Scratch, pos: S::Pos) {
+        S::forget_anchor(&mut self.anchor);
         let m = self.cfg.prefetch_count().min(S::num_sites(self.index()));
         let mut r = std::mem::take(&mut self.probe_buf);
         let ops = S::global_knn_into(self.index.borrow(), scratch, pos, m, &mut r);
@@ -384,13 +390,10 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
             S::influential_into(self.index.borrow(), &r_ids[..split], &mut ins);
             self.stats.construction_ops += (split + ins.len()) as u64;
             self.reset_cache_to(r_ids.iter().copied().chain(ins.iter().copied()));
+            debug_assert!(ins.iter().all(|s| !r_ids[..split].contains(s)));
             self.scope.clear();
             self.scope.extend_from_slice(&r_ids[..split]);
-            for &s in &ins {
-                if !r_ids[..split].contains(&s) {
-                    self.scope.push(s);
-                }
-            }
+            self.scope.extend_from_slice(&ins);
         } else {
             S::influential_into(self.index.borrow(), &r_ids, &mut ins);
             self.stats.construction_ops += (r_ids.len() + ins.len()) as u64;
@@ -467,17 +470,17 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
         // search over the candidate's cells and genuinely decides.
         let mut scope2 = std::mem::take(&mut self.scope2_buf);
         scope2.clear();
+        debug_assert!(ins.iter().all(|s| !cand_ids.contains(s)));
         scope2.extend_from_slice(&cand_ids);
-        for &s in &ins {
-            if !cand_ids.contains(&s) {
-                scope2.push(s);
-            }
-        }
+        scope2.extend_from_slice(&ins);
+        // `scope2` becomes `self.scope` on adoption; else `recompute` forgets again.
+        S::forget_anchor(&mut self.anchor);
         let mut res = std::mem::take(&mut self.probe_buf);
         let ops = if missing.is_empty() {
             S::scoped_knn_into(
                 self.index.borrow(),
                 scratch,
+                &mut self.anchor,
                 &scope2,
                 self.held.as_slice(),
                 pos,
@@ -492,6 +495,7 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
             let ops = S::scoped_knn_into(
                 self.index.borrow(),
                 scratch,
+                &mut self.anchor,
                 &scope2,
                 &extended,
                 pos,
@@ -565,6 +569,7 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
         let (verdict, ops) = S::validate_into(
             self.index.borrow(),
             scratch,
+            &mut self.anchor,
             &self.scope,
             self.held.as_slice(),
             &self.knn,

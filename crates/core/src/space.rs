@@ -55,6 +55,10 @@ pub trait Space: Sized + Copy + Send + Sync + 'static {
     /// than per query: `insq_index::VorTreeScratch` for the Euclidean
     /// spaces, [`crate::network::NetScratch`] on road networks.
     type Scratch: Default + Clone + Debug + Send + Sync;
+    /// What the scoped probe remembers **per query** between ticks, O(k):
+    /// `insq_roadnet::subnetwork::EdgeAnchors`; `()` in both Euclidean spaces.
+    /// The processor forgets it when the snapshot or the probe's scope changes.
+    type Anchor: Default + Clone + Debug + Send + Sync;
 
     /// Short human-readable method name ("INS", "INS-road", …).
     const NAME: &'static str;
@@ -96,6 +100,9 @@ pub trait Space: Sized + Copy + Send + Sync + 'static {
     /// must stay below `u32::MAX`) and of a delta epoch's [`TouchedSet`].
     fn ordinal(id: Self::SiteId) -> usize;
 
+    /// Voids `anchor`, keeping its buffers (the tick path allocates nothing).
+    fn forget_anchor(anchor: &mut Self::Anchor);
+
     /// Global kNN probe — the initial computation / update case (iii)
     /// search. Writes the `m` nearest sites ascending by distance (ties
     /// by id) into `out` (cleared first) and returns the
@@ -121,13 +128,16 @@ pub trait Space: Sized + Copy + Send + Sync + 'static {
     ///
     /// `scope` is the result set united with its influential neighbor
     /// set; `held` is every object the client holds. Euclidean spaces
-    /// re-rank `held` by distance (the §III-A scan); road networks run
-    /// the Theorem-2 restricted expansion over the Voronoi cells of
-    /// `scope`. Candidates come out ascending by distance (ties by id);
-    /// the return value is the operation count.
+    /// re-rank `held` by distance (the §III-A scan); road networks answer
+    /// the Theorem-2 restricted search over the Voronoi cells of `scope`
+    /// from `anchor` (forgotten since `index`, `scope` or `k` changed),
+    /// expanding only once the query leaves its edge. Candidates come out
+    /// ascending by distance (ties by id); returns the operation count.
+    #[allow(clippy::too_many_arguments)]
     fn scoped_knn_into(
         index: &Self::Index,
         scratch: &mut Self::Scratch,
+        anchor: &mut Self::Anchor,
         scope: &[Self::SiteId],
         held: &[Self::SiteId],
         pos: Self::Pos,
@@ -152,15 +162,16 @@ pub trait Space: Sized + Copy + Send + Sync + 'static {
     /// elementary-operation count.
     ///
     /// The default runs [`Space::scoped_knn_into`] and set-compares —
-    /// exactly right for road networks, where the restricted expansion
-    /// both validates and yields the candidate. Euclidean spaces
-    /// override it with the cheaper O(k + |IS|) distance scan (farthest
-    /// current member vs nearest guard, ties valid) and fall back to the
-    /// ranked probe only on invalidation.
+    /// exactly right for road networks, where the anchored probe both
+    /// validates (O(k) on a tick that stays on its edge) and yields the
+    /// candidate. Euclidean spaces override it with the cheaper
+    /// O(k + |IS|) distance scan (farthest current member vs nearest
+    /// guard, ties valid) and rank the held objects only on invalidation.
     #[allow(clippy::too_many_arguments)]
     fn validate_into(
         index: &Self::Index,
         scratch: &mut Self::Scratch,
+        anchor: &mut Self::Anchor,
         scope: &[Self::SiteId],
         held: &[Self::SiteId],
         current: &[(Self::SiteId, f64)],
@@ -168,7 +179,7 @@ pub trait Space: Sized + Copy + Send + Sync + 'static {
         k: usize,
         out: &mut Vec<(Self::SiteId, f64)>,
     ) -> (Verdict, u64) {
-        let ops = Self::scoped_knn_into(index, scratch, scope, held, pos, k, out);
+        let ops = Self::scoped_knn_into(index, scratch, anchor, scope, held, pos, k, out);
         let same = out.len() == current.len()
             && out
                 .iter()

@@ -34,6 +34,7 @@ impl Space for WeightedEuclidean {
     type SiteId = SiteId;
     type Index = WeightedVorTree;
     type Scratch = VorTreeScratch;
+    type Anchor = ();
 
     const NAME: &'static str = "INS-w";
 
@@ -44,6 +45,7 @@ impl Space for WeightedEuclidean {
     fn ordinal(id: SiteId) -> usize {
         id.idx()
     }
+    fn forget_anchor(_: &mut ()) {}
 
     fn global_knn_into(
         index: &WeightedVorTree,
@@ -63,6 +65,7 @@ impl Space for WeightedEuclidean {
     fn scoped_knn_into(
         index: &WeightedVorTree,
         _scratch: &mut VorTreeScratch,
+        _anchor: &mut (),
         _scope: &[SiteId],
         held: &[SiteId],
         pos: Point,
@@ -80,6 +83,7 @@ impl Space for WeightedEuclidean {
     fn validate_into(
         index: &WeightedVorTree,
         _scratch: &mut VorTreeScratch,
+        _anchor: &mut (),
         _scope: &[SiteId],
         held: &[SiteId],
         current: &[(SiteId, f64)],

@@ -71,8 +71,17 @@ fn check(index: &VorTree, knn: &[SiteId], guard: &[SiteId], q: Point, seen: &mut
     let held: Vec<SiteId> = guard.iter().chain(knn).copied().collect();
     let mut out = Vec::new();
     let mut scratch = VorTreeScratch::default();
-    let (verdict, _ops) =
-        Euclidean::validate_into(index, &mut scratch, &[], &held, &current, q, k, &mut out);
+    let (verdict, _ops) = Euclidean::validate_into(
+        index,
+        &mut scratch,
+        &mut (),
+        &[],
+        &held,
+        &current,
+        q,
+        k,
+        &mut out,
+    );
 
     assert_eq!(
         verdict == Verdict::Valid,

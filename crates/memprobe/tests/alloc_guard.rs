@@ -149,18 +149,31 @@ fn steady_state_ticks_allocate_nothing() {
         .map(|i| tour.position(&net, tour.length() * i as f64 / steps as f64))
         .collect();
     let mut np = NetInsProcessor::new(&world, InsConfig::new(4, 1.6)).unwrap();
-    for _ in 0..2 {
-        for &q in &net_path {
+    // One lap: the tour crosses edges (each crossing re-anchors the
+    // Theorem-2 probe), local updates re-anchor it under a new scope,
+    // and half-way an epoch rebinds the query (same snapshot: what is
+    // measured is the client side of an epoch, not the index build).
+    fn lap<'w>(
+        np: &mut NetInsProcessor<&'w NetworkWorld>,
+        world: &'w NetworkWorld,
+        path: &[NetPosition],
+    ) {
+        for (i, &q) in path.iter().enumerate() {
+            if i == path.len() / 2 {
+                np.rebind(world);
+            }
             np.tick(q);
         }
     }
-    let recomp_before = np.stats().recomputations;
-    let events = events_during(|| {
-        for &q in &net_path {
-            np.tick(q);
-        }
-    });
-    assert!(np.stats().recomputations > recomp_before);
+    for _ in 0..2 {
+        lap(&mut np, &world, &net_path);
+    }
+    let before = *np.stats();
+    let events = events_during(|| lap(&mut np, &world, &net_path));
+    let edges: std::collections::BTreeSet<_> = net_path.iter().filter_map(|q| q.edge()).collect();
+    assert!(edges.len() > 20, "the counted lap crosses edges");
+    assert!(np.stats().swaps > before.swaps, "… takes swaps");
+    assert!(np.stats().recomputations > before.recomputations + 1);
     assert_eq!(events, 0, "road-network tick path allocated");
 
     // ------------------------------- fleet engine (single worker lane)

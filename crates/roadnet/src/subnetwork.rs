@@ -3,7 +3,7 @@
 //! Theorem 2 of the paper: if the kNN set of `q` computed on the subnetwork
 //! formed by the Voronoi cells of `Oknn ∪ I(Oknn)` equals `Oknn`, then
 //! `Oknn` is the true kNN set on the whole network. The INS processor
-//! therefore validates by running a *restricted* INE that never leaves the
+//! therefore validates on a *restricted* search that never leaves the
 //! union of those cells — the expansion cost is bounded by the size of
 //! `k + |INS|` cells instead of the whole network.
 //!
@@ -15,8 +15,29 @@
 //! searching `D_{Oknn ∪ I(Oknn)}`; with a caller-held
 //! [`DijkstraScratch`] ([`restricted_knn_into`]) it allocates nothing
 //! per query at all.
+//!
+//! # The edge-anchored probe
+//!
+//! Every path from a point on edge `(u, v)` leaves it through `u` or
+//! `v`. So on the masked subnetwork `G'`, for `q` at offset `o` on an
+//! edge of length `len`, over the endpoints `masked_reach` admits,
+//! `d(q, s) = min(o + d_G'(u, s), len − o + d_G'(v, s))`, and a site
+//! among `q`'s k nearest via `u` is among `u`'s k nearest: the k-lists
+//! `restricted_knn_into(Vertex(u))` and `(Vertex(v))` determine the
+//! restricted kNN at *every* offset of the edge. [`anchored_knn_into`]
+//! keeps them in a per-query [`EdgeAnchors`] and answers a tick that
+//! stays on its edge, or stops at an end of it, with an O(k) merge; a
+//! seed that is not anchored restarts the anchors (CHANGES.md, PR 24).
+//!
+//! A list is a function of the snapshot (weights, sites, NVD), the mask
+//! and `k`; the kernel checks none of them — the owner calls
+//! [`EdgeAnchors::clear`] when one changes. A fresh expansion sums a path
+//! as `((o + e₁) + e₂) + …`, the anchored probe as `o + ((e₁ + e₂) + …)`:
+//! a distance may differ in the last few ulp, and which of the sites that
+//! tie (or round to a tie) at rank `k` is reported is unspecified in
+//! either. Both return *a* valid kNN.
 
-use crate::graph::RoadNetwork;
+use crate::graph::{RoadNetwork, VertexId};
 use crate::nvd::{EdgeOwnership, NetworkVoronoi};
 use crate::position::NetPosition;
 use crate::scratch::{DijkstraScratch, ExpansionStats};
@@ -108,9 +129,9 @@ pub fn restricted_knn(
 }
 
 /// Allocation-free [`restricted_knn`]: the expansion runs inside
-/// `scratch` and the result lands in `out` (cleared first). This is the
-/// per-tick **validation** path of the road-network processors — in
-/// steady state it touches no allocator.
+/// `scratch` and the result lands in `out` (cleared first). On the tick
+/// path it only fills the anchors of [`anchored_knn_into`], whose
+/// fresh-expansion reference it is.
 #[allow(clippy::too_many_arguments)]
 pub fn restricted_knn_into(
     net: &RoadNetwork,
@@ -170,6 +191,67 @@ fn masked_reach(nvd: &NetworkVoronoi, mask: &SiteMask, pos: NetPosition) -> [boo
             }
         },
     }
+}
+
+/// The edge-anchored probe's per-query memo (module docs): two `k`-entry
+/// lists whose buffers keep their capacity across [`EdgeAnchors::clear`].
+#[derive(Debug, Clone, Default)]
+pub struct EdgeAnchors {
+    slots: [Option<VertexId>; 2],
+    lists: [Vec<(SiteIdx, f64)>; 2],
+}
+
+impl EdgeAnchors {
+    /// Forgets both lists (their buffers stay allocated).
+    pub fn clear(&mut self) {
+        self.slots = [None; 2];
+    }
+}
+
+/// [`restricted_knn_into`] served from the query's [`EdgeAnchors`]: equal
+/// up to the last ulp and rank-`k` ties (module docs), expanding only
+/// when a reachable seed vertex is not anchored. `anchors` were cleared
+/// since the snapshot, `mask` or `k` last changed. Allocation-free.
+#[allow(clippy::too_many_arguments)]
+pub fn anchored_knn_into(
+    net: &RoadNetwork,
+    sites: &SiteSet,
+    nvd: &NetworkVoronoi,
+    mask: &SiteMask,
+    scratch: &mut DijkstraScratch,
+    anchors: &mut EdgeAnchors,
+    pos: NetPosition,
+    k: usize,
+    out: &mut Vec<(SiteIdx, f64)>,
+) -> ExpansionStats {
+    let (seeds, n) = pos.seed_array(net);
+    let reach = masked_reach(nvd, mask, pos);
+    let reachable = || seeds[..n].iter().zip(reach).filter(|s| s.1).map(|s| *s.0);
+    let mut stats = ExpansionStats::default();
+    if reachable().any(|(v, _)| !anchors.slots.contains(&Some(v))) {
+        // No eviction rule: an unanchored seed restarts the anchors.
+        anchors.clear();
+        for (slot, (v, _)) in reachable().enumerate() {
+            let (at, list) = (NetPosition::Vertex(v), &mut anchors.lists[slot]);
+            let st = restricted_knn_into(net, sites, nvd, mask, scratch, at, k, list);
+            stats.settled += st.settled;
+            stats.pushes += st.pushes;
+            anchors.slots[slot] = Some(v);
+        }
+    }
+    out.clear();
+    for (v, shift) in reachable() {
+        let list = &anchors.lists[usize::from(anchors.slots[0] != Some(v))];
+        out.extend(list.iter().map(|&(s, d)| (s, shift + d)));
+    }
+    if n == 2 {
+        // Each site's nearer route, back in `(distance, site index)` order.
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        out.dedup_by_key(|e| e.0);
+        out.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        out.truncate(k);
+    }
+    stats
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@ use insq_core::{InsConfig, InsProcessor, MovingKnn, NetInsConfig, NetInsProcesso
 use insq_geom::{Point, Trajectory};
 use insq_index::{SiteDelta, VorTree};
 use insq_roadnet::generators::{grid_network, random_site_vertices, GridConfig};
+use insq_roadnet::ine::all_site_distances;
 use insq_roadnet::{
     EdgeId, EdgeWeight, NetDelta, NetPosition, NetSiteDelta, NetTrajectory, SiteIdx, SiteSet,
 };
@@ -620,6 +621,116 @@ fn network_fleet_streams_through_a_traffic_epoch() {
             );
         }
     }
+}
+
+/// Traffic *inside* a query's Theorem-2 subnetwork, landing while the
+/// query sits mid-edge with warm anchors. The endpoint k-lists the
+/// anchored probe holds were expanded over the old weights, so the epoch
+/// must void them: every answer before and after each storm equals
+/// `brute_knn` on that epoch's snapshot, at 1, 2 and 8 threads, and the
+/// streams are identical across thread counts. (Mutation-checked:
+/// without the processor's forgets on the rebind path — `invalidate`'s
+/// and `recompute`'s — stale lists keep validating dead answers and the
+/// brute-force comparison fails.)
+#[test]
+fn network_fleet_stays_exact_when_traffic_lands_inside_warm_subnetworks() {
+    let ticks = 64usize;
+    let clients = 24usize;
+    let k = 3usize;
+    // Slow commuters: ~25 ticks per street, so storms find them mid-edge.
+    let speed = 0.04;
+
+    let net = Arc::new(
+        grid_network(
+            &GridConfig {
+                cols: 9,
+                rows: 9,
+                ..GridConfig::default()
+            },
+            29,
+        )
+        .unwrap(),
+    );
+    let sites = SiteSet::new(&net, random_site_vertices(&net, 20, 7).unwrap()).unwrap();
+    // Storm `i` (before tick 16·(i+1)) quadruples every third street and
+    // leaves the rest as they are: no site moves, only distances do.
+    let storm = |i: u32| -> NetDelta {
+        let edges = (0..net.num_edges() as u32).filter(|e| e % 3 == i);
+        let weights = edges.map(|e| EdgeWeight::scaled(&net, EdgeId(e), 4.0));
+        NetDelta::from(NetSiteDelta::default()).with_weights(weights.collect())
+    };
+    let tours: Vec<NetTrajectory> = (0..clients)
+        .map(|c| NetTrajectory::random_tour(&net, 5, 8100 + c as u64).unwrap())
+        .collect();
+    let pos_of = |c: usize, tick: usize| -> NetPosition {
+        tours[c].position_looped(&net, speed * tick as f64 + 0.37 * c as f64)
+    };
+
+    let mut streams: Vec<Vec<Vec<SiteIdx>>> = Vec::new();
+    for threads in [1usize, 2, 8] {
+        let world = Arc::new(World::new(NetworkWorld::build(
+            Arc::clone(&net),
+            sites.clone(),
+        )));
+        let mut fleet: FleetEngine<NetworkWorld, NetFleetQuery> =
+            FleetEngine::new(Arc::clone(&world), FleetConfig { shards: 4, threads });
+        for _ in 0..clients {
+            fleet.register(NetFleetQuery::new(&world, NetInsConfig::new(k, 1.6)).unwrap());
+        }
+        let mut stream = Vec::new();
+        let mut hit_warm = 0;
+        for tick in 0..ticks {
+            if tick > 0 && tick % 16 == 0 {
+                let delta = storm(tick as u32 / 16 - 1);
+                // The case under test: a mid-edge query, validated from
+                // its anchors on the last tick, with a re-weighted street
+                // wholly inside the cells of its scope.
+                let (_, snap) = world.snapshot();
+                hit_warm += (0..clients)
+                    .filter(|&c| {
+                        let q = fleet.query(QueryId(c as u64)).unwrap();
+                        let scope = q.processor().subnetwork_sites();
+                        let inside = |w: &EdgeWeight| {
+                            let rec = snap.net.edge(w.edge);
+                            [rec.u, rec.v]
+                                .iter()
+                                .all(|&v| scope.contains(&snap.nvd.owner(v)))
+                        };
+                        pos_of(c, tick - 1).edge().is_some() && delta.weights.iter().any(inside)
+                    })
+                    .count();
+                world.apply(&delta).unwrap();
+            }
+            let positions: Vec<NetPosition> = (0..clients).map(|c| pos_of(c, tick)).collect();
+            fleet.tick_all(|id| positions[id.index()]);
+            let (_, snap) = world.snapshot();
+            for (c, &pos) in positions.iter().enumerate() {
+                let q = fleet.query(QueryId(c as u64)).unwrap();
+                let mut got = q.current_knn();
+                let mut want = <insq_core::Network as insq_core::Space>::brute_knn(&snap, pos, k);
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "client {c} tick {tick} threads {threads}");
+                // The distances too: a list expanded over the old weights
+                // can name the right sites at the wrong distances.
+                let oracle = all_site_distances(&snap.net, &snap.sites, pos);
+                for &(s, d) in q.processor().current_knn_with_dists() {
+                    assert!(
+                        (d - oracle[s.idx()]).abs() <= 1e-9 * (1.0 + d),
+                        "client {c} tick {tick}: {s:?} at {d}, oracle {}",
+                        oracle[s.idx()]
+                    );
+                }
+                stream.push(got);
+            }
+        }
+        assert!(
+            hit_warm >= clients,
+            "storms hit warm subnetworks: {hit_warm}"
+        );
+        streams.push(stream);
+    }
+    assert!(streams.iter().all(|s| *s == streams[0]));
 }
 
 #[test]
