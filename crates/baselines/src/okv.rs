@@ -15,8 +15,9 @@
 //! trade-off the benchmarks report.
 
 use insq_core::{influential_neighbor_set, CoreError, MovingKnn, QueryStats, TickOutcome};
-use insq_geom::{ConvexPolygon, HalfPlane, Point};
+use insq_geom::Point;
 use insq_index::VorTree;
+use insq_paper::{ConvexPolygon, HalfPlane};
 use insq_voronoi::SiteId;
 
 /// Order-k Voronoi cell safe-region moving kNN.

@@ -104,13 +104,6 @@ impl<'a> VStarProcessor<'a> {
         &self.knn
     }
 
-    /// Remaining safe margin at `q`: how much farther the k-th neighbor may
-    /// drift before a retrieval is forced (negative = invalid).
-    pub fn safety_margin(&self, q: Point) -> f64 {
-        let kth = self.knn.last().map(|&(_, d)| d).unwrap_or(f64::INFINITY);
-        (self.known_radius - q.distance(self.q0)) - kth
-    }
-
     fn retrieve(&mut self, q: Point) {
         let m = (self.cfg.k + self.cfg.x).min(self.index.len());
         let (res, st) = self.index.rtree().knn_with_stats(q, m);
@@ -290,18 +283,6 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(p.tick(q), TickOutcome::Valid);
         }
-    }
-
-    #[test]
-    fn safety_margin_shrinks_with_movement() {
-        let idx = build(150, 4);
-        let mut p = VStarProcessor::new(&idx, VStarConfig { k: 3, x: 3 }).unwrap();
-        let q = Point::new(50.0, 50.0);
-        p.tick(q);
-        let m0 = p.safety_margin(q);
-        assert!(m0 >= 0.0);
-        let m1 = p.safety_margin(Point::new(51.0, 50.0));
-        assert!(m1 <= m0);
     }
 
     #[test]

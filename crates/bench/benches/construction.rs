@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use insq_bench::euclidean_exp::build_index;
 use insq_core::influential_neighbor_set;
 use insq_geom::Point;
-use insq_voronoi::order_k_cell;
+use insq_paper::order_k_cell;
 use insq_workload::Distribution;
 use std::hint::black_box;
 

@@ -94,7 +94,7 @@ fn bench_continuous_events(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |bch, &k| {
             bch.iter(|| {
                 black_box(
-                    insq_core::knn_change_events(&index, k, black_box(a), black_box(b))
+                    insq_paper::knn_change_events(&index, k, black_box(a), black_box(b))
                         .expect("valid configuration"),
                 )
             })

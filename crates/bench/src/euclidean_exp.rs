@@ -264,7 +264,7 @@ pub fn e8_validation_micro(effort: Effort) -> String {
     let knn: Vec<_> = index.knn(q, k).into_iter().map(|(s, _)| s).collect();
     let ins = influential_neighbor_set(index.voronoi(), &knn);
     // OkV state: the order-k cell polygon.
-    let cell = insq_voronoi::order_k_cell(
+    let cell = insq_paper::order_k_cell(
         index.voronoi().points(),
         &knn,
         &ins,
@@ -345,8 +345,8 @@ pub fn e9_construction_micro(effort: Effort) -> String {
         let ins_set = influential_neighbor_set(voronoi, &knn);
         let t0 = Instant::now();
         for _ in 0..reps {
-            sink += insq_voronoi::order_k_cell(voronoi.points(), &knn, &ins_set, &voronoi.bounds())
-                .len();
+            sink +=
+                insq_paper::order_k_cell(voronoi.points(), &knn, &ins_set, &voronoi.bounds()).len();
         }
         let okv_ns = t0.elapsed().as_nanos() as f64 / reps as f64;
 
@@ -384,7 +384,7 @@ pub fn continuous(effort: Effort) -> String {
     let b = Point::new(93.0, 88.0);
     let k = 5;
     let t0 = Instant::now();
-    let trace = insq_core::knn_change_events(&index, k, a, b).expect("valid configuration");
+    let trace = insq_paper::knn_change_events(&index, k, a, b).expect("valid configuration");
     let exact_time = t0.elapsed();
 
     let mut out = format!(

@@ -1,16 +1,17 @@
 //! Regeneration of the paper's four figures as text reports.
 
 use insq_core::{
-    influential_neighbor_set, influential_neighbor_set_net, minimal_influential_set, InsConfig,
-    InsProcessor, MovingKnn, NetInsConfig, NetInsProcessor,
+    influential_neighbor_set, influential_neighbor_set_net, InsConfig, InsProcessor, MovingKnn,
+    NetInsConfig, NetInsProcessor,
 };
 use insq_geom::{Aabb, Point, Trajectory};
 use insq_index::VorTree;
+use insq_paper::order_k::{network_mis, order_k_diagram, site_distance_matrix};
+use insq_paper::{minimal_influential_set, order_k_cell_tagged, safe_region, validation_circles};
 use insq_roadnet::graph::EdgeRec;
-use insq_roadnet::order_k::{network_mis, order_k_diagram, site_distance_matrix};
 use insq_roadnet::{NetTrajectory, NetworkVoronoi, RoadNetwork, SiteIdx, SiteSet, VertexId};
 use insq_sim::{render_euclidean, render_network};
-use insq_voronoi::{order_k_cell_tagged, SiteId, Voronoi};
+use insq_voronoi::{SiteId, Voronoi};
 use insq_workload::Distribution;
 
 use crate::Effort;
@@ -278,12 +279,10 @@ pub fn fig4(effort: Effort) -> String {
         if !want_frame {
             continue; // keep simulating; totals below cover the full run
         }
-        let (green, red) = query
-            .validation_circles()
-            .expect("both circles exist mid-run");
+        let (green, red) = validation_circles(&query).expect("both circles exist mid-run");
         let knn: Vec<usize> = query.current_knn().iter().map(|s| s.idx()).collect();
         let ins: Vec<usize> = query.influential_set().iter().map(|s| s.idx()).collect();
-        let region = query.safe_region();
+        let region = safe_region(&query);
         let state = if outcome.changed() {
             shown_invalid = true;
             "(b) the kNN set had become INVALID and was updated"

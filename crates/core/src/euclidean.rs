@@ -9,16 +9,14 @@
 //!
 //! [`InsProcessor`] is the Euclidean instantiation of the generic
 //! [`Processor`]; the Euclidean-only observers of the demo (safe-region
-//! polygon, validation circles) live in an inherent impl here.
+//! polygon, validation circles) are free functions in `insq-paper`.
 
-use std::borrow::Borrow;
-
-use insq_geom::{Circle, ConvexPolygon, Point};
+use insq_geom::Point;
 use insq_index::{VorTree, VorTreeScratch};
-use insq_voronoi::{order_k_cell, SiteId};
+use insq_voronoi::SiteId;
 
 use crate::influential::influential_neighbor_set_into;
-use crate::processor::{MovingKnn, Processor};
+use crate::processor::Processor;
 use crate::space::{Space, Verdict};
 
 /// The 2-D Euclidean plane under L2, indexed by a [`VorTree`].
@@ -168,41 +166,6 @@ pub(crate) fn rank_held_into<F: Fn(SiteId) -> f64>(
 /// instantiation of the generic [`Processor`].
 pub type InsProcessor<B> = Processor<Euclidean, B>;
 
-impl<B: Borrow<VorTree>> Processor<Euclidean, B> {
-    /// The implicit safe region of the current result — the order-k
-    /// Voronoi cell `V^k(kNN)`, materialised by clipping against the INS
-    /// (exact, because `MIS ⊆ INS`). This is the cyan polygon of the
-    /// demo's 2D-plane mode; the INS algorithm itself never constructs it.
-    pub fn safe_region(&self) -> ConvexPolygon {
-        let voronoi = self.index().voronoi();
-        let knn: Vec<SiteId> = self.current_knn();
-        let ins = self.influential_set();
-        order_k_cell(voronoi.points(), &knn, &ins, &voronoi.bounds())
-    }
-
-    /// The demo's two validation circles around the last position: green
-    /// through the farthest kNN (must enclose all kNN), red through the
-    /// nearest guard (must exclude all guards). The result is valid while
-    /// the green circle is inside the red one.
-    pub fn validation_circles(&self) -> Option<(Circle, Circle)> {
-        let q = self.last_pos()?;
-        let knn_far = self
-            .current_knn_with_dists()
-            .iter()
-            .map(|&(s, _)| self.index().point(s).distance(q))
-            .fold(f64::NEG_INFINITY, f64::max);
-        let guard = self.guard_set();
-        let guard_near = guard
-            .iter()
-            .map(|&s| self.index().point(s).distance(q))
-            .fold(f64::INFINITY, f64::min);
-        if !knn_far.is_finite() || !guard_near.is_finite() {
-            return None;
-        }
-        Some((Circle::new(q, knn_far), Circle::new(q, guard_near)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,36 +292,6 @@ mod tests {
         // Scan-validating spaces maintain no probe scope (the §III-A
         // scan reads the held set directly).
         assert!(p.scope().is_empty());
-    }
-
-    #[test]
-    fn safe_region_contains_query_and_characterizes_knn() {
-        let idx = build_index(80, 21);
-        let mut p = InsProcessor::new(&idx, InsConfig::new(3, 1.6)).unwrap();
-        let q = Point::new(55.0, 45.0);
-        p.tick(q);
-        let region = p.safe_region();
-        assert!(region.contains(q), "query inside its own safe region");
-        // Points inside the region share the kNN set.
-        let mut knn_sorted = p.current_knn();
-        knn_sorted.sort_unstable();
-        if let Some(c) = region.centroid() {
-            let mut at_centroid = brute_knn(&idx, c, 3);
-            at_centroid.sort_unstable();
-            assert_eq!(at_centroid, knn_sorted);
-        }
-    }
-
-    #[test]
-    fn validation_circles_nested_while_valid() {
-        let idx = build_index(120, 33);
-        let mut p = InsProcessor::new(&idx, InsConfig::new(5, 1.6)).unwrap();
-        let q = Point::new(30.0, 70.0);
-        p.tick(q);
-        let (green, red) = p.validation_circles().unwrap();
-        assert!(green.radius <= red.radius, "valid state: green inside red");
-        assert_eq!(green.center, q);
-        assert_eq!(red.center, q);
     }
 
     #[test]

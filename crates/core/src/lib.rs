@@ -12,16 +12,21 @@
 //! | [`Network`] | road networks, shortest path (paper §IV) | [`NetInsProcessor`] |
 //! | [`WeightedEuclidean`] | 2-D plane, per-axis scaled L2 | [`WInsProcessor`] |
 //!
-//! Map from the paper to this crate:
+//! Map from the paper to the code. This crate is on every served query's
+//! path; what the paper defines but a served query never builds — the
+//! MIS, order-k cells, safe-region polygons — is in `insq-paper`, which
+//! depends on this crate and not the other way round:
 //!
 //! | Paper concept | Here |
 //! |---|---|
 //! | Influential set `S` of `O'` (Def. 1) | [`influential::validate_by_distance`] — the guarding predicate |
-//! | Minimal influential set (Def. 2) | [`mis`] — exact MIS via tagged order-k cells (oracle) |
+//! | Order-k Voronoi cell, the safe region (Def. 2, Fig. 1–2) | `insq_paper::order_k` — plane cells and road-network segments (figures, oracles, the OkV baseline) |
+//! | Minimal influential set (Def. 2) | `insq_paper::mis` — exact MIS via tagged order-k cells (the oracle Theorem 1 is checked against) |
 //! | Voronoi neighbor set (Def. 3) | `insq_voronoi::Voronoi::neighbors` |
 //! | Influential neighbor set (Def. 4) | [`Space::influential_into`] per space |
 //! | Query processing (§III, §IV) | the generic [`Processor`] |
 //! | Theorem-2 validation | [`Space::scoped_knn_into`] per space |
+//! | Demo observers (Fig. 4: cyan region, green/red circles) | `insq_paper::{safe_region, validation_circles}` |
 //! | Brute-force reference | [`Space::brute_knn`] — a site scan; on [`Network`] one full oracle Dijkstra ranked by `(distance, site)`, never INE |
 //!
 //! Every processor implements [`MovingKnn`], shared with the baselines in
@@ -32,24 +37,20 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod continuous;
 pub mod euclidean;
 mod held;
 pub mod influential;
 pub mod metrics;
-pub mod mis;
 pub mod network;
 pub mod processor;
 pub mod space;
 pub mod weighted;
 
-pub use continuous::{knn_change_events, KnnEvent, MotionTrace};
 pub use euclidean::{Euclidean, InsProcessor};
 pub use influential::{
     influential_neighbor_set, influential_neighbor_set_into, validate_by_distance, Validation,
 };
 pub use metrics::{QueryStats, TickOutcome};
-pub use mis::{minimal_influential_set, mis_via_ins, mis_with_candidates};
 pub use network::{
     influential_neighbor_set_net, influential_neighbor_set_net_into, NetInsProcessor, NetScratch,
     Network,

@@ -7,7 +7,6 @@ use crate::point::Point;
 
 /// A closed axis-aligned rectangle `[min.x, max.x] × [min.y, max.y]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Aabb {
     /// Lower-left corner.
     pub min: Point,

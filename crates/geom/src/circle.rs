@@ -11,7 +11,6 @@ use crate::GeomError;
 
 /// A circle given by center and radius.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Circle {
     /// Center of the circle.
     pub center: Point,

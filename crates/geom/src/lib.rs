@@ -8,12 +8,6 @@
 //! * [`Point`] / [`Vector`] — plain `f64` coordinates with the usual affine
 //!   operations,
 //! * [`Aabb`] — axis-aligned bounding boxes (also used by the R-tree),
-//! * [`Segment`] — line segments with point/segment distance kernels,
-//! * [`ConvexPolygon`] — convex polygons with containment tests and
-//!   half-plane clipping (the representation of safe regions and Voronoi
-//!   cells),
-//! * [`HalfPlane`] — closed half-planes, in particular perpendicular-bisector
-//!   half-planes which define (order-k) Voronoi cells,
 //! * [`Circle`] — circles and circumcircles (the green/red validation circles
 //!   of the INSQ demonstration),
 //! * [`predicates`] — adaptive-precision `orient2d` / `incircle` following
@@ -23,32 +17,25 @@
 //!   objects move.
 //!
 //! Everything is allocation-conscious: the hot kernels (`distance`,
-//! `orient2d`, half-plane clipping) never allocate, and polygon clipping
-//! reuses caller-provided buffers where it matters.
+//! `orient2d`, `incircle`) never allocate. Polygons, half-planes,
+//! segments and hulls — geometry only figures, oracles and the OkV
+//! baseline use — live in `insq-paper`, outside the serving crates.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod aabb;
 pub mod circle;
-pub mod halfplane;
-pub mod hull;
 pub mod point;
-pub mod polygon;
 pub mod predicates;
 pub mod scratch;
-pub mod segment;
 pub mod trajectory;
 
 pub use aabb::Aabb;
 pub use circle::Circle;
-pub use halfplane::HalfPlane;
-pub use hull::{convex_hull, hull_contains};
 pub use point::{Point, Vector};
-pub use polygon::ConvexPolygon;
 pub use predicates::{incircle, orient2d, Orientation};
 pub use scratch::{DistEntry, DistSlots, GenMarks};
-pub use segment::Segment;
 pub use trajectory::Trajectory;
 
 /// Errors produced by geometric constructions.
@@ -56,8 +43,8 @@ pub use trajectory::Trajectory;
 pub enum GeomError {
     /// The input contains a non-finite (NaN or infinite) coordinate.
     NonFiniteCoordinate,
-    /// Fewer points than required for the construction (e.g. a polygon
-    /// needs at least three vertices).
+    /// Fewer points than required for the construction (e.g. a
+    /// trajectory needs at least two waypoints).
     TooFewPoints {
         /// How many points the construction needs.
         needed: usize,

@@ -55,14 +55,6 @@ pub fn two_product(a: f64, b: f64) -> (f64, f64) {
     (hi, lo)
 }
 
-/// Exact square, slightly cheaper than `two_product(a, a)`.
-#[inline]
-pub fn two_square(a: f64) -> (f64, f64) {
-    let hi = a * a;
-    let lo = a.mul_add(a, -hi);
-    (hi, lo)
-}
-
 /// `(a1 + a0) - b` as a three-component expansion `(x2, x1, x0)`,
 /// largest component first. Shewchuk's `Two_One_Diff`.
 #[inline]
@@ -270,13 +262,6 @@ mod tests {
         // a*b = 1 - eps^2 exactly; hi rounds to 1.0, lo must be -eps^2.
         assert_eq!(hi, 1.0);
         assert_eq!(lo, -(f64::EPSILON * f64::EPSILON));
-    }
-
-    #[test]
-    fn two_square_matches_two_product() {
-        for &v in &[3.7320508, 1e-200, -7.25, 1e150] {
-            assert_eq!(two_square(v), two_product(v, v));
-        }
     }
 
     #[test]

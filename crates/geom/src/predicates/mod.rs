@@ -281,31 +281,6 @@ pub fn incircle_exact(a: Point, b: Point, c: Point, d: Point) -> InCircle {
     incircle_from_sign(sign_of(&acc))
 }
 
-/// Robust sign of the signed area of triangle `(a, b, c)` times two — i.e.
-/// the raw determinant value when it is reliably non-zero, or an exact sign
-/// with magnitude from the float estimate otherwise. Useful where callers
-/// want both a sign and an approximate magnitude.
-pub fn orient2d_value(a: Point, b: Point, c: Point) -> f64 {
-    let det = (a.x - c.x) * (b.y - c.y) - (a.y - c.y) * (b.x - c.x);
-    match orient2d(a, b, c) {
-        Orientation::Collinear => 0.0,
-        Orientation::CounterClockwise => {
-            if det > 0.0 {
-                det
-            } else {
-                f64::MIN_POSITIVE
-            }
-        }
-        Orientation::Clockwise => {
-            if det < 0.0 {
-                det
-            } else {
-                -f64::MIN_POSITIVE
-            }
-        }
-    }
-}
-
 #[inline]
 fn sign_f64(v: f64) -> Ordering {
     if v > 0.0 {
@@ -387,15 +362,6 @@ mod tests {
         assert_eq!(incircle_exact(a, b, c, p(5.0, 1.0)), InCircle::Inside);
         assert_eq!(incircle_exact(a, b, c, p(100.0, 100.0)), InCircle::Outside);
         assert_eq!(orient2d_exact(a, b, c), Orientation::CounterClockwise);
-    }
-
-    #[test]
-    fn orient2d_value_sign_agrees() {
-        let a = p(0.0, 0.0);
-        let b = p(1.0, 0.0);
-        assert!(orient2d_value(a, b, p(0.5, 1.0)) > 0.0);
-        assert!(orient2d_value(a, b, p(0.5, -1.0)) < 0.0);
-        assert_eq!(orient2d_value(a, b, p(2.0, 0.0)), 0.0);
     }
 
     // Ground-truth property tests against exact i128 arithmetic on integer

@@ -10,7 +10,6 @@ use crate::GeomError;
 
 /// A polyline trajectory with precomputed cumulative arc lengths.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Trajectory {
     waypoints: Vec<Point>,
     /// `cumulative[i]` = arc length from the start to `waypoints[i]`.

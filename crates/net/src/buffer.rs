@@ -65,7 +65,7 @@ impl FrameBuf {
             return Ok(None);
         }
         let len = u32::from_le_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
-        // Same bound as the blocking reader: rejected before the
+        // The protocol's one frame-length bound: rejected before the
         // payload is awaited, so a hostile prefix can't make the
         // session buffer (or stall) its way toward `claimed` bytes.
         if !(2..=MAX_PAYLOAD_LEN).contains(&len) {

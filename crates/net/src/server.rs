@@ -20,10 +20,10 @@
 //!   [`FleetEngine::tick_all`] fed the same positions, which
 //!   `tests/loopback_soak.rs` proves across a delta-epoch swap); under
 //!   `Deadline { max_staleness }` the fleet advances on whatever
-//!   positions have arrived (paced by
-//!   [`NetServerConfig::tick_interval`]), **re-serving** each stale
-//!   session its cached last result and force-ticking any session held
-//!   past `max_staleness` — one slow phone no longer stalls the fleet;
+//!   positions have arrived (paced by a fixed 5 ms tick interval),
+//!   **re-serving** each stale session its cached last result and
+//!   force-ticking any session held past `max_staleness` — one slow
+//!   phone no longer stalls the fleet;
 //! * results are pushed through the reactor's **bounded per-session
 //!   write buffers** ([`NetServerConfig::write_buf`] bytes). A session
 //!   whose buffer would overflow (slow consumer) is disconnected rather
@@ -63,6 +63,11 @@ use crate::space::WireSpace;
 use crate::sys;
 use crate::wire::{ErrorCode, Message, FLAG_UNCERTIFIED};
 
+/// Under [`TickPolicy::Deadline`], how long the reactor batches freshly
+/// arrived positions before ticking a partially fresh fleet (a fully
+/// fresh fleet ticks immediately); also the reactor's poll slice.
+const TICK_INTERVAL: Duration = Duration::from_millis(5);
+
 /// Configuration of a [`NetServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct NetServerConfig {
@@ -81,11 +86,6 @@ pub struct NetServerConfig {
     /// so one maximal frame always fits). A session that falls this far
     /// behind is disconnected instead of growing without bound.
     pub write_buf: usize,
-    /// Under [`TickPolicy::Deadline`], how long the reactor batches
-    /// freshly arrived positions before ticking a partially fresh fleet
-    /// (a fully fresh fleet ticks immediately). Ignored under
-    /// `Barrier`.
-    pub tick_interval: Duration,
     /// Hard cap on concurrent connections; beyond it the reactor stops
     /// accepting until a session closes (`0` means no cap).
     pub max_sessions: usize,
@@ -114,7 +114,6 @@ impl Default for NetServerConfig {
             policy: TickPolicy::Barrier,
             min_clients: 1,
             write_buf: 64 * 1024,
-            tick_interval: Duration::from_millis(5),
             max_sessions: 0,
             certify_within: None,
             sndbuf: None,
@@ -277,10 +276,7 @@ impl<S: WireSpace> Handler for Serving<S> {
     type Conn = Session<S>;
 
     fn poll_slice(&self) -> Duration {
-        self.shared
-            .cfg
-            .tick_interval
-            .clamp(Duration::from_millis(1), Duration::from_millis(10))
+        TICK_INTERVAL
     }
 
     fn on_accept(&mut self, stream: &TcpStream) -> Session<S> {
@@ -381,8 +377,7 @@ impl<S: WireSpace> Handler for Serving<S> {
         let due = match self.shared.cfg.policy {
             TickPolicy::Barrier => self.fresh == live,
             TickPolicy::Deadline { .. } => {
-                self.fresh == live
-                    || (self.fresh > 0 && self.last_tick.elapsed() >= self.shared.cfg.tick_interval)
+                self.fresh == live || (self.fresh > 0 && self.last_tick.elapsed() >= TICK_INTERVAL)
             }
         };
         if due {

@@ -27,7 +27,7 @@
 //! `tests/codec_props.rs` proves `decode(encode(m)) == m` for arbitrary
 //! messages).
 
-use std::io::{self, Read};
+use std::io;
 
 /// Protocol version carried by every frame. A decoder rejects frames
 /// whose version byte differs — bump this when the message set changes
@@ -647,48 +647,10 @@ impl Message {
     }
 }
 
-/// Reads one frame's payload. Returns `Ok(None)` on a clean EOF at a
-/// frame boundary; a length prefix above [`MAX_PAYLOAD_LEN`] (or below
-/// the 2-byte version+tag minimum) is rejected *before* any allocation
-/// and surfaces as `InvalidData`.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut len_bytes = [0u8; 4];
-    // A clean EOF before the first length byte ends the stream; EOF
-    // mid-prefix is an error.
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len_bytes[filled..])? {
-            0 if filled == 0 => return Ok(None),
-            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
-            n => filled += n,
-        }
-    }
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if !(2..=MAX_PAYLOAD_LEN).contains(&len) {
-        return Err(DecodeError::LengthOutOfBounds {
-            claimed: len as u64,
-            limit: MAX_PAYLOAD_LEN,
-        }
-        .into());
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
-}
-
-/// Reads and decodes one framed [`Message`]. Returns the message and the
-/// total bytes consumed from the wire, or `Ok(None)` on clean EOF.
-pub fn read_message<R: Read>(r: &mut R) -> io::Result<Option<(Message, usize)>> {
-    let Some(payload) = read_frame(r)? else {
-        return Ok(None);
-    };
-    let msg = Message::decode_payload(&payload)?;
-    Ok(Some((msg, 4 + payload.len())))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FrameBuf;
 
     #[test]
     fn frame_roundtrip_over_io() {
@@ -699,13 +661,14 @@ mod tests {
             flags: FLAG_UNCERTIFIED,
         };
         let wire = msg.encode_frame();
-        let wrote = wire.len();
-        let mut cursor = io::Cursor::new(&wire);
-        let (back, read) = read_message(&mut cursor).unwrap().expect("one frame");
+        let mut fb = FrameBuf::new();
+        fb.extend(&wire);
+        let (back, read) = fb.next_message().unwrap().expect("one frame");
         assert_eq!(back, msg);
-        assert_eq!(read, wrote);
-        // And a clean EOF after it.
-        assert!(read_message(&mut cursor).unwrap().is_none());
+        assert_eq!(read, wire.len());
+        // Nothing left: the stream ends at a frame boundary.
+        assert_eq!(fb.next_message(), Ok(None));
+        assert!(fb.at_frame_boundary());
     }
 
     #[test]
@@ -713,8 +676,15 @@ mod tests {
         let mut wire = Vec::new();
         (u32::MAX).encode(&mut wire);
         wire.extend_from_slice(&[0u8; 16]);
-        let err = read_frame(&mut io::Cursor::new(&wire)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let mut fb = FrameBuf::new();
+        fb.extend(&wire);
+        assert_eq!(
+            fb.next_message(),
+            Err(DecodeError::LengthOutOfBounds {
+                claimed: u32::MAX as u64,
+                limit: MAX_PAYLOAD_LEN,
+            })
+        );
     }
 
     #[test]

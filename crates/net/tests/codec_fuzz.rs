@@ -3,17 +3,17 @@
 //! random byte soup, the decoder must return `Err` — it must never
 //! panic and never allocate more than the (bounded) input it was given.
 //!
-//! All inputs derive from a fixed-seed RNG, so a failure reproduces
+//! Framed input goes through [`FrameBuf`], the decoder the reactor and
+//! `ClientCore` run. All inputs derive from a fixed-seed RNG, so a
+//! failure reproduces
 //! exactly. Panics would propagate and fail the test harness, so simply
 //! *calling* the decoder on hostile bytes is the assertion that none
 //! exist; allocation is bounded structurally (every length prefix is
 //! checked against both its cap and the remaining input before any
 //! buffer is reserved), which the absurd-length cases exercise.
 
-use std::io::Cursor;
-
-use insq_net::wire::{read_frame, read_message, Encode, Message, MAX_PAYLOAD_LEN, WIRE_VERSION};
-use insq_net::{DecodeError, ErrorCode, SpaceKind, WireOutcome, WirePos};
+use insq_net::wire::{Encode, Message, MAX_PAYLOAD_LEN, WIRE_VERSION};
+use insq_net::{DecodeError, ErrorCode, FrameBuf, SpaceKind, WireOutcome, WirePos};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -111,43 +111,50 @@ fn unknown_tags_are_rejected() {
 
 #[test]
 fn absurd_frame_length_prefixes_are_rejected_without_allocating() {
-    // Length prefixes far beyond MAX_PAYLOAD_LEN (up to u32::MAX ≈ 4 GiB)
-    // must be refused before any buffer is reserved — if the decoder
-    // trusted them, this test would OOM or crawl, not finish instantly.
+    // Length prefixes far beyond MAX_PAYLOAD_LEN (up to u32::MAX ≈ 4 GiB),
+    // and below the version+tag minimum, must be refused from the prefix
+    // alone — before a single payload byte is buffered or awaited.
     for len in [
+        0u32,
+        1,
         MAX_PAYLOAD_LEN as u32 + 1,
         1 << 20,
         1 << 24,
         1 << 30,
         u32::MAX,
     ] {
-        let mut wire = Vec::new();
-        len.encode(&mut wire);
-        wire.extend_from_slice(&[0u8; 64]);
-        let err = read_frame(&mut Cursor::new(wire.as_slice())).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "len {len}");
-    }
-    // Below the version+tag minimum: also structurally invalid.
-    for len in [0u32, 1] {
-        let mut wire = Vec::new();
-        len.encode(&mut wire);
-        wire.push(0);
-        let err = read_frame(&mut Cursor::new(wire.as_slice())).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "len {len}");
+        let mut fb = FrameBuf::new();
+        let mut prefix = Vec::new();
+        len.encode(&mut prefix);
+        fb.extend(&prefix);
+        assert!(
+            matches!(
+                fb.next_message(),
+                Err(DecodeError::LengthOutOfBounds { claimed, limit: MAX_PAYLOAD_LEN })
+                    if claimed == len as u64
+            ),
+            "len {len}"
+        );
     }
 }
 
 #[test]
 fn in_bounds_length_prefix_with_missing_bytes_is_eof_not_hang() {
-    // A legal-looking length whose bytes never arrive: clean I/O error.
+    // A legal-looking length whose bytes never arrive: the decoder asks
+    // for more bytes, and an EOF there is off a frame boundary — the
+    // session reports it as an unexpected EOF instead of waiting forever.
     let mut wire = Vec::new();
     1_000u32.encode(&mut wire);
     wire.extend_from_slice(&[1u8; 10]);
-    let err = read_frame(&mut Cursor::new(wire.as_slice())).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
-    // EOF mid-length-prefix is an error too (not a silent None).
-    let err = read_frame(&mut Cursor::new(&[0x10u8, 0x00][..])).unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+    let mut fb = FrameBuf::new();
+    fb.extend(&wire);
+    assert_eq!(fb.next_message(), Ok(None));
+    assert!(!fb.at_frame_boundary());
+    // Mid-length-prefix likewise.
+    let mut fb = FrameBuf::new();
+    fb.extend(&[0x10u8, 0x00]);
+    assert_eq!(fb.next_message(), Ok(None));
+    assert!(!fb.at_frame_boundary());
 }
 
 #[test]
@@ -233,11 +240,12 @@ fn random_byte_soup_never_panics() {
         }
         let _ = Message::decode_payload(&soup);
 
-        // And through the framed stream reader: arbitrary bytes must
-        // produce messages or clean errors, never a panic or a hang.
-        let mut cursor = Cursor::new(soup.as_slice());
+        // And through the frame decoder: arbitrary bytes must produce
+        // messages, "need more bytes" or clean errors, never a panic.
+        let mut fb = FrameBuf::new();
+        fb.extend(&soup);
         for _ in 0..8 {
-            match read_message(&mut cursor) {
+            match fb.next_message() {
                 Ok(Some(_)) => {}
                 Ok(None) | Err(_) => break,
             }

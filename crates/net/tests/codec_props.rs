@@ -1,14 +1,11 @@
 //! Codec round-trip properties: for every message type of the wire
 //! protocol, arbitrary values satisfy `decode(encode(m)) == m` — through
-//! both the payload codec and the framed I/O layer — including the
-//! empty-`ids` and maximum-size edge cases.
+//! both the payload codec and the frame decoder the reactor runs
+//! ([`FrameBuf`]) — including the empty-`ids` and maximum-size edge
+//! cases.
 
-use std::io::Cursor;
-
-use insq_net::wire::{
-    read_message, Decode, DecodeError, Encode, Message, Reader, MAX_IDS, MAX_PAYLOAD_LEN,
-};
-use insq_net::{ErrorCode, SpaceKind, WireOutcome, WirePos};
+use insq_net::wire::{Decode, DecodeError, Encode, Message, Reader, MAX_IDS, MAX_PAYLOAD_LEN};
+use insq_net::{ErrorCode, FrameBuf, SpaceKind, WireOutcome, WirePos};
 use proptest::prelude::*;
 
 fn arb_pos() -> BoxedStrategy<WirePos> {
@@ -90,14 +87,14 @@ fn roundtrip(msg: &Message) -> Result<(), TestCaseError> {
     prop_assert!(frame.len() <= 4 + MAX_PAYLOAD_LEN);
     let back = Message::decode_payload(&frame[4..]);
     prop_assert_eq!(back, Ok(msg.clone()));
-    // Framed I/O layer: message, byte count, then clean EOF.
-    let mut cursor = Cursor::new(frame.as_slice());
-    let (m, n) = read_message(&mut cursor)
-        .expect("valid frame")
-        .expect("one frame");
+    // Frame layer: message, byte count, then a clean frame boundary.
+    let mut fb = FrameBuf::new();
+    fb.extend(&frame);
+    let (m, n) = fb.next_message().expect("valid frame").expect("one frame");
     prop_assert_eq!(&m, msg);
     prop_assert_eq!(n, frame.len());
-    prop_assert!(read_message(&mut cursor).expect("eof ok").is_none());
+    prop_assert!(fb.next_message().expect("nothing left").is_none());
+    prop_assert!(fb.at_frame_boundary());
     Ok(())
 }
 
@@ -141,12 +138,14 @@ proptest! {
         for m in &msgs {
             wire.extend_from_slice(&m.encode_frame());
         }
-        let mut cursor = Cursor::new(wire.as_slice());
+        let mut fb = FrameBuf::new();
+        fb.extend(&wire);
         for m in &msgs {
-            let (back, _) = read_message(&mut cursor).expect("valid").expect("frame");
+            let (back, _) = fb.next_message().expect("valid").expect("frame");
             prop_assert_eq!(&back, m);
         }
-        prop_assert!(read_message(&mut cursor).expect("eof ok").is_none());
+        prop_assert!(fb.next_message().expect("nothing left").is_none());
+        prop_assert!(fb.at_frame_boundary());
     }
 }
 

@@ -21,12 +21,10 @@
 //! edge at a time, in general position). Degenerate simultaneous
 //! crossings are processed in deterministic order.
 
+use insq_core::{influential_neighbor_set, CoreError};
 use insq_geom::Point;
 use insq_index::VorTree;
 use insq_voronoi::SiteId;
-
-use crate::influential::influential_neighbor_set;
-use crate::CoreError;
 
 /// One exact kNN change event along a motion segment.
 #[derive(Debug, Clone, Copy, PartialEq)]

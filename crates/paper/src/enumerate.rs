@@ -11,9 +11,10 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use insq_core::influential_neighbor_set;
 use insq_geom::Point;
+use insq_voronoi::{SiteId, Voronoi};
 
-use crate::diagram::{SiteId, Voronoi};
 use crate::order_k::order_k_cell_tagged;
 
 /// One enumerated order-k cell.
@@ -50,7 +51,7 @@ pub fn enumerate_order_k_cells(voronoi: &Voronoi, k: usize, seed: Point) -> Vec<
     while let Some(set) = queue.pop_front() {
         // Clip against the INS of the set — exact (MIS ⊆ INS) and far
         // cheaper than all-sites clipping.
-        let ins = influential_neighbors(voronoi, &set);
+        let ins = influential_neighbor_set(voronoi, &set);
         let cell = order_k_cell_tagged(voronoi.points(), &set, &ins, &voronoi.bounds());
         let mut neighbors: Vec<Vec<SiteId>> = Vec::new();
         if !cell.is_empty() {
@@ -81,17 +82,6 @@ pub fn enumerate_order_k_cells(voronoi: &Voronoi, k: usize, seed: Point) -> Vec<
     // inside the window; drop those.
     out.retain(|c| c.area > 0.0);
     out
-}
-
-fn influential_neighbors(voronoi: &Voronoi, set: &[SiteId]) -> Vec<SiteId> {
-    let mut ins: Vec<SiteId> = Vec::with_capacity(set.len() * 6);
-    for &p in set {
-        ins.extend_from_slice(voronoi.neighbors(p));
-    }
-    ins.sort_unstable();
-    ins.dedup();
-    ins.retain(|s| !set.contains(s));
-    ins
 }
 
 /// The number of order-k cells for `k = 1..=k_max` — the growth curve
@@ -205,7 +195,7 @@ mod tests {
         let cells = enumerate_order_k_cells(&v, 2, Point::new(5.0, 5.0));
         for c in &cells {
             // Re-derive the cell and sample its centroid.
-            let ins = super::influential_neighbors(&v, &c.knn_set);
+            let ins = influential_neighbor_set(&v, &c.knn_set);
             let cell = crate::order_k::order_k_cell(v.points(), &c.knn_set, &ins, &v.bounds());
             if let Some(centroid) = cell.centroid() {
                 if cell.contains(centroid) {

@@ -5,13 +5,12 @@
 //! points at least as close to `p` as to `q`, whose boundary is the
 //! perpendicular bisector of `p q`. Order-k Voronoi cells — the safe
 //! regions of the INS algorithm — are intersections of such half-planes
-//! (see `insq_voronoi::order_k`).
+//! (see [`crate::order_k`]).
 
-use crate::point::{Point, Vector};
+use insq_geom::{Point, Vector};
 
 /// The closed half-plane `{ x : n · x ≤ c }`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HalfPlane {
     /// Outward normal of the boundary line (points away from the kept side).
     pub normal: Vector,
@@ -48,17 +47,6 @@ impl HalfPlane {
     #[inline]
     pub fn contains(&self, x: Point) -> bool {
         self.eval(x) <= 0.0
-    }
-
-    /// Signed Euclidean distance from `x` to the boundary line (negative
-    /// inside). `None` for a degenerate (zero-normal) half-plane.
-    pub fn signed_distance(&self, x: Point) -> Option<f64> {
-        let n = self.normal.norm();
-        if n == 0.0 {
-            None
-        } else {
-            Some(self.eval(x) / n)
-        }
     }
 
     /// The parameter `t` at which the segment `a + t (b − a)`,
@@ -123,7 +111,6 @@ mod tests {
         let h = HalfPlane::closer_to(p, q);
         let mid = p.midpoint(q);
         assert!(h.eval(mid).abs() < 1e-12);
-        assert!(h.signed_distance(mid).unwrap().abs() < 1e-12);
     }
 
     #[test]
@@ -146,15 +133,5 @@ mod tests {
         let outside = Point::new(2.0, 2.0);
         assert!(h.contains(inside) && !g.contains(inside));
         assert!(!h.contains(outside) && g.contains(outside));
-    }
-
-    #[test]
-    fn signed_distance_is_euclidean() {
-        // x <= 0 with non-unit normal.
-        let h = HalfPlane::new(Vector::new(2.0, 0.0), 0.0);
-        assert_eq!(h.signed_distance(Point::new(3.0, 7.0)), Some(3.0));
-        assert_eq!(h.signed_distance(Point::new(-2.0, 1.0)), Some(-2.0));
-        let degenerate = HalfPlane::new(Vector::ZERO, 0.0);
-        assert_eq!(degenerate.signed_distance(Point::ORIGIN), None);
     }
 }

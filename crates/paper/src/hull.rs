@@ -1,13 +1,13 @@
 //! Convex hulls (Andrew's monotone chain).
 //!
-//! Used for data-extent reasoning in the workload generators and — more
-//! importantly — as an *independent* implementation cross-validated
-//! against the Delaunay triangulation's hull in `insq-voronoi`'s test
-//! suite: two algorithms with disjoint logic agreeing on adversarial
-//! inputs is strong evidence both are right.
+//! An *independent* implementation, cross-validated against the Delaunay
+//! triangulation's hull in this crate's `tests/voronoi_props.rs`: two
+//! algorithms with disjoint logic agreeing on adversarial inputs is
+//! strong evidence both are right.
 
-use crate::point::Point;
-use crate::predicates::{orient2d, Orientation};
+use insq_geom::{orient2d, Orientation, Point};
+
+use crate::segment::Segment;
 
 /// The convex hull of `points` in counter-clockwise order, starting from
 /// the lexicographically smallest point.
@@ -63,9 +63,7 @@ pub fn hull_contains(hull: &[Point], p: Point) -> bool {
         1 => hull[0] == p,
         2 => {
             orient2d(hull[0], hull[1], p) == Orientation::Collinear
-                && crate::segment::Segment::new(hull[0], hull[1])
-                    .bounding_box()
-                    .contains(p)
+                && Segment::new(hull[0], hull[1]).bounding_box().contains(p)
         }
         n => (0..n).all(|i| orient2d(hull[i], hull[(i + 1) % n], p) != Orientation::Clockwise),
     }

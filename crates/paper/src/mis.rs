@@ -8,9 +8,9 @@
 //! (Theorem 1 / the companion paper's Lemma) is verified, and to reproduce
 //! Fig. 1 of the paper.
 
-use insq_voronoi::{order_k_cell_tagged, SiteId, Voronoi};
+use insq_voronoi::{SiteId, Voronoi};
 
-use crate::influential::influential_neighbor_set;
+use crate::order_k::order_k_cell_tagged;
 
 /// Computes `MIS(knn)` exactly, using every other site as a clipping
 /// candidate — O(k · n) half-plane clips. Intended for tests, figures and
@@ -40,16 +40,11 @@ pub fn mis_with_candidates(
     Some(cell.adjacent_outsiders())
 }
 
-/// Computes the MIS efficiently by clipping against the INS only
-/// (correct because `MIS ⊆ INS`).
-pub fn mis_via_ins(voronoi: &Voronoi, knn: &[SiteId]) -> Option<Vec<SiteId>> {
-    let ins = influential_neighbor_set(voronoi, knn);
-    mis_with_candidates(voronoi, knn, &ins)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diagram::voronoi_cell;
+    use insq_core::influential_neighbor_set;
     use insq_geom::{Aabb, Point};
 
     fn random_voronoi(n: usize, seed: u64) -> Voronoi {
@@ -103,7 +98,8 @@ mod tests {
             let q = Point::new(q.x + 0.01, q.y - 0.02);
             let knn = brute_knn(&v, q, k);
             let full = minimal_influential_set(&v, &knn);
-            let fast = mis_via_ins(&v, &knn);
+            let ins = influential_neighbor_set(&v, &knn);
+            let fast = mis_with_candidates(&v, &knn, &ins);
             assert_eq!(full, fast, "k={k} qi={qi}");
         }
     }
@@ -130,7 +126,7 @@ mod tests {
             .find(|&s| {
                 let p = v.point(s);
                 p.x > 3.0 && p.x < 7.0 && p.y > 3.0 && p.y < 7.0 && {
-                    let cell = v.cell(s);
+                    let cell = voronoi_cell(&v, s);
                     cell.vertices().iter().all(|vtx| {
                         vtx.x > bounds.min.x + 0.5
                             && vtx.x < bounds.max.x - 0.5

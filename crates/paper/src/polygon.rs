@@ -5,18 +5,16 @@
 //! operation that builds a Voronoi cell from bisector constraints — which
 //! keeps every polygon in the system convex by construction.
 
-use crate::aabb::Aabb;
+use insq_geom::{orient2d, Aabb, GeomError, Orientation, Point};
+
 use crate::halfplane::HalfPlane;
-use crate::point::Point;
-use crate::predicates::{orient2d, Orientation};
-use crate::GeomError;
+use crate::segment::Segment;
 
 /// A convex polygon with vertices in counter-clockwise order.
 ///
 /// The empty polygon (no vertices) is a valid value: it is what clipping
 /// returns once the region has been cut away entirely.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ConvexPolygon {
     vertices: Vec<Point>,
 }
@@ -106,17 +104,6 @@ impl ConvexPolygon {
         shoelace(&self.vertices) * 0.5
     }
 
-    /// Perimeter length.
-    pub fn perimeter(&self) -> f64 {
-        let n = self.vertices.len();
-        if n < 2 {
-            return 0.0;
-        }
-        (0..n)
-            .map(|i| self.vertices[i].distance(self.vertices[(i + 1) % n]))
-            .sum()
-    }
-
     /// The centroid (area-weighted). Falls back to the vertex average for
     /// degenerate polygons.
     pub fn centroid(&self) -> Option<Point> {
@@ -177,7 +164,7 @@ impl ConvexPolygon {
         }
         let mut best = f64::INFINITY;
         for i in 0..n {
-            let seg = crate::segment::Segment::new(self.vertices[i], self.vertices[(i + 1) % n]);
+            let seg = Segment::new(self.vertices[i], self.vertices[(i + 1) % n]);
             best = best.min(seg.distance_sq(p));
         }
         Some(best.sqrt())
@@ -240,7 +227,7 @@ fn shoelace(vs: &[Point]) -> f64 {
 /// would form a degenerate (possibly clockwise) micro-edge that breaks
 /// convexity tests, so near-duplicates are merged.
 #[inline]
-fn nearly_same(a: Point, b: Point) -> bool {
+pub(crate) fn nearly_same(a: Point, b: Point) -> bool {
     let scale = 1.0 + a.x.abs().max(a.y.abs()).max(b.x.abs()).max(b.y.abs());
     let eps = 1e-12 * scale;
     a.distance_sq(b) <= eps * eps
@@ -286,7 +273,7 @@ fn clip_into(vs: &[Point], h: &HalfPlane, out: &mut Vec<Point>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::point::Vector;
+    use insq_geom::Vector;
 
     fn square() -> ConvexPolygon {
         ConvexPolygon::from_aabb(&Aabb::new(Point::new(0.0, 0.0), Point::new(2.0, 2.0)))
@@ -337,7 +324,6 @@ mod tests {
     fn area_centroid_perimeter() {
         let sq = square();
         assert_eq!(sq.area(), 4.0);
-        assert_eq!(sq.perimeter(), 8.0);
         assert_eq!(sq.centroid(), Some(Point::new(1.0, 1.0)));
         assert!(ConvexPolygon::empty().centroid().is_none());
         assert_eq!(ConvexPolygon::empty().area(), 0.0);

@@ -1,12 +1,9 @@
 //! Line segments.
 
-use crate::aabb::Aabb;
-use crate::point::{Point, Vector};
-use crate::predicates::{orient2d, Orientation};
+use insq_geom::{orient2d, Aabb, Orientation, Point, Vector};
 
 /// A directed line segment from `a` to `b`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Segment {
     /// Start point.
     pub a: Point,

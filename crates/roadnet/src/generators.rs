@@ -51,7 +51,6 @@ impl SplitMix64 {
 
 /// Parameters for [`grid_network`].
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GridConfig {
     /// Number of vertex columns (≥ 2).
     pub cols: u32,

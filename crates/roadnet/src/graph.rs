@@ -16,7 +16,6 @@ use crate::RoadNetError;
 
 /// Identifier of a network vertex.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VertexId(pub u32);
 
 impl VertexId {
@@ -35,7 +34,6 @@ impl std::fmt::Display for VertexId {
 
 /// Identifier of an undirected network edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EdgeId(pub u32);
 
 impl EdgeId {
@@ -48,7 +46,6 @@ impl EdgeId {
 
 /// An undirected edge record.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EdgeRec {
     /// One endpoint.
     pub u: VertexId,
@@ -78,7 +75,6 @@ impl EdgeRec {
 /// large (but finite) weight so the network stays connected. Lengths
 /// must satisfy the same invariant as construction: finite and `> 0`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EdgeWeight {
     /// The edge whose length changes.
     pub edge: EdgeId,

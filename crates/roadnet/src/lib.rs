@@ -18,8 +18,6 @@
 //!   above are tested against (it shares no code with them);
 //! * [`astar`] — goal-directed point-to-point paths, which route the
 //!   rush-hour commuters of `insq-workload`;
-//! * [`order_k`] — exact network order-k Voronoi segments (the labelled
-//!   edge segments of Fig. 2) and the network MIS of Definition 2;
 //! * [`generators`] / [`trajectory`] — synthetic street networks and
 //!   network-constrained query trajectories for the demo and benchmarks.
 //!
@@ -36,7 +34,6 @@ pub mod generators;
 pub mod graph;
 pub mod ine;
 pub mod nvd;
-pub mod order_k;
 pub mod position;
 pub mod scratch;
 pub mod sites;

@@ -10,7 +10,6 @@ use crate::RoadNetError;
 
 /// A position on the road network.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NetPosition {
     /// Exactly at a vertex.
     Vertex(VertexId),

@@ -11,7 +11,8 @@
 //! * `:` — interior of the current safe region (2D mode; cyan polygon)
 //! * `-' | ' / \ +` — road edges (network mode)
 
-use insq_geom::{Aabb, ConvexPolygon, Point};
+use insq_geom::{Aabb, Point};
+use insq_paper::ConvexPolygon;
 use insq_roadnet::RoadNetwork;
 
 /// A fixed-size character canvas mapping a world-space window.

@@ -1,4 +1,4 @@
-//! The order-1 Voronoi diagram: cells and neighbor sets.
+//! The order-1 Voronoi diagram: sites and neighbor sets.
 //!
 //! Built once over the data set, as prescribed by the INSQ paper (§III:
 //! "we precompute the Voronoi diagram of O"), then maintained
@@ -9,7 +9,7 @@
 //! of the delta's neighborhood, not the diagram — the substrate of the
 //! delta-epoch index maintenance in `insq-index` / `insq-server`.
 
-use insq_geom::{Aabb, ConvexPolygon, HalfPlane, Point};
+use insq_geom::{Aabb, Point};
 
 use crate::delaunay::Triangulation;
 use crate::dynamic::DynamicDelaunay;
@@ -351,22 +351,6 @@ impl Voronoi {
         self.neighbors(a).binary_search(&b).is_ok()
     }
 
-    /// The Voronoi cell of `s`, clipped to the diagram bounds.
-    ///
-    /// Computed as the bounding window intersected with the bisector
-    /// half-planes towards each Voronoi neighbor — exactly the cell, because
-    /// a Voronoi cell is determined by its neighbors alone.
-    pub fn cell(&self, s: SiteId) -> ConvexPolygon {
-        let p = self.point(s);
-        let window = ConvexPolygon::from_aabb(&self.bounds);
-        let constraints: Vec<HalfPlane> = self
-            .neighbors(s)
-            .iter()
-            .map(|&nb| HalfPlane::closer_to(p, self.point(nb)))
-            .collect();
-        window.clip_all(&constraints)
-    }
-
     /// Brute-force nearest site to `q` — an oracle for tests and tiny
     /// inputs; real queries should go through `insq-index`.
     pub fn nearest_site_brute(&self, q: Point) -> SiteId {
@@ -434,44 +418,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cell_of_grid_center() {
-        let v = grid_3x3();
-        let cell = v.cell(SiteId(4));
-        assert!(
-            (cell.area() - 1.0).abs() < 1e-9,
-            "unit cell, got {}",
-            cell.area()
-        );
-        assert!(cell.contains(Point::new(1.0, 1.0)));
-    }
-
-    #[test]
-    fn cells_partition_window() {
-        // Cell areas must sum to the window area.
-        let v = grid_3x3();
-        let total: f64 = (0..v.len() as u32).map(|i| v.cell(SiteId(i)).area()).sum();
-        assert!((total - v.bounds().area()).abs() < 1e-6, "sum {total}");
-    }
-
-    #[test]
-    fn cell_contains_exactly_its_nearest_points() {
-        let v = grid_3x3();
-        // Sample a lattice of query points; each must lie in the cell of its
-        // nearest site (boundary ties can lie in several cells).
-        for i in 0..20 {
-            for j in 0..20 {
-                let q = Point::new(-0.5 + i as f64 * 0.15, -0.5 + j as f64 * 0.15);
-                let nearest = v.nearest_site_brute(q);
-                let cell = v.cell(nearest);
-                assert!(
-                    cell.contains(q),
-                    "query {q:?} not in cell of its nearest site {nearest}"
-                );
-            }
-        }
-    }
-
     /// Deterministic LCG in [0, 1) so tests are reproducible without rand.
     fn lcg(seed: u64) -> impl FnMut() -> f64 {
         let mut state = seed;
@@ -480,21 +426,6 @@ mod tests {
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             ((state >> 11) as f64) / ((1u64 << 53) as f64)
-        }
-    }
-
-    #[test]
-    fn random_sites_cell_membership() {
-        let mut next = lcg(0x5eed5eed);
-        let points: Vec<Point> = (0..50)
-            .map(|_| Point::new(next() * 10.0, next() * 10.0))
-            .collect();
-        let bounds = Aabb::new(Point::new(-1.0, -1.0), Point::new(11.0, 11.0));
-        let v = Voronoi::build(points, bounds).unwrap();
-        for _ in 0..200 {
-            let q = Point::new(next() * 10.0, next() * 10.0);
-            let nearest = v.nearest_site_brute(q);
-            assert!(v.cell(nearest).contains(q));
         }
     }
 

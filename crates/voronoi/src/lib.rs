@@ -1,20 +1,21 @@
 //! # insq-voronoi
 //!
-//! Delaunay triangulations, Voronoi diagrams, Voronoi *neighbor sets* and
-//! order-k Voronoi cells — the geometric substrate of the INS (Influential
-//! Neighbor Set) moving-kNN algorithm.
+//! Delaunay triangulations, Voronoi diagrams and Voronoi *neighbor sets*
+//! — the geometric substrate of the INS (Influential Neighbor Set)
+//! moving-kNN algorithm.
 //!
-//! The INS algorithm (Li et al., ICDE'16 / PVLDB'14) rests on three
+//! The INS algorithm (Li et al., ICDE'16 / PVLDB'14) rests on two
 //! constructions provided here:
 //!
 //! 1. the **order-1 Voronoi diagram** of the data set, precomputed once
-//!    ([`Voronoi::build`]),
+//!    ([`Voronoi::build`]) and repaired per delta ([`DynamicDelaunay`]),
 //! 2. the **Voronoi neighbor set** `N_O(p)` of each site (Definition 3 of
-//!    the paper) — [`Voronoi::neighbors`], derived from Delaunay adjacency,
-//! 3. **order-k Voronoi cells** `V^k(O')` (Definition 2) — module
-//!    [`order_k`] — which are the theoretical safe regions: the INS
-//!    implicitly guards exactly this region, and the strict safe-region
-//!    baseline materialises it.
+//!    the paper) — [`Voronoi::neighbors`], derived from Delaunay adjacency.
+//!
+//! The third, **order-k Voronoi cells** `V^k(O')` (Definition 2) — the
+//! theoretical safe regions, which the INS guards implicitly and the OkV
+//! baseline materialises — is never built on the query path; it lives in
+//! `insq-paper` with the cell polygons and the cell enumeration.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -22,14 +23,10 @@
 pub mod delaunay;
 pub mod diagram;
 pub mod dynamic;
-pub mod enumerate;
-pub mod order_k;
 
 pub use delaunay::Triangulation;
 pub use diagram::{SiteId, Voronoi};
 pub use dynamic::DynamicDelaunay;
-pub use enumerate::{cell_count_growth, enumerate_order_k_cells, OrderKCell};
-pub use order_k::{order_k_cell, order_k_cell_tagged, EdgeSource, TaggedCell};
 
 /// Errors from Voronoi/Delaunay construction.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -13,7 +13,6 @@ use std::collections::HashSet;
 
 /// Spatial distribution of generated data objects.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Distribution {
     /// Uniform over the data space.
     Uniform,

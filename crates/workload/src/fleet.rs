@@ -16,7 +16,6 @@ use crate::trajectories::TrajectoryKind;
 
 /// A multi-client fleet scenario (Euclidean mode).
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FleetScenario {
     /// Number of concurrent moving queries.
     pub clients: usize,

@@ -29,7 +29,6 @@ use insq_roadnet::{
 
 /// A rush-hour traffic scenario over one road network.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RushHour {
     /// Number of commuting clients.
     pub commuters: usize,

@@ -10,7 +10,6 @@ use rand::{RngExt, SeedableRng};
 
 /// Kind of query trajectory to generate.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TrajectoryKind {
     /// Random waypoint: straight hops between uniformly drawn targets.
     RandomWaypoint {

@@ -40,7 +40,7 @@ fn main() {
         }
         let knn: Vec<usize> = query.current_knn().iter().map(|s| s.idx()).collect();
         let ins: Vec<usize> = query.influential_set().iter().map(|s| s.idx()).collect();
-        let region = query.safe_region();
+        let region = safe_region(&query);
         let frame = render_euclidean(&points, &knn, &ins, pos, Some(&region), space, 72, 26);
         let state = if outcome.changed() {
             "kNN set UPDATED (was invalid)"
@@ -48,7 +48,7 @@ fn main() {
             "kNN set valid"
         };
         println!("tick {i:>3}  {state}   [{outcome:?}]");
-        if let Some((green, red)) = query.validation_circles() {
+        if let Some((green, red)) = validation_circles(&query) {
             println!(
                 "green circle (farthest kNN) r={:.2}  <=  red circle (nearest INS) r={:.2}",
                 green.radius, red.radius

@@ -1,4 +1,4 @@
-//! Exact continuous kNN maintenance (extension; see `insq::core::continuous`).
+//! Exact continuous kNN maintenance (extension; see `insq::paper::continuous`).
 //!
 //! Discrete timestamp processing — the paper's setting — can miss kNN
 //! changes that begin and end between two ticks when the query is fast.
@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --release --example continuous_events`
 
-use insq::core::knn_change_events;
+use insq::paper::knn_change_events;
 use insq::prelude::*;
 
 fn main() {

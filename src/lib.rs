@@ -7,8 +7,9 @@
 //! trees, road networks with network Voronoi diagrams, the INS algorithm
 //! — implemented once, generically over a [`core::Space`], and
 //! instantiated for the Euclidean plane, road networks, and weighted
-//! (anisotropic) Euclidean distance — the competing baselines, a
-//! simulation/benchmark harness reproducing the paper's demonstration and
+//! (anisotropic) Euclidean distance — the competing baselines, the
+//! paper-side geometry and oracles behind its figures ([`paper`]:
+//! polygons, order-k cells, the exact MIS), a simulation/benchmark harness reproducing the paper's demonstration and
 //! the companion evaluation, and the system layer itself: a concurrent
 //! multi-query fleet engine over epoch-versioned worlds ([`server`]),
 //! served over TCP by a framed, versioned wire protocol with session
@@ -98,6 +99,7 @@ pub use insq_core as core;
 pub use insq_geom as geom;
 pub use insq_index as index;
 pub use insq_net as net;
+pub use insq_paper as paper;
 pub use insq_roadnet as roadnet;
 pub use insq_server as server;
 pub use insq_sim as sim;
@@ -111,17 +113,18 @@ pub mod prelude {
     };
     pub use insq_cluster::{ClientId, ClusterPlan, PartitionGroup, RouterConfig, RouterServer};
     pub use insq_core::{
-        influential_neighbor_set, minimal_influential_set, Euclidean, InsConfig, InsProcessor,
-        MovingKnn, NetInsConfig, NetInsProcessor, Network, Processor, QueryStats, Space,
-        TickOutcome, WInsProcessor, WeightedEuclidean,
+        influential_neighbor_set, Euclidean, InsConfig, InsProcessor, MovingKnn, NetInsConfig,
+        NetInsProcessor, Network, Processor, QueryStats, Space, TickOutcome, WInsProcessor,
+        WeightedEuclidean,
     };
-    pub use insq_geom::{
-        Aabb, Circle, ConvexPolygon, HalfPlane, Point, Segment, Trajectory, Vector,
-    };
+    pub use insq_geom::{Aabb, Circle, Point, Trajectory, Vector};
     pub use insq_index::{AxisWeights, RTree, SiteDelta, VorTree, WeightedVorTree};
     pub use insq_net::{
         ClientCore, ClientEvent, Message, NetClient, NetServer, NetServerConfig, SpaceKind,
         WireSpace,
+    };
+    pub use insq_paper::{
+        minimal_influential_set, safe_region, validation_circles, ConvexPolygon, HalfPlane, Segment,
     };
     pub use insq_roadnet::{
         EdgeId, EdgeWeight, NetDelta, NetPosition, NetSiteDelta, NetTrajectory, NetworkVoronoi,

@@ -129,8 +129,8 @@ fn cost_hierarchy_matches_paper_claims() {
 
 #[test]
 fn network_ins_agrees_with_naive_ine() {
+    use insq::paper::order_k::knn_sets_equal;
     use insq::roadnet::generators::{grid_network, random_site_vertices, GridConfig};
-    use insq::roadnet::order_k::knn_sets_equal;
 
     for seed in [5u64, 17, 99] {
         let net = std::sync::Arc::new(

@@ -2,9 +2,12 @@
 //! order-k cell enumeration, exact continuous event traces, and their
 //! mutual consistency with the tick-based processors.
 
-use insq::core::{knn_change_events, InsConfig, InsProcessor, MovingKnn};
+use insq::core::{InsConfig, InsProcessor, MovingKnn};
+use insq::paper::{
+    cell_count_growth, convex_hull, enumerate_order_k_cells, hull_contains, knn_change_events,
+    safe_region,
+};
 use insq::prelude::*;
-use insq::voronoi::{cell_count_growth, enumerate_order_k_cells};
 
 fn build(n: usize, seed: u64) -> VorTree {
     let space = Aabb::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
@@ -101,7 +104,7 @@ fn enumeration_cell_of_query_matches_processor_safe_region() {
 
     let mut proc = InsProcessor::new(&index, InsConfig::new(k, 1.6)).expect("valid");
     proc.tick(q);
-    let region = proc.safe_region();
+    let region = safe_region(&proc);
     assert!(
         (region.area() - cell.area).abs() < 1e-6,
         "enumerated area {} vs processor safe region {}",
@@ -133,13 +136,13 @@ fn hull_bounds_all_safe_regions() {
     // region machinery.
     let space = Aabb::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
     let pts = Distribution::Uniform.generate(120, &space, 13);
-    let hull = insq::geom::convex_hull(&pts);
+    let hull = convex_hull(&pts);
     assert!(hull.len() >= 3);
     let index = VorTree::build(pts.clone(), space.inflated(10.0)).expect("valid");
     let mut proc = InsProcessor::new(&index, InsConfig::new(4, 1.6)).expect("valid");
     proc.tick(Point::new(50.0, 50.0));
     // Every kNN member is a data point, hence inside the hull.
     for s in proc.current_knn() {
-        assert!(insq::geom::hull_contains(&hull, index.point(s)));
+        assert!(hull_contains(&hull, index.point(s)));
     }
 }

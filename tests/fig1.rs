@@ -10,9 +10,10 @@
 //! the figure illustrates. The `report --exp fig1` binary prints the
 //! corresponding table.
 
-use insq::core::{influential_neighbor_set, minimal_influential_set};
+use insq::core::influential_neighbor_set;
+use insq::paper::minimal_influential_set;
+use insq::paper::{order_k_cell_tagged, EdgeSource};
 use insq::prelude::*;
-use insq::voronoi::{order_k_cell_tagged, EdgeSource};
 
 /// A 12-point configuration with a central triple surrounded by a ring —
 /// qualitatively Fig. 1's layout (p4, p6, p7 central; p3, p5, p10, p12 in
@@ -79,7 +80,7 @@ fn mis_is_the_union_of_adjacent_cell_swaps() {
         // non-empty order-3 cell (it is a realisable 3NN set).
         let mut nb: Vec<SiteId> = knn.iter().copied().filter(|s| s != inside).collect();
         nb.push(*outside);
-        let nb_cell = insq::voronoi::order_k_cell(v.points(), &nb, &all, &v.bounds());
+        let nb_cell = insq::paper::order_k_cell(v.points(), &nb, &all, &v.bounds());
         assert!(!nb_cell.is_empty(), "swap ({inside},{outside})");
     }
 
@@ -109,8 +110,8 @@ fn mis_subset_of_ins_and_ins_guards_exactly_the_cell() {
     }
     // The INS-clipped region is the exact order-3 cell.
     let all: Vec<SiteId> = (0..12).map(SiteId).collect();
-    let via_ins = insq::voronoi::order_k_cell(v.points(), &knn, &ins, &v.bounds());
-    let via_all = insq::voronoi::order_k_cell(v.points(), &knn, &all, &v.bounds());
+    let via_ins = insq::paper::order_k_cell(v.points(), &knn, &ins, &v.bounds());
+    let via_all = insq::paper::order_k_cell(v.points(), &knn, &all, &v.bounds());
     assert!((via_ins.area() - via_all.area()).abs() < 1e-9);
 }
 
@@ -145,7 +146,7 @@ fn moving_query_crossing_the_cell_swaps_exactly_one_object() {
     let v = build();
     let knn = vec![p(4), p(6), p(7)];
     let all: Vec<SiteId> = (0..12).map(SiteId).collect();
-    let cell = insq::voronoi::order_k_cell(v.points(), &knn, &all, &v.bounds());
+    let cell = insq::paper::order_k_cell(v.points(), &knn, &all, &v.bounds());
     let c = cell.centroid().unwrap();
     let mis = minimal_influential_set(&v, &knn).unwrap();
 

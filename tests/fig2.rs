@@ -9,12 +9,12 @@
 //! `MIS({p6,p7}) = {p4, p5, p8, p9}`.
 
 use insq::core::influential_neighbor_set_net;
+use insq::paper::order_k::{
+    knn_at, knn_sets_equal, network_mis, order_k_diagram, site_distance_matrix,
+};
 use insq::prelude::*;
 use insq::roadnet::graph::EdgeRec;
 use insq::roadnet::ine::network_knn;
-use insq::roadnet::order_k::{
-    knn_at, knn_sets_equal, network_mis, order_k_diagram, site_distance_matrix,
-};
 use insq::roadnet::subnetwork::{restricted_knn, SiteMask};
 use insq::roadnet::EdgeId;
 
@@ -159,13 +159,13 @@ fn midpoint_b_between_p7_and_p8() {
     // Equidistance, by direct network distance.
     let pos = NetPosition::on_edge(&net, b.edge, b.offset).unwrap();
     let matrix = site_distance_matrix(&net, &sites);
-    let d7 = insq::roadnet::order_k::position_site_distance(&net, &matrix, pos, p(7));
-    let d8 = insq::roadnet::order_k::position_site_distance(&net, &matrix, pos, p(8));
+    let d7 = insq::paper::order_k::position_site_distance(&net, &matrix, pos, p(7));
+    let d8 = insq::paper::order_k::position_site_distance(&net, &matrix, pos, p(8));
     assert!((d7 - d8).abs() < 1e-9, "d(b,p7)={d7} vs d(b,p8)={d8}");
     assert!((d7 - 6.0).abs() < 1e-9, "designed distance 6");
     // No other object nearer.
     for s in 0..9u32 {
-        let d = insq::roadnet::order_k::position_site_distance(&net, &matrix, pos, SiteIdx(s));
+        let d = insq::paper::order_k::position_site_distance(&net, &matrix, pos, SiteIdx(s));
         assert!(d >= d7 - 1e-9, "object {s} nearer to b than p7/p8");
     }
     // Hence order-1 Voronoi neighbors.

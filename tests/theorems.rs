@@ -9,9 +9,9 @@
 //! * Theorem 2: the kNN on the `kNN ∪ INS` subnetwork determines the
 //!   global kNN.
 
-use insq::core::{minimal_influential_set, mis_with_candidates};
+use insq::paper::order_k_cell;
+use insq::paper::{minimal_influential_set, mis_with_candidates};
 use insq::prelude::*;
-use insq::voronoi::order_k_cell;
 use proptest::prelude::*;
 
 fn distinct_points(n: usize, seed: u64) -> Vec<Point> {
@@ -90,9 +90,9 @@ proptest! {
 // ---------------------------------------------------------------- networks
 
 use insq::core::influential_neighbor_set_net;
+use insq::paper::order_k::{knn_sets_equal, network_mis, site_distance_matrix};
 use insq::roadnet::generators::{grid_network, random_site_vertices, GridConfig};
 use insq::roadnet::ine::network_knn;
-use insq::roadnet::order_k::{knn_sets_equal, network_mis, site_distance_matrix};
 use insq::roadnet::subnetwork::{restricted_knn, SiteMask};
 
 fn small_network(seed: u64) -> (RoadNetwork, SiteSet) {
@@ -129,7 +129,7 @@ proptest! {
         let mut knn_sorted = knn.clone();
         knn_sorted.sort_unstable();
         // Skip tie-degenerate kNN sets (another set may be equally valid).
-        let all = insq::roadnet::order_k::knn_at(&net, &matrix, pos, k + 1);
+        let all = insq::paper::order_k::knn_at(&net, &matrix, pos, k + 1);
         prop_assume!(all.len() > k && (all[k].1 - all[k-1].1).abs() > 1e-9);
 
         let mis = network_mis(&net, &matrix, &knn_sorted, k);
