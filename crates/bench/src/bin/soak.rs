@@ -33,10 +33,13 @@
 //! binds a [`RouterServer`] in front of them, and drives the herds
 //! through the router on **shuttle** walks that flip sides of the space
 //! every cycle — so every session forces at least one handoff. The
-//! invariants extend accordingly: every session still completes all its
-//! cycles *through* handoffs, each backend's per-session buffers stay
-//! under the same hard bound, and the router performed at least one
-//! handoff per session.
+//! router holds one descriptor per session (plus one leg per backend,
+//! which carries all of that backend's sessions), so the cluster soak
+//! runs at the same scale. The invariants extend accordingly: every
+//! session still completes all its cycles *through* handoffs, each
+//! backend's buffers divided by the most sessions its leg carried stay
+//! under the same per-session hard bound, and the router performed at
+//! least one handoff per session.
 //!
 //! ```text
 //! soak [--sessions N] [--results R] [--herds H] [--partitions P] [--quick]
@@ -137,9 +140,7 @@ fn main() {
         }
     }
     if sessions == 0 {
-        // The router holds two descriptors per session (client leg +
-        // backend leg), so the partitioned default is smaller.
-        sessions = if partitions > 0 { 400 } else { 10_000 };
+        sessions = 10_000;
     }
     if herds == 0 {
         // ~1250 sessions per child keeps every process well under
@@ -190,7 +191,8 @@ fn soak_plan(partitions: u32) -> (Arc<GridPartitioner>, ClusterPlan) {
 
 /// Internal child role: one partition backend. Binds a `NetServer` on
 /// its regional slice, announces the address on stdout, serves until
-/// the parent closes stdin, then reports its buffer high-water mark.
+/// the parent closes stdin, then reports its buffer high-water mark and
+/// the most sessions it served at once (all on the router's one leg).
 fn run_backend(region: u32, partitions: u32) {
     let (_, plan) = soak_plan(partitions);
     let pts = plan.region_sites(RegionId(region));
@@ -210,10 +212,15 @@ fn run_backend(region: u32, partitions: u32) {
         NetServer::bind("127.0.0.1:0", world, cfg).expect("bind backend");
     println!("ADDR {}", server.local_addr());
     std::io::stdout().flush().expect("flush addr");
-    // Serve until the parent signals shutdown by closing our stdin.
-    let mut line = String::new();
-    let _ = std::io::stdin().read_line(&mut line);
-    println!("HIGH {}", server.buffer_high_water());
+    // Serve until the parent signals shutdown by closing our stdin,
+    // sampling the live session count meanwhile.
+    let stdin = std::thread::spawn(|| std::io::stdin().read_line(&mut String::new()));
+    let mut peak = 0;
+    while !stdin.is_finished() {
+        peak = peak.max(server.live_sessions());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    println!("HIGH {} {peak}", server.buffer_high_water());
     server.shutdown();
 }
 
@@ -221,9 +228,9 @@ fn run_backend(region: u32, partitions: u32) {
 /// herds forcing a handoff from every session on every cycle.
 fn run_cluster_soak(sessions: usize, results: usize, herds: usize, partitions: u32) {
     let fd_limit = insq_net::sys::max_open_files().unwrap_or(0);
-    // The router (this process) holds a client leg and a backend leg
-    // per session, plus a transient extra during each handoff drain.
-    let needed = sessions as u64 * 2 + 128;
+    // The router (this process) holds one descriptor per session, one
+    // leg per backend and its listener.
+    let needed = sessions as u64 + u64::from(partitions) + 64;
     assert!(
         fd_limit == 0 || fd_limit >= needed,
         "fd limit {fd_limit} too low for {sessions} routed sessions (need ~{needed}); \
@@ -317,7 +324,9 @@ fn run_cluster_soak(sessions: usize, results: usize, herds: usize, partitions: u
     router.shutdown();
 
     // Graceful backend teardown: closing stdin asks each child to
-    // report its high-water mark and exit.
+    // report its high-water mark and peak session count, and exit. A
+    // leg's buffers hold a whole tick of its backend's sessions, so the
+    // bound is per session: high water ÷ the sessions the leg carried.
     let write_buf_cap = NetServerConfig::default()
         .write_buf
         .max(4 + MAX_PAYLOAD_LEN);
@@ -327,13 +336,16 @@ fn run_cluster_soak(sessions: usize, results: usize, herds: usize, partitions: u
         drop(child.stdin.take());
         let mut line = String::new();
         reader.read_line(&mut line).expect("backend HIGH line");
-        let hw: u64 = line
+        let report: Vec<u64> = line
             .strip_prefix("HIGH ")
             .expect("backend reports HIGH")
-            .trim()
-            .parse()
-            .expect("high-water parses");
-        high_water = high_water.max(hw);
+            .split_whitespace()
+            .map(|v| v.parse().expect("HIGH fields parse"))
+            .collect();
+        let [hw, peak] = report[..] else {
+            panic!("HIGH <bytes> <sessions> expected, got {line:?}")
+        };
+        high_water = high_water.max(hw / peak.max(1));
         assert!(child.wait().expect("backend exit").success());
     }
 
@@ -341,7 +353,7 @@ fn run_cluster_soak(sessions: usize, results: usize, herds: usize, partitions: u
     print!("{}", merged.to_ascii());
     println!(
         "\nrouter: {handoffs} handoffs in {wall:.1?}, {bytes_in} B in / {bytes_out} B out, \
-         peak backend per-session buffers {high_water} B, {live} sessions still live at reap"
+         peak backend buffers per carried session {high_water} B, {live} sessions still live at reap"
     );
 
     // The invariants this smoke exists for.
@@ -357,7 +369,7 @@ fn run_cluster_soak(sessions: usize, results: usize, herds: usize, partitions: u
     );
     assert!(
         high_water <= buffer_bound,
-        "backend per-session buffer high water {high_water} exceeds hard bound {buffer_bound}"
+        "backend buffer high water per carried session {high_water} exceeds hard bound {buffer_bound}"
     );
     assert_eq!(live, 0, "router sessions leaked past client disconnect");
     println!(

@@ -22,9 +22,9 @@
 //!   result carries global ids and an explicit *certified* bit from the
 //!   overlap-margin contract.
 //! * [`RouterServer`] — the wire front-end. Speaks the ordinary
-//!   `insq-net` protocol to clients and multiplexes them over client
-//!   connections to N backend partition servers, rewriting site ids
-//!   both ways and performing mid-session handoff on one uninterrupted
+//!   `insq-net` protocol to clients and multiplexes them, tagged by
+//!   session, over one connection per backend partition server, rewriting
+//!   site ids and performing mid-session handoff on one uninterrupted
 //!   connection — one session, one result stream, per-region epoch
 //!   notifies.
 //!

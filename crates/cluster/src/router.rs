@@ -3,41 +3,44 @@
 //!
 //! [`RouterServer`] speaks the ordinary `insq-net` protocol to clients
 //! — a phone app talks to a partitioned deployment exactly the way it
-//! talks to a single [`insq_net::NetServer`] — and gives every session
-//! its own connection to the backend serving the session's current
-//! region. It is a [`Handler`] on the same [`insq_net::Reactor`] core
-//! as `NetServer`: client sessions are the accepted connections,
-//! backend legs are outbound connections in the same slab, and sockets,
-//! framing, bounded buffers and the close rules are the core's (see
-//! [`insq_net::reactor`]). Three translations happen in flight:
+//! talks to a single [`insq_net::NetServer`] — and keeps **one leg per
+//! backend**: an outbound connection, made at first need and again after
+//! a loss, that carries every session of that backend as `Mux` frames
+//! tagged by session (wire v3). A backend's tick reaches the router in
+//! one read, and a session costs it one descriptor: its client's. It is
+//! a [`Handler`] on the same [`insq_net::Reactor`] core as `NetServer`
+//! (sockets, framing, bounded buffers and close rules are the core's).
+//! Three translations happen in flight:
 //!
 //! * **Routing**: `Register` and `PositionUpdate` frames carry planar
-//!   positions; the router homes them through its
-//!   [`Partitioner`] and forwards to the
-//!   backend of that region.
+//!   positions; the router homes them through its [`Partitioner`] and
+//!   forwards them, tagged, on that region's leg.
 //! * **Id rewrite**: backend `KnnResult` frames carry region-local site
 //!   ids; the router rewrites them to global ids through its rewrite
 //!   tables ([`RouterServer::set_tables`]) so clients only ever see the
 //!   ids a single-world deployment would emit. `FLAG_UNCERTIFIED` passes
 //!   through untouched.
 //! * **Handoff**: when a fresh position homes in a different region, the
-//!   router deregisters at the old backend, registers the same query
-//!   config at the new one (the position doubles as the first tick, so
-//!   the stream never skips a beat), and **drains** the old connection —
-//!   in-flight results forward to the client in order until the old
-//!   backend's clean close — before reading from the new one (the new
-//!   leg is connected with reads paused and resumed on the old leg's
-//!   EOF). The client keeps one uninterrupted connection and one
-//!   ordered result stream throughout.
+//!   router sends `Deregister` to the old backend and `Register` (same
+//!   query, this position as its first tick) to the new one, and
+//!   **drains**: the old backend's in-flight results forward until it
+//!   answers `Drained`, while the new one's wait (bounded by the client's
+//!   write bound). No socket opens; the client keeps one connection and
+//!   one ordered result stream.
 //!
-//! Failure is isolated per session: a malformed or protocol-violating
-//! backend frame fails only the session it arrived on
-//! ([`ErrorCode::Malformed`]); an unexpected backend disconnect or
-//! transport error fails only the session whose leg it was
-//! ([`ErrorCode::Unavailable`]). Other sessions — including sessions
-//! multiplexed over the same router to other partitions — keep
-//! streaming. A client that disconnects takes its backend legs down at
-//! once, while whatever was already queued for it still flushes.
+//! Failure is isolated per session and per leg: a tagged frame that does
+//! not decode, an out-of-range id or a protocol violation fails its
+//! session alone ([`ErrorCode::Malformed`]); bytes with no readable
+//! envelope, a backend disconnect or a transport error end the leg and
+//! every session that backend serves or drains, each with an error frame
+//! (`Malformed`, or [`ErrorCode::Unavailable`]) — other backends'
+//! sessions never notice. A leg's write bound is a
+//! [`RouterConfig::write_buf`] share per session, and a client flooding
+//! a backend busy in a tick ends alone ([`ErrorCode::Overloaded`]) at
+//! its share, before the leg overflows. A departing client is
+//! deregistered at its backend at once; after its own `Deregister` it
+//! closes once its queued output flushes, and whatever the backend still
+//! sends for it is dropped.
 //!
 //! Rewrite tables are swapped atomically ([`RouterServer::set_tables`])
 //! by whatever orchestrates delta epochs across the backends; swap them
@@ -45,6 +48,7 @@
 //! breath as the backend's `World::apply`, so no in-flight result is
 //! rewritten through the wrong table generation.
 
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -156,7 +160,11 @@ impl RouterServer {
             handoffs: AtomicU64::new(0),
         });
         let routing = Routing {
+            legs: vec![None; shared.backends.len()],
             shared: Arc::clone(&shared),
+            clients: HashMap::new(),
+            next_tag: 0,
+            write_buf: cfg.write_buf,
         };
         let reactor = Reactor::spawn(addr, cfg.max_sessions, cfg.write_buf, routing)?;
         Ok(RouterServer { shared, reactor })
@@ -204,43 +212,48 @@ impl RouterServer {
     }
 }
 
-/// The query facts needed to re-register at a handoff target.
-#[derive(Clone, Copy)]
-struct RegFacts {
-    space: SpaceKind,
-    k: u32,
-    rho: f64,
-}
-
-/// One client session: its backend leg(s) and how far along it is.
+/// One client session: which backends hold it and how far along it is.
 #[derive(Default)]
 struct Session {
-    /// The current backend leg — target of forwarded client frames —
-    /// and the region it serves. `Some` from registration on.
-    current: Option<(ConnId, RegionId)>,
-    /// The old leg during a handoff: forwarded (never written to again)
-    /// until its clean close, while the current leg stays unread so the
-    /// client's result stream stays ordered.
-    draining: Option<ConnId>,
-    reg: Option<RegFacts>,
-    /// Client sent `Deregister`: close once the backend stream ends.
-    finishing: bool,
+    /// The router-assigned tag of this session's frames on every leg,
+    /// from registration on.
+    tag: u32,
+    /// Bytes of this session's updates queued on its leg since the leg
+    /// was last seen empty.
+    queued: usize,
+    /// The query's `(space, k, rho)`, to re-register at a handoff target.
+    reg: Option<(SpaceKind, u32, f64)>,
+    /// The region serving the session — target of forwarded client
+    /// frames. `Some` from registration on.
+    current: Option<RegionId>,
+    /// The old region during a handoff: its frames forward until its
+    /// `Drained`, while `current`'s wait in `held`, in order.
+    draining: Option<RegionId>,
+    /// Inner payloads from `current` that arrived during the drain.
+    held: Vec<Vec<u8>>,
 }
 
 /// What one reactor connection is to the router.
 enum RouterConn {
     /// An accepted client connection.
     Client(Session),
-    /// An outbound backend connection working for client `owner`;
-    /// `region` selects the rewrite-table row for its frames.
-    Leg { owner: ConnId, region: RegionId },
+    /// The outbound connection to a region's backend, carrying every
+    /// session that backend serves.
+    Leg(RegionId),
 }
 
 /// The router's [`Handler`]: client frames → route / handoff, leg
-/// frames → id-rewrite + forward, leg endings → drain finished /
-/// session finished / backend lost.
+/// frames → by tag: rewrite + forward, hold or drain.
 struct Routing {
     shared: Arc<RouterShared>,
+    /// Each backend's leg: connected at first use, forgotten when lost.
+    legs: Vec<Option<ConnId>>,
+    /// Tag → client connection, for every registered client session.
+    clients: HashMap<u32, ConnId>,
+    next_tag: u32,
+    /// [`RouterConfig::write_buf`], which also bounds a drain's backlog
+    /// and each session's share of its leg.
+    write_buf: usize,
 }
 
 impl Handler for Routing {
@@ -256,8 +269,29 @@ impl Handler for Routing {
 
     fn on_frame(&mut self, conns: &mut Conns<RouterConn>, id: ConnId, msg: Message) {
         match conns.get_mut(id) {
-            Some(&mut RouterConn::Leg { owner, region }) => {
-                self.forward_backend_frame(conns, owner, region, msg)
+            Some(&mut RouterConn::Leg(region)) => {
+                // No envelope, no session to charge: the leg goes, and
+                // with it every session it carries.
+                let Message::Mux { session, payload } = msg else {
+                    return conns.drop_conn(id);
+                };
+                // Frames for a session not (or no longer) served there
+                // are dropped; a handoff target's wait out the drain.
+                let Some(&client) = self.clients.get(&session) else {
+                    return;
+                };
+                let Some(RouterConn::Client(sess)) = conns.get_mut(client) else {
+                    return;
+                };
+                if sess.current == Some(region) && sess.draining.is_some() {
+                    sess.held.push(payload);
+                    if sess.held.iter().map(Vec::len).sum::<usize>() > self.write_buf {
+                        let detail = "handoff backlog exceeds the write bound";
+                        conns.fail(client, ErrorCode::Overloaded, detail);
+                    }
+                } else if [sess.current, sess.draining].contains(&Some(region)) {
+                    self.forward(conns, client, region, &payload);
+                }
             }
             Some(RouterConn::Client(_)) => self.route_client_frame(conns, id, msg),
             None => {}
@@ -267,48 +301,45 @@ impl Handler for Routing {
     fn on_close(
         &mut self,
         conns: &mut Conns<RouterConn>,
-        id: ConnId,
+        _: ConnId,
         conn: RouterConn,
         why: Closed,
     ) {
-        let owner = match conn {
-            // The client is gone (or closing): its legs go at once — the
-            // backends observe our EOF as a deregister.
+        match conn {
+            // The client is gone or closing: its backend is told; frames
+            // still in flight for its tag find no session.
             RouterConn::Client(sess) => {
                 if sess.reg.is_some() {
+                    self.clients.remove(&sess.tag);
                     self.shared.live.fetch_sub(1, Ordering::Relaxed);
+                    self.rebound(conns);
                 }
-                let current = sess.current.map(|(leg, _)| leg);
-                for leg in current.into_iter().chain(sess.draining) {
-                    conns.drop_conn(leg);
-                }
-                return;
-            }
-            RouterConn::Leg { owner, .. } => owner,
-        };
-        // One backend stream ended; what that means depends on which leg
-        // it was. (A leg dropped because its owner ended finds no live
-        // owner and means nothing.)
-        let Some(RouterConn::Client(sess)) = conns.get_mut(owner) else {
-            return;
-        };
-        match why {
-            // The old leg's clean close is the handoff completing: the
-            // new leg may speak now.
-            Closed::Eof if sess.draining == Some(id) => {
-                sess.draining = None;
-                if let Some((current, _)) = sess.current {
-                    conns.pause_reads(current, false);
+                if let Some(region) = sess.current {
+                    self.tell(
+                        conns,
+                        region,
+                        &Message::mux_frame(sess.tag, &Message::Deregister),
+                    );
                 }
             }
-            // The current leg's is the end of a deregistered session —
-            Closed::Eof if sess.finishing => conns.close(owner),
-            // — or an outage.
-            Closed::Eof => conns.fail(owner, ErrorCode::Unavailable, "partition backend lost"),
-            // Corrupt framing on this one leg: this session is lost, its
-            // neighbours are not.
-            Closed::Malformed => conns.fail(owner, ErrorCode::Malformed, "backend stream corrupt"),
-            _ => conns.fail(owner, ErrorCode::Unavailable, "backend connection failed"),
+            // A leg ended: every session served or draining there ends
+            // with a verdict; the next one homed there reconnects.
+            RouterConn::Leg(region) => {
+                self.legs[region.0 as usize] = None;
+                let (code, detail) = match why {
+                    Closed::Malformed | Closed::Local => {
+                        (ErrorCode::Malformed, "backend stream corrupt")
+                    }
+                    _ => (ErrorCode::Unavailable, "partition backend lost"),
+                };
+                let on_leg = |s: &Session| [s.current, s.draining].contains(&Some(region));
+                let clients: Vec<ConnId> = self.clients.values().copied().collect();
+                for client in clients {
+                    if matches!(conns.get_mut(client), Some(RouterConn::Client(s)) if on_leg(s)) {
+                        conns.fail(client, code, detail);
+                    }
+                }
+            }
         }
     }
 }
@@ -319,42 +350,50 @@ impl Routing {
         let Some(RouterConn::Client(sess)) = conns.get_mut(id) else {
             return;
         };
+        let tag = sess.tag;
         match (sess.reg.is_some(), msg) {
             (false, Message::Register { space, k, rho, pos }) => match self.shared.home(&pos) {
                 Some(region) => {
-                    sess.reg = Some(RegFacts { space, k, rho });
+                    // A fresh tag, skipping any still in use should the
+                    // counter wrap.
+                    sess.tag = loop {
+                        self.next_tag = self.next_tag.wrapping_add(1);
+                        if !self.clients.contains_key(&self.next_tag) {
+                            break self.next_tag;
+                        }
+                    };
+                    sess.reg = Some((space, k, rho));
                     self.shared.live.fetch_add(1, Ordering::Relaxed);
-                    self.open_leg(conns, id, region, pos);
+                    self.clients.insert(sess.tag, id);
+                    self.home_at(conns, id, region, pos);
                 }
                 None => conns.fail(id, ErrorCode::BadPosition, NOT_PLANAR),
             },
             (false, _) => conns.fail(id, ErrorCode::NotRegistered, "first frame must register"),
             (true, Message::PositionUpdate { pos }) => {
-                let (current, region) = sess.current.expect("registered session");
+                let (Some(current), draining) = (sess.current, sess.draining.is_some()) else {
+                    return;
+                };
+                let update = Message::mux_frame(tag, &Message::PositionUpdate { pos });
                 match self.shared.home(&pos) {
                     None => conns.fail(id, ErrorCode::BadPosition, NOT_PLANAR),
-                    Some(home) if home != region && sess.draining.is_none() => {
-                        self.open_leg(conns, id, home, pos)
+                    Some(_) if !self.admit(conns, id, current, update.len()) => {
+                        let detail = "updates outrun the partition backend";
+                        conns.fail(id, ErrorCode::Overloaded, detail);
+                    }
+                    Some(home) if home != current && !draining => {
+                        self.home_at(conns, id, home, pos)
                     }
                     // A crossing *during* an unfinished drain keeps
                     // feeding the current backend (results stay exact
                     // over its replicas, flagged when out of margin);
                     // the next update after the drain completes
                     // re-routes.
-                    Some(_) => {
-                        conns.send(current, &Message::PositionUpdate { pos }.encode_frame());
-                    }
+                    Some(_) => self.tell(conns, current, &update),
                 }
             }
-            (true, Message::Deregister) => {
-                // Remaining backend frames (the drain, the final
-                // results) still forward; the session closes when the
-                // current backend's stream ends.
-                sess.finishing = true;
-                let (current, _) = sess.current.expect("registered session");
-                conns.pause_reads(id, true);
-                conns.send(current, &Message::Deregister.encode_frame());
-            }
+            // As at a single server: what is queued still flushes.
+            (true, Message::Deregister) => conns.close(id),
             (true, Message::Register { .. }) => {
                 let detail = "session already registered";
                 conns.fail(id, ErrorCode::AlreadyRegistered, detail);
@@ -363,50 +402,90 @@ impl Routing {
         }
     }
 
-    /// Registers session `id`'s query at the backend of `region`, where
-    /// `pos` homes — the first registration, or the mid-session border
-    /// crossing: deregister at the old backend (its close will end the
-    /// drain) and register the same query at the new one with this
-    /// position as its first tick, reads paused until the drain ends.
-    fn open_leg(&self, conns: &mut Conns<RouterConn>, id: ConnId, region: RegionId, pos: WirePos) {
+    /// Registers session `id`'s query at `region`'s backend, where `pos`
+    /// homes — at registration, or at a border crossing, which also
+    /// deregisters it at the old backend and opens the drain.
+    fn home_at(
+        &mut self,
+        conns: &mut Conns<RouterConn>,
+        id: ConnId,
+        region: RegionId,
+        pos: WirePos,
+    ) {
+        let at = region.0 as usize;
+        if self.legs[at].is_none() {
+            match conns.connect(self.shared.backends[at], RouterConn::Leg(region)) {
+                Ok(leg) => self.legs[at] = Some(leg),
+                Err(e) => {
+                    let detail = format!("partition {region} backend: {e}");
+                    return conns.fail(id, ErrorCode::Unavailable, &detail);
+                }
+            }
+        }
         let Some(RouterConn::Client(sess)) = conns.get_mut(id) else {
             return;
         };
-        let (facts, old) = (sess.reg.expect("registered session"), sess.current);
-        let addr = self.shared.backends[region.0 as usize];
-        let leg = RouterConn::Leg { owner: id, region };
-        let new = match conns.connect(addr, leg, old.is_some()) {
-            Ok(new) => new,
-            Err(e) => {
-                let detail = format!("partition {region} backend: {e}");
-                return conns.fail(id, ErrorCode::Unavailable, &detail);
-            }
-        };
-        let register = Message::Register {
-            space: facts.space,
-            k: facts.k,
-            rho: facts.rho,
-            pos,
-        };
-        conns.send(new, &register.encode_frame());
-        if let Some((old, _)) = old {
-            conns.send(old, &Message::Deregister.encode_frame());
+        let ((space, k, rho), tag, old) = (sess.reg.expect("registered"), sess.tag, sess.current);
+        sess.current = Some(region);
+        sess.draining = old;
+        if let Some(old) = old {
+            self.tell(conns, old, &Message::mux_frame(tag, &Message::Deregister));
             self.shared.handoffs.fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(RouterConn::Client(sess)) = conns.get_mut(id) {
-            sess.draining = old.map(|(old, _)| old);
-            sess.current = Some((new, region));
+        let register = Message::Register { space, k, rho, pos };
+        self.tell(conns, region, &Message::mux_frame(tag, &register));
+        self.rebound(conns);
+    }
+
+    /// Sends a tagged frame on `region`'s leg, if it is up.
+    fn tell(&self, conns: &mut Conns<RouterConn>, region: RegionId, frame: &[u8]) {
+        if let Some(leg) = self.legs[region.0 as usize] {
+            conns.send(leg, frame);
         }
     }
 
-    /// Rewrites and forwards one backend frame to client `owner`.
-    fn forward_backend_frame(
+    /// A leg's write bound: a `write_buf` share for each session the
+    /// router carries, and one more for the router's own frames.
+    fn leg_bound(&self) -> usize {
+        self.write_buf.saturating_mul(self.clients.len() + 1)
+    }
+
+    fn rebound(&self, conns: &mut Conns<RouterConn>) {
+        for &leg in self.legs.iter().flatten() {
+            conns.set_write_bound(leg, self.leg_bound());
+        }
+    }
+
+    /// Whether session `id` may queue `n` more bytes on `at`'s leg: a
+    /// client sending while its backend reads nothing is refused once its
+    /// own unsent updates pass its share or the leg is half full, before
+    /// the leg can overflow on its neighbours. Its count restarts
+    /// whenever the leg is seen empty, so a client in step never nears it.
+    fn admit(&self, conns: &mut Conns<RouterConn>, id: ConnId, at: RegionId, n: usize) -> bool {
+        let pending = self.legs[at.0 as usize].map_or(0, |leg| conns.pending(leg));
+        let Some(RouterConn::Client(sess)) = conns.get_mut(id) else {
+            return false;
+        };
+        sess.queued = if pending == 0 { 0 } else { sess.queued } + n;
+        sess.queued <= self.write_buf && pending <= self.leg_bound() / 2
+    }
+
+    /// Rewrites and forwards one inner message from `region` to `client`;
+    /// a body that does not decode fails that session alone.
+    fn forward(
         &mut self,
         conns: &mut Conns<RouterConn>,
-        owner: ConnId,
+        client: ConnId,
         region: RegionId,
-        msg: Message,
+        payload: &[u8],
     ) {
+        let msg = match Message::decode_inner(payload) {
+            Ok(msg) => msg,
+            Err(e) => {
+                let detail = format!("backend {region} sent an undecodable frame: {e}");
+                return conns.fail(client, ErrorCode::Malformed, &detail);
+            }
+        };
         let out = match msg {
             Message::KnnResult {
                 epoch,
@@ -420,7 +499,7 @@ impl Routing {
                 };
                 let Some(ids) = rewritten else {
                     let detail = format!("backend {region} returned an unknown site id");
-                    return conns.fail(owner, ErrorCode::Malformed, &detail);
+                    return conns.fail(client, ErrorCode::Malformed, &detail);
                 };
                 Message::KnnResult {
                     epoch,
@@ -432,14 +511,24 @@ impl Routing {
             // Per-region epochs pass through: the client sees the epoch
             // stream of whichever region serves it, exactly as pushed.
             Message::EpochNotify { epoch } => Message::EpochNotify { epoch },
-            Message::Error { code, detail } => {
-                // The backend is closing this query's session; relay the
-                // verdict and end ours the same way.
-                return conns.fail(owner, code, &detail);
+            // The backend ended this query's session; relay the verdict
+            // and end ours the same way.
+            Message::Error { code, detail } => return conns.fail(client, code, &detail),
+            // The end of a handoff's drain: the held frames follow, in
+            // order.
+            Message::Drained => {
+                if let Some(RouterConn::Client(sess)) = conns.get_mut(client) {
+                    if let (Some(current), Some(_)) = (sess.current, sess.draining.take()) {
+                        for payload in std::mem::take(&mut sess.held) {
+                            self.forward(conns, client, current, &payload);
+                        }
+                    }
+                }
+                return;
             }
-            _ => return conns.fail(owner, ErrorCode::Malformed, "backend protocol violation"),
+            _ => return conns.fail(client, ErrorCode::Malformed, "backend protocol violation"),
         };
-        conns.send(owner, &out.encode_frame());
+        conns.send(client, &out.encode_frame());
     }
 }
 

@@ -1,14 +1,18 @@
 //! The router under descriptor exhaustion. `insq-net`'s suite of the
 //! same name pins the accept back-off for `NetServer`; the router adds a
-//! second place a descriptor is needed mid-session — the backend
-//! `connect` of a handoff — so this pins:
+//! second place a descriptor is needed mid-session — a leg's first
+//! `connect`, when a session is the first to need that backend (one leg
+//! per backend carries all its sessions, so a handoff into a region
+//! whose leg is up needs none) — so this pins:
 //!
 //! * **liveness, no spin**: established sessions keep streaming through
 //!   the router while a victim connection sits un-acceptable in its
 //!   backlog, and over an idle window the process burns far less CPU
 //!   than wall clock;
-//! * **isolation**: a handoff whose `connect` fails with `EMFILE` fails
-//!   only that session, with an explicit `Unavailable`;
+//! * **isolation**: a handoff into the region nobody has used yet, whose
+//!   leg `connect` fails with `EMFILE`, fails only that session, with an
+//!   explicit `Unavailable` — and the session's old backend is told, so
+//!   its barrier does not wait on the session;
 //! * **recovery**: once descriptors free up the backlogged client is
 //!   accepted and served without reconnecting.
 //!
@@ -140,8 +144,8 @@ fn router_survives_fd_exhaustion_at_accept_and_at_handoff() {
         "burned {burned:?} CPU over an idle {window:?} starvation window"
     );
 
-    // Isolation: the crossing needs a connection to the right
-    // backend and cannot get one. That session alone fails, with a
+    // Isolation: the crossing needs the right backend's leg, never
+    // connected so far, and cannot get a descriptor for it. That session alone fails, with a
     // verdict; the other one streams on.
     cross.update::<Euclidean>(Point::new(55.0, 50.0)).unwrap();
     match cross.next_result() {

@@ -1,19 +1,25 @@
 //! Router end-to-end and failure-isolation tests: real partition
 //! backends behind a [`RouterServer`], driven by ordinary blocking
-//! `insq-net` clients, plus hostile fake backends for the wire-level
-//! fuzz cases.
+//! `insq-net` clients, plus hostile fake backends — speaking the tagged
+//! frames of the router's one leg per backend — for the wire-level fuzz
+//! cases: a bad session frame fails that session, unreadable leg bytes
+//! fail that backend's sessions, a client flooding a stalled backend
+//! fails alone, and nothing else notices.
 
+use std::collections::HashMap;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use insq_cluster::{ClusterPlan, RouterConfig, RouterServer};
 use insq_core::Euclidean;
 use insq_geom::{Aabb, Point};
 use insq_index::VorTree;
-use insq_net::wire::{ErrorCode, Message, WireOutcome};
-use insq_net::{FrameBuf, NetClient, NetError, NetServer, NetServerConfig};
+use insq_net::wire::{ErrorCode, Message, WireOutcome, WirePos};
+use insq_net::{sys, FrameBuf, NetClient, NetError, NetServer, NetServerConfig, SpaceKind};
 use insq_server::{GridPartitioner, World};
 use insq_workload::Distribution;
 
@@ -161,50 +167,60 @@ fn fleet_of_shuttles_survives_many_handoffs() {
     );
 }
 
-/// A hostile backend for the fuzz cases: serves the first `well_behaved`
-/// connections a valid lockstep result per inbound frame, then feeds
-/// every later connection `poison` bytes instead.
-fn hostile_backend(well_behaved: usize, poison: &'static [u8]) -> SocketAddr {
+/// What a fake backend writes for a session's `Register` or
+/// `PositionUpdate`, given the session's place in registration order and
+/// its tag.
+type Answer = fn(usize, u32) -> Vec<u8>;
+
+/// A hostile backend for the fuzz cases. It speaks the router's tagged
+/// frames on each (shared) leg: every `Register`/`PositionUpdate` gets
+/// `answer`'s bytes, every `Deregister` a `Drained`.
+fn fake_backend(answer: Answer) -> SocketAddr {
+    gated_backend(answer, Arc::default())
+}
+
+/// A [`fake_backend`] that reads nothing while `stalled` is set — a
+/// backend busy in a long tick — behind a small kernel receive buffer,
+/// so what the router sends meanwhile piles up on the router's side.
+fn gated_backend(answer: Answer, stalled: Arc<AtomicBool>) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    sys::set_recv_buffer(sys::raw_fd(&listener), 4096).expect("receive buffer");
     let addr = listener.local_addr().expect("addr");
     thread::spawn(move || {
-        let mut served = 0usize;
         for conn in listener.incoming() {
             let Ok(mut conn) = conn else { continue };
-            let good = served < well_behaved;
-            served += 1;
+            let stalled = Arc::clone(&stalled);
             thread::spawn(move || {
+                let mut order: HashMap<u32, usize> = HashMap::new();
                 let mut rbuf = FrameBuf::new();
                 let mut chunk = [0u8; 4096];
                 loop {
                     use std::io::Read;
+                    while stalled.load(Ordering::SeqCst) {
+                        thread::sleep(Duration::from_millis(1));
+                    }
                     let n = match conn.read(&mut chunk) {
                         Ok(0) | Err(_) => return,
                         Ok(n) => n,
                     };
                     rbuf.extend(&chunk[..n]);
                     while let Ok(Some((msg, _))) = rbuf.next_message() {
-                        match msg {
-                            Message::Register { .. } | Message::PositionUpdate { .. } => {
-                                if good {
-                                    let frame = Message::KnnResult {
-                                        epoch: 1,
-                                        ids: vec![0, 1, 2, 3],
-                                        outcome: WireOutcome::Valid,
-                                        flags: 0,
-                                    }
-                                    .encode_frame();
-                                    if conn.write_all(&frame).is_err() {
-                                        return;
-                                    }
-                                } else {
-                                    let _ = conn.write_all(poison);
-                                    let _ = conn.flush();
-                                    return;
-                                }
+                        let Message::Mux { session, payload } = msg else {
+                            return;
+                        };
+                        let nth = order.len();
+                        let nth = *order.entry(session).or_insert(nth);
+                        let reply = match Message::decode_inner(&payload) {
+                            Ok(Message::Register { .. } | Message::PositionUpdate { .. }) => {
+                                answer(nth, session)
                             }
-                            Message::Deregister => return,
+                            Ok(Message::Deregister) => {
+                                Message::mux_frame(session, &Message::Drained)
+                            }
                             _ => return,
+                        };
+                        if conn.write_all(&reply).is_err() {
+                            return;
                         }
                     }
                 }
@@ -214,11 +230,29 @@ fn hostile_backend(well_behaved: usize, poison: &'static [u8]) -> SocketAddr {
     addr
 }
 
+/// A valid result frame for session `tag`.
+fn result_for(tag: u32, ids: Vec<u32>) -> Vec<u8> {
+    let msg = Message::KnnResult {
+        epoch: 1,
+        ids,
+        outcome: WireOutcome::Valid,
+        flags: 0,
+    };
+    Message::mux_frame(tag, &msg)
+}
+
 #[test]
 fn malformed_backend_frames_poison_only_their_own_session() {
-    // Version byte 0xFF inside a length-sane frame: undecodable payload.
-    let poison: &[u8] = &[0x00, 0x00, 0x00, 0x02, 0xFF, 0xFF];
-    let backend = hostile_backend(1, poison);
+    // The second session's answers are well-framed envelopes whose body
+    // does not decode (version byte 0xFF).
+    let backend = fake_backend(|nth, tag| match nth {
+        0 => result_for(tag, vec![0, 1, 2, 3]),
+        _ => Message::Mux {
+            session: tag,
+            payload: vec![0xFF, 0xFF],
+        }
+        .encode_frame(),
+    });
     let part = Arc::new(GridPartitioner::strips(bounds(), 1));
     let router = RouterServer::bind("127.0.0.1:0", part, RouterConfig::new(vec![backend]))
         .expect("router binds");
@@ -229,7 +263,8 @@ fn malformed_backend_frames_poison_only_their_own_session() {
         .expect("register");
     assert_eq!(good.next_result().expect("result").ids, vec![0, 1, 2, 3]);
 
-    // Second session: poisoned — fails alone, with a clean error frame.
+    // Second session, on the same leg: poisoned — fails alone, with a
+    // clean error frame.
     let mut bad = NetClient::connect(router.local_addr()).expect("connect");
     bad.register::<Euclidean>(K, 1.8, Point::new(20.0, 20.0))
         .expect("register");
@@ -248,10 +283,13 @@ fn malformed_backend_frames_poison_only_their_own_session() {
 
 #[test]
 fn out_of_range_backend_ids_fail_the_session_cleanly() {
-    let backend = hostile_backend(usize::MAX, &[]);
+    // Tables with a 2-entry row: the second session's ids 2 and 3 have
+    // no global mapping — a corrupt backend, surfaced as Malformed.
+    let backend = fake_backend(|nth, tag| match nth {
+        0 => result_for(tag, vec![0, 1]),
+        _ => result_for(tag, vec![0, 1, 2, 3]),
+    });
     let part = Arc::new(GridPartitioner::strips(bounds(), 1));
-    // Tables with a 2-entry row: the fake backend's ids 2 and 3 have no
-    // global mapping — a corrupt backend, surfaced as Malformed.
     let router = RouterServer::bind(
         "127.0.0.1:0",
         part,
@@ -262,6 +300,12 @@ fn out_of_range_backend_ids_fail_the_session_cleanly() {
     )
     .expect("router binds");
 
+    let mut neighbour = NetClient::connect(router.local_addr()).expect("connect");
+    neighbour
+        .register::<Euclidean>(K, 1.8, Point::new(10.0, 10.0))
+        .expect("register");
+    assert_eq!(neighbour.next_result().expect("result").ids, vec![40, 41]);
+
     let mut client = NetClient::connect(router.local_addr()).expect("connect");
     client
         .register::<Euclidean>(K, 1.8, Point::new(10.0, 10.0))
@@ -269,6 +313,157 @@ fn out_of_range_backend_ids_fail_the_session_cleanly() {
     match client.next_result() {
         Err(NetError::Server { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
         other => panic!("expected a Malformed error, got {other:?}"),
+    }
+
+    for _ in 0..3 {
+        neighbour
+            .update::<Euclidean>(Point::new(12.0, 10.0))
+            .expect("update");
+        assert_eq!(neighbour.next_result().expect("result").ids, vec![40, 41]);
+    }
+}
+
+#[test]
+fn unreadable_leg_bytes_end_every_session_of_that_backend_only() {
+    // Backend 0 answers its second session with bytes that carry no
+    // readable envelope (a frame with version byte 0xFF): the leg's
+    // framing is lost, and with it every session the leg carries.
+    let left = fake_backend(|nth, tag| match nth {
+        0 => result_for(tag, vec![0, 1, 2, 3]),
+        _ => vec![0x02, 0x00, 0x00, 0x00, 0xFF, 0xFF],
+    });
+    let right = fake_backend(|_, tag| result_for(tag, vec![4, 5, 6, 7]));
+    let part = Arc::new(GridPartitioner::strips(bounds(), 2));
+    let router = RouterServer::bind("127.0.0.1:0", part, RouterConfig::new(vec![left, right]))
+        .expect("router binds");
+
+    let session = |x: f64| {
+        let mut c = NetClient::connect(router.local_addr()).expect("connect");
+        c.register::<Euclidean>(K, 1.8, Point::new(x, 50.0))
+            .expect("register");
+        c
+    };
+    let mut first = session(10.0);
+    assert_eq!(first.next_result().expect("result").ids, vec![0, 1, 2, 3]);
+    let mut east = session(90.0);
+    assert_eq!(east.next_result().expect("result").ids, vec![4, 5, 6, 7]);
+    let mut second = session(20.0);
+
+    // Both sessions of the lost leg end with an explicit verdict.
+    for lost in [&mut second, &mut first] {
+        match lost.next_result() {
+            Err(NetError::Server { code, .. }) => assert_eq!(code, ErrorCode::Malformed),
+            other => panic!("expected a Malformed error, got {other:?}"),
+        }
+    }
+    // The other backend's session never notices.
+    for i in 0..3 {
+        east.update::<Euclidean>(Point::new(90.0 - i as f64, 50.0))
+            .expect("update");
+        assert_eq!(east.next_result().expect("result").ids, vec![4, 5, 6, 7]);
+    }
+}
+
+#[test]
+fn a_client_flooding_a_stalled_backend_ends_alone() {
+    let stalled = Arc::new(AtomicBool::new(false));
+    let backend = gated_backend(|_, tag| result_for(tag, vec![0, 1, 2, 3]), stalled.clone());
+    let part = Arc::new(GridPartitioner::strips(bounds(), 1));
+    let cfg = RouterConfig {
+        write_buf: 4096,
+        ..RouterConfig::new(vec![backend])
+    };
+    let router = RouterServer::bind("127.0.0.1:0", part, cfg).expect("router binds");
+    let at = |x: f64| WirePos::Point { x, y: 10.0 };
+
+    let mut neighbour = NetClient::connect(router.local_addr()).expect("connect");
+    neighbour
+        .register::<Euclidean>(K, 1.8, Point::new(10.0, 10.0))
+        .expect("register");
+    assert_eq!(
+        neighbour.next_result().expect("result").ids,
+        vec![0, 1, 2, 3]
+    );
+    let mut flooder = TcpStream::connect(router.local_addr()).expect("connect");
+    for timeout in [TcpStream::set_read_timeout, TcpStream::set_write_timeout] {
+        timeout(&flooder, Some(Duration::from_secs(20))).expect("timeout");
+    }
+    let register = Message::Register {
+        space: SpaceKind::Euclidean,
+        k: K as u32,
+        rho: 1.8,
+        pos: at(12.0),
+    };
+    flooder
+        .write_all(&register.encode_frame())
+        .expect("register");
+    let mut rx = FrameBuf::new();
+    let answer = next_frame(&mut flooder, &mut rx);
+    assert!(
+        matches!(answer, Some(Message::KnnResult { .. })),
+        "{answer:?}"
+    );
+
+    // The backend stalls with the neighbour's next update on the leg,
+    // and the flooder never waits for an answer: the kernel's buffers
+    // fill, then the router's, and the flooder — not the leg — goes.
+    stalled.store(true, Ordering::SeqCst);
+    neighbour
+        .update::<Euclidean>(Point::new(11.0, 10.0))
+        .expect("update");
+    let burst = Message::PositionUpdate { pos: at(13.0) }
+        .encode_frame()
+        .repeat(4096);
+    let mut bursts = 0;
+    while flooder.write_all(&burst).is_ok() {
+        bursts += 1;
+        assert!(bursts < 400, "the router took a {bursts}-burst flood");
+    }
+    if let Some(verdict) = next_frame(&mut flooder, &mut rx) {
+        let overloaded = matches!(
+            verdict,
+            Message::Error {
+                code: ErrorCode::Overloaded,
+                ..
+            }
+        );
+        assert!(
+            overloaded,
+            "the flooder must go for its own flood: {verdict:?}"
+        );
+    }
+
+    // The shared leg survived: the neighbour's update is answered once
+    // the backend reads again, and it streams on.
+    stalled.store(false, Ordering::SeqCst);
+    assert_eq!(
+        neighbour.next_result().expect("result").ids,
+        vec![0, 1, 2, 3]
+    );
+    for i in 0..3 {
+        neighbour
+            .update::<Euclidean>(Point::new(12.0 + i as f64, 10.0))
+            .expect("update");
+        assert_eq!(
+            neighbour.next_result().expect("result").ids,
+            vec![0, 1, 2, 3]
+        );
+    }
+    assert_eq!(router.live_sessions(), 1);
+}
+
+/// The next frame on a raw client socket; `None` once it ends.
+fn next_frame(stream: &mut TcpStream, rx: &mut FrameBuf) -> Option<Message> {
+    use std::io::Read;
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some((msg, _)) = rx.next_message().expect("valid frame") {
+            return Some(msg);
+        }
+        match stream.read(&mut chunk) {
+            Ok(0) | Err(_) => return None,
+            Ok(n) => rx.extend(&chunk[..n]),
+        }
     }
 }
 

@@ -137,6 +137,14 @@ impl WriteBuf {
         true
     }
 
+    /// Moves the bound to `cap` (clamped as at construction). Lowering
+    /// it stops where what is queued still leaves room for one maximal
+    /// frame: output already accepted never makes the next push fail.
+    pub(crate) fn set_cap(&mut self, cap: usize) {
+        let floor = self.cap.min(self.pending() + 4 + MAX_PAYLOAD_LEN);
+        self.cap = cap.max(floor).max(4 + MAX_PAYLOAD_LEN);
+    }
+
     /// Bytes queued and not yet written.
     pub fn pending(&self) -> usize {
         self.buf.len() - self.start
@@ -242,5 +250,24 @@ mod tests {
         }
         assert_eq!(sink.1, frame);
         assert!(wb.high_water() >= frame.len());
+    }
+
+    #[test]
+    fn a_lowered_bound_still_takes_the_next_frame() {
+        // A tagged connection's bound drops when one of its sessions
+        // ends — never so low that output it already holds makes that
+        // session's `Drained` overflow it.
+        let (floor, frame) = (4 + MAX_PAYLOAD_LEN, sample(1).encode_frame());
+        let mut wb = WriteBuf::with_capacity(3 * floor);
+        while wb.pending() + frame.len() <= 2 * floor {
+            assert!(wb.push(&frame));
+        }
+        wb.set_cap(0);
+        assert!(
+            wb.push(&frame),
+            "queued output made the next frame overflow"
+        );
+        wb.set_cap(5 * floor);
+        assert_eq!(wb.cap, 5 * floor, "a raised bound is taken as given");
     }
 }

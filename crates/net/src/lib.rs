@@ -8,9 +8,10 @@
 //! real bytes on a real socket:
 //!
 //! * [`wire`] — a dependency-free, versioned, length-prefixed binary
-//!   codec ([`Encode`]/[`Decode`], no serde) for the six-message
-//!   protocol: `Register`, `PositionUpdate`, `Deregister` (client →
-//!   server), `KnnResult`, `EpochNotify`, `Error` (server → client).
+//!   codec ([`Encode`]/[`Decode`], no serde) for the protocol:
+//!   `Register`, `PositionUpdate`, `Deregister` (client → server),
+//!   `KnnResult`, `EpochNotify`, `Error` (server → client); `Mux` and
+//!   `Drained` let one connection carry many sessions.
 //!   Decoding never panics or over-allocates on untrusted bytes.
 //! * [`WireSpace`] — wire conversions per [`insq_core::Space`]
 //!   (positions are validated against the served index; all three

@@ -44,10 +44,7 @@
 //!     goes away with them.
 //!
 //! Outbound connections ([`Conns::connect`]) live in the same slab and
-//! run the same loop; they do not count against the session cap, and
-//! they can start with **reads paused** ([`Conns::pause_reads`]) — how
-//! the cluster router keeps a handoff's new backend leg silent until
-//! the old one has drained.
+//! run the same loop; they do not count against the session cap.
 //!
 //! The engine-facing server ([`crate::NetServer`]) and the cluster
 //! router are the two handlers; dispatch is static (`H` is a type
@@ -221,7 +218,6 @@ struct Slot<T> {
     state: Option<T>,
     /// Connected by us ([`Conns::connect`]), not accepted.
     outbound: bool,
-    paused: bool,
     /// Queued in `Conns::dirty` for the end-of-event flush.
     dirty: bool,
     /// The `(read, write)` interest currently registered with the
@@ -327,22 +323,26 @@ impl<T> Conns<T> {
     }
 
     /// Connects to `addr` (blocking) and adopts the socket into the
-    /// slab as an outbound connection, optionally with reads paused.
-    pub fn connect(&mut self, addr: SocketAddr, state: T, paused: bool) -> io::Result<ConnId> {
-        self.insert(Link::connect(addr)?, state, true, paused)
+    /// slab as an outbound connection.
+    pub fn connect(&mut self, addr: SocketAddr, state: T) -> io::Result<ConnId> {
+        self.insert(Link::connect(addr)?, state, true)
     }
 
-    /// Stops (`true`) or resumes delivering frames from `id`. A pause
-    /// holds back already-buffered frames too; nothing is lost.
-    pub fn pause_reads(&mut self, id: ConnId, paused: bool) {
+    /// Sets connection `id`'s write bound — for a connection whose load
+    /// scales with its sessions. It never drops so low that what is
+    /// already queued leaves no room for one maximal frame.
+    pub fn set_write_bound(&mut self, id: ConnId, bytes: usize) {
         if let Some(slot) = self.slot_mut(id) {
-            slot.paused = paused;
-            self.touch(id);
+            slot.link.wbuf.set_cap(bytes);
         }
     }
 
-    /// Queues `id` for the end-of-event settle (flush, redelivery after
-    /// a resume, interest sync).
+    /// Bytes queued on connection `id` that its socket has not taken.
+    pub fn pending(&mut self, id: ConnId) -> usize {
+        self.slot_mut(id).map_or(0, |s| s.link.wbuf.pending())
+    }
+
+    /// Queues `id` for the end-of-event settle (flush, interest sync).
     fn touch(&mut self, id: ConnId) {
         if let Some(slot) = lookup(&mut self.slots, &self.gens, id) {
             if !slot.dirty {
@@ -352,15 +352,14 @@ impl<T> Conns<T> {
         }
     }
 
-    fn insert(&mut self, link: Link, state: T, outbound: bool, paused: bool) -> io::Result<ConnId> {
+    fn insert(&mut self, link: Link, state: T, outbound: bool) -> io::Result<ConnId> {
         let fd = sys::raw_fd(&link.stream);
         let slot = Slot {
             link,
             state: Some(state),
             outbound,
-            paused,
             dirty: false,
-            reg: (!paused, false),
+            reg: (true, false),
         };
         let at = match self.free.pop() {
             Some(at) => at,
@@ -374,7 +373,7 @@ impl<T> Conns<T> {
             slot: at as u32,
             gen: self.gens[at],
         };
-        if let Err(e) = self.readiness.register(fd, id.token(), !paused, false) {
+        if let Err(e) = self.readiness.register(fd, id.token(), true, false) {
             // Can't watch it, can't serve it (the socket closes as
             // `slot` drops; it never entered the readiness set).
             self.free.push(at);
@@ -469,16 +468,13 @@ impl<T> Conns<T> {
     }
 
     /// Brings `id`'s registered interest in line with its state: read
-    /// while live and not paused, write while output is queued. No
-    /// syscall unless a transition actually happened.
+    /// while live, write while output is queued. No syscall unless a
+    /// transition actually happened.
     fn sync_interest(&mut self, id: ConnId) {
         let Some(slot) = self.slot_mut(id) else {
             return;
         };
-        let want = (
-            slot.state.is_some() && !slot.paused,
-            !slot.link.wbuf.is_empty(),
-        );
+        let want = (slot.state.is_some(), !slot.link.wbuf.is_empty());
         if want == slot.reg {
             return;
         }
@@ -621,11 +617,6 @@ impl<H: Handler> Reactor<H> {
             if let Some(id) = self.conns.dirty.pop_front() {
                 if let Some(slot) = self.conns.slot_mut(id) {
                     slot.dirty = false;
-                    // A resumed connection may hold whole frames that
-                    // arrived before the pause took hold.
-                    if slot.link.rbuf.buffered() > 0 {
-                        self.deliver(id);
-                    }
                 }
                 self.conns.flush(id);
                 self.conns.sync_interest(id);
@@ -645,7 +636,7 @@ impl<H: Handler> Reactor<H> {
                 Ok((stream, _peer)) => {
                     if let Ok(link) = Link::new(stream, c.write_buf) {
                         let state = self.handler.on_accept(&link.stream);
-                        let _ = c.insert(link, state, false, false);
+                        let _ = c.insert(link, state, false);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -673,7 +664,7 @@ impl<H: Handler> Reactor<H> {
             let Some(slot) = lookup(&mut c.slots, &c.gens, id) else {
                 return;
             };
-            if slot.state.is_none() || slot.paused {
+            if slot.state.is_none() {
                 return;
             }
             match slot.link.fill(&mut c.scratch) {
@@ -698,13 +689,13 @@ impl<H: Handler> Reactor<H> {
     }
 
     /// Decodes and hands over every complete frame buffered on `id`.
-    /// Returns `false` once the connection is gone, closing or paused.
+    /// Returns `false` once the connection is gone or closing.
     fn deliver(&mut self, id: ConnId) -> bool {
         loop {
             let Some(slot) = self.conns.slot_mut(id) else {
                 return false;
             };
-            if slot.state.is_none() || slot.paused {
+            if slot.state.is_none() {
                 return false;
             }
             match slot.link.rbuf.next_message() {

@@ -12,6 +12,9 @@
 //!   `Register` frame — one [`SpaceQuery`] in the engine, mapped 1:1 to
 //!   a [`QueryId`] (ids are never reused, so a dropped session can
 //!   never alias a live one);
+//! * a connection may carry many **tagged sessions** (`Mux` frames),
+//!   each ending alone — `Error`, or `Drained` after its `Deregister` —
+//!   with a write bound of [`NetServerConfig::write_buf`] × sessions;
 //! * after every batch of frames the handler decides whether to tick.
 //!   When to tick is an explicit [`TickPolicy`]
 //!   ([`NetServerConfig::policy`]): under `Barrier` the fleet advances
@@ -86,8 +89,11 @@ pub struct NetServerConfig {
     /// so one maximal frame always fits). A session that falls this far
     /// behind is disconnected instead of growing without bound.
     pub write_buf: usize,
-    /// Hard cap on concurrent connections; beyond it the reactor stops
-    /// accepting until a session closes (`0` means no cap).
+    /// Hard cap on concurrent connections, and on sessions (tagged ones
+    /// included): beyond it the reactor stops accepting and a `Register`
+    /// is refused `Overloaded` until a session closes. `0`: connections
+    /// are uncapped and sessions stop at the open-file limit at bind —
+    /// as many as there could be connections.
     pub max_sessions: usize,
     /// Partition-backend mode: the replication margin this server's
     /// world is guaranteed complete within. When set, every fresh
@@ -181,6 +187,10 @@ impl<S: WireSpace> NetServer<S> {
         });
         let serving = Serving {
             shared: Arc::clone(&shared),
+            cap: match cfg.max_sessions {
+                0 => sys::open_file_limit(),
+                n => n,
+            },
             by_qid: HashMap::new(),
             registered_ever: 0,
             fresh: 0,
@@ -241,7 +251,7 @@ impl<S: WireSpace> NetServer<S> {
     }
 }
 
-/// One connection's protocol state.
+/// One session's protocol state.
 struct Session<S: WireSpace> {
     /// `Some` once the session registered (1:1 with an engine query).
     qid: Option<QueryId>,
@@ -258,12 +268,52 @@ struct Session<S: WireSpace> {
     last_epoch: Epoch,
 }
 
+impl<S: WireSpace> Session<S> {
+    fn new() -> Session<S> {
+        Session {
+            qid: None,
+            pending: None,
+            last_pos: None,
+            last_result: None,
+            last_epoch: Epoch::default(),
+        }
+    }
+}
+
+/// A connection's own session, and the tagged ones it may carry.
+struct Conn<S: WireSpace> {
+    direct: Session<S>,
+    tagged: HashMap<u32, Session<S>>,
+}
+
+/// Where a session lives: its connection, and its tag if it has one.
+type Route = (ConnId, Option<u32>);
+
+fn session<S: WireSpace>(conns: &mut Conns<Conn<S>>, (id, tag): Route) -> Option<&mut Session<S>> {
+    let conn = conns.get_mut(id)?;
+    match tag {
+        None => Some(&mut conn.direct),
+        Some(tag) => conn.tagged.get_mut(&tag),
+    }
+}
+
+/// `msg` framed for a session with tag `tag`.
+fn framed(tag: Option<u32>, msg: &Message) -> Vec<u8> {
+    match tag {
+        None => msg.encode_frame(),
+        Some(tag) => Message::mux_frame(tag, msg),
+    }
+}
+
 /// The server's [`Handler`]: frames → engine, after each batch maybe a
 /// tick → push.
 struct Serving<S: WireSpace> {
     shared: Arc<Shared<S>>,
-    /// Registered sessions: query id → connection.
-    by_qid: HashMap<u64, ConnId>,
+    /// The most registered sessions at once (see
+    /// [`NetServerConfig::max_sessions`]).
+    cap: usize,
+    /// Registered sessions: query id → where the session lives.
+    by_qid: HashMap<u64, Route>,
     registered_ever: u64,
     /// Registered sessions holding an unconsumed `pending` position —
     /// maintained incrementally so tick-readiness is O(1) per wakeup,
@@ -273,103 +323,47 @@ struct Serving<S: WireSpace> {
 }
 
 impl<S: WireSpace> Handler for Serving<S> {
-    type Conn = Session<S>;
+    type Conn = Conn<S>;
 
     fn poll_slice(&self) -> Duration {
         TICK_INTERVAL
     }
 
-    fn on_accept(&mut self, stream: &TcpStream) -> Session<S> {
+    fn on_accept(&mut self, stream: &TcpStream) -> Conn<S> {
         if let Some(bytes) = self.shared.cfg.sndbuf {
             let _ = sys::set_send_buffer(sys::raw_fd(stream), bytes);
         }
-        Session {
-            qid: None,
-            pending: None,
-            last_pos: None,
-            last_result: None,
-            last_epoch: Epoch::default(),
+        Conn {
+            direct: Session::new(),
+            tagged: HashMap::new(),
         }
     }
 
-    fn on_frame(&mut self, conns: &mut Conns<Session<S>>, id: ConnId, msg: Message) {
-        let Some(sess) = conns.get_mut(id) else {
-            return;
+    fn on_frame(&mut self, conns: &mut Conns<Conn<S>>, id: ConnId, msg: Message) {
+        // A tagged body that does not decode fails its own session only.
+        let (tag, msg) = match msg {
+            Message::Mux { session, payload } => (Some(session), Message::decode_inner(&payload)),
+            msg => (None, Ok(msg)),
         };
-        match (sess.qid.is_some(), msg) {
-            (false, Message::Register { space, k, rho, pos }) => {
-                if space != S::KIND {
-                    let detail = format!("this server serves {:?}", S::KIND);
-                    return conns.fail(id, ErrorCode::SpaceMismatch, &detail);
-                }
-                let (_, snapshot) = self.shared.world.snapshot();
-                let pos = match S::pos_from_wire(&snapshot, pos) {
-                    Ok(p) => p,
-                    Err(e) => return conns.fail(id, ErrorCode::BadPosition, &e.to_string()),
-                };
-                let config = InsConfig::new(k as usize, rho);
-                let query = match SpaceQuery::<S>::new(&self.shared.world, config) {
-                    Ok(q) => q,
-                    Err(e) => return conns.fail(id, ErrorCode::BadConfig, &e.to_string()),
-                };
-                let (qid, bound) = {
-                    let mut engine = self.shared.engine();
-                    let qid = engine.register(query);
-                    let bound = engine
-                        .query(qid)
-                        .map(insq_server::FleetQuery::bound_epoch)
-                        .unwrap_or_default();
-                    (qid, bound)
-                };
-                sess.qid = Some(qid);
-                sess.pending = Some(pos);
-                sess.last_pos = Some(pos);
-                sess.last_epoch = bound;
-                self.by_qid.insert(qid.0, id);
-                self.registered_ever += 1;
-                self.fresh += 1;
-                self.shared.live.fetch_add(1, Ordering::Relaxed);
-            }
-            (false, _) => conns.fail(id, ErrorCode::NotRegistered, "first frame must register"),
-            (true, Message::PositionUpdate { pos }) => {
-                let (_, snapshot) = self.shared.world.snapshot();
-                match S::pos_from_wire(&snapshot, pos) {
-                    Ok(p) => {
-                        if sess.pending.replace(p).is_none() {
-                            self.fresh += 1;
-                        }
-                    }
-                    // An unusable position would hold the session at
-                    // the barrier forever — close it.
-                    Err(e) => conns.fail(id, ErrorCode::BadPosition, &e.to_string()),
-                }
-            }
-            (true, Message::Deregister) => conns.close(id),
-            (true, Message::Register { .. }) => {
-                let detail = "session already registered";
-                conns.fail(id, ErrorCode::AlreadyRegistered, detail);
-            }
-            (true, _) => conns.fail(id, ErrorCode::Malformed, "server-bound frame expected"),
+        let served = msg
+            .map_err(|e| (ErrorCode::Malformed, e.to_string()))
+            .and_then(|msg| self.serve(conns, (id, tag), msg));
+        if let Err((code, detail)) = served {
+            self.end(conns, (id, tag), Some((code, &detail)));
         }
     }
 
-    /// However a session ends — `Deregister`, EOF, error, overflow —
-    /// its engine query goes now; the connection itself may linger to
-    /// flush.
-    fn on_close(&mut self, _: &mut Conns<Session<S>>, _: ConnId, sess: Session<S>, _: Closed) {
-        if let Some(qid) = sess.qid {
-            if sess.pending.is_some() {
-                self.fresh -= 1;
-            }
-            self.by_qid.remove(&qid.0);
-            self.shared.engine().deregister(qid);
-            self.shared.live.fetch_sub(1, Ordering::Relaxed);
-        }
+    /// However a connection ends — `Deregister`, EOF, error, overflow —
+    /// the queries of all its sessions go now; the connection itself may
+    /// linger to flush.
+    fn on_close(&mut self, _: &mut Conns<Conn<S>>, _: ConnId, conn: Conn<S>, _: Closed) {
+        self.retire(conn.direct);
+        conn.tagged.into_values().for_each(|sess| self.retire(sess));
     }
 
     /// Ticks the fleet if the configured policy says the moment has
     /// come.
-    fn after_batch(&mut self, conns: &mut Conns<Session<S>>) {
+    fn after_batch(&mut self, conns: &mut Conns<Conn<S>>) {
         let live = self.by_qid.len();
         if live == 0 || self.registered_ever < self.shared.cfg.min_clients as u64 {
             return;
@@ -387,17 +381,133 @@ impl<S: WireSpace> Handler for Serving<S> {
 }
 
 impl<S: WireSpace> Serving<S> {
+    /// Serves one client → server message; an `Err` ends the session.
+    fn serve(
+        &mut self,
+        conns: &mut Conns<Conn<S>>,
+        (id, tag): Route,
+        msg: Message,
+    ) -> Result<(), (ErrorCode, String)> {
+        if let (Some(tag), Some(conn)) = (tag, conns.get_mut(id)) {
+            conn.tagged.entry(tag).or_insert_with(Session::new);
+        }
+        let Some(sess) = session(conns, (id, tag)) else {
+            return Ok(());
+        };
+        match (sess.qid.is_some(), msg) {
+            (false, Message::Register { space, k, rho, pos }) => {
+                if self.by_qid.len() >= self.cap {
+                    return Err((ErrorCode::Overloaded, "session cap reached".into()));
+                }
+                if space != S::KIND {
+                    let detail = format!("this server serves {:?}", S::KIND);
+                    return Err((ErrorCode::SpaceMismatch, detail));
+                }
+                let (_, snapshot) = self.shared.world.snapshot();
+                let pos = S::pos_from_wire(&snapshot, pos)
+                    .map_err(|e| (ErrorCode::BadPosition, e.to_string()))?;
+                let config = InsConfig::new(k as usize, rho);
+                let query = SpaceQuery::<S>::new(&self.shared.world, config)
+                    .map_err(|e| (ErrorCode::BadConfig, e.to_string()))?;
+                let mut engine = self.shared.engine();
+                let qid = engine.register(query);
+                sess.last_epoch = engine
+                    .query(qid)
+                    .map(insq_server::FleetQuery::bound_epoch)
+                    .unwrap_or_default();
+                drop(engine);
+                sess.qid = Some(qid);
+                sess.pending = Some(pos);
+                sess.last_pos = Some(pos);
+                self.by_qid.insert(qid.0, (id, tag));
+                self.registered_ever += 1;
+                self.fresh += 1;
+                self.shared.live.fetch_add(1, Ordering::Relaxed);
+                if tag.is_some() {
+                    self.rebound(conns, id);
+                }
+                Ok(())
+            }
+            (false, _) => Err((ErrorCode::NotRegistered, "first frame must register".into())),
+            (true, Message::PositionUpdate { pos }) => {
+                let (_, snapshot) = self.shared.world.snapshot();
+                // An unusable position would hold the session at the
+                // barrier forever — close it.
+                let p = S::pos_from_wire(&snapshot, pos)
+                    .map_err(|e| (ErrorCode::BadPosition, e.to_string()))?;
+                if sess.pending.replace(p).is_none() {
+                    self.fresh += 1;
+                }
+                Ok(())
+            }
+            (true, Message::Deregister) => {
+                self.end(conns, (id, tag), None);
+                Ok(())
+            }
+            (true, Message::Register { .. }) => Err((
+                ErrorCode::AlreadyRegistered,
+                "session already registered".into(),
+            )),
+            (true, _) => Err((ErrorCode::Malformed, "server-bound frame expected".into())),
+        }
+    }
+
+    /// Ends a session behind an `Error` verdict, or cleanly (`None`). A
+    /// direct one takes its connection along (the query goes in
+    /// `on_close`); a tagged one goes now, behind its `Error` or a
+    /// `Drained`, and the connection serves on.
+    fn end(
+        &mut self,
+        conns: &mut Conns<Conn<S>>,
+        (id, tag): Route,
+        verdict: Option<(ErrorCode, &str)>,
+    ) {
+        let Some(tag) = tag else {
+            return match verdict {
+                Some((code, detail)) => conns.fail(id, code, detail),
+                None => conns.close(id),
+            };
+        };
+        if let Some(sess) = conns.get_mut(id).and_then(|c| c.tagged.remove(&tag)) {
+            self.retire(sess);
+        }
+        self.rebound(conns, id);
+        let last = verdict.map_or(Message::Drained, |(code, detail)| Message::Error {
+            code,
+            detail: detail.into(),
+        });
+        conns.send(id, &Message::mux_frame(tag, &last));
+    }
+
+    /// Takes a session's query, if it registered one, out of the engine.
+    fn retire(&mut self, sess: Session<S>) {
+        if let Some(qid) = sess.qid {
+            if sess.pending.is_some() {
+                self.fresh -= 1;
+            }
+            self.by_qid.remove(&qid.0);
+            self.shared.engine().deregister(qid);
+            self.shared.live.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Scales `id`'s write bound with the tagged sessions it carries.
+    fn rebound(&self, conns: &mut Conns<Conn<S>>, id: ConnId) {
+        let carried = conns.get_mut(id).map_or(0, |c| c.tagged.len()).max(1);
+        conns.set_write_bound(id, self.shared.cfg.write_buf.saturating_mul(carried));
+    }
+
     /// One fleet tick: batch positions, advance the engine under the
     /// policy, push each session its (possibly re-served) result.
-    fn tick(&mut self, conns: &mut Conns<Session<S>>) {
+    fn tick(&mut self, conns: &mut Conns<Conn<S>>) {
         self.last_tick = Instant::now();
         let policy = self.shared.cfg.policy;
 
         // Batch: consume every pending position. `Q::Pos` is `Copy`, so
         // the feed map costs one word-sized copy per session.
         let mut feed: HashMap<u64, TickPos<S::Pos>> = HashMap::with_capacity(self.by_qid.len());
-        for (&qid, &id) in &self.by_qid {
-            let sess = conns.get_mut(id).expect("by_qid sessions are live");
+        for (&qid, &route) in &self.by_qid {
+            let sess = session(conns, route).expect("by_qid sessions are live");
             let tp = match sess.pending.take() {
                 Some(p) => {
                     sess.last_pos = Some(p);
@@ -448,44 +558,48 @@ impl<S: WireSpace> Serving<S> {
         };
 
         // Push: fresh results (epoch notify first where due) or the
-        // cached last frame for re-served sessions. A session whose
+        // cached last frame for re-served sessions. A connection whose
         // write buffer can't take its frames is dropped by `send`; the
-        // reactor flushes each session's frames in one write as the
-        // loop moves on to the next session.
+        // reactor flushes each connection's frames in one write as the
+        // loop moves on to the next connection — a backend leg's whole
+        // tick leaves in one.
         for (qid, msg) in results {
-            let Some(&id) = self.by_qid.get(&qid.0) else {
+            let Some(&route) = self.by_qid.get(&qid.0) else {
                 continue;
             };
-            let Some(sess) = conns.get_mut(id) else {
+            let Some(sess) = session(conns, route) else {
                 continue;
             };
+            let (id, tag) = route;
             match msg {
                 Some(msg) => {
                     if sess.last_epoch != epoch {
                         sess.last_epoch = epoch;
-                        let notify = Message::EpochNotify { epoch: epoch.0 }.encode_frame();
+                        let notify = framed(tag, &Message::EpochNotify { epoch: epoch.0 });
                         if !conns.send(id, &notify) {
                             continue;
                         }
                     }
-                    let frame = msg.encode_frame();
+                    let frame = framed(tag, &msg);
                     if conns.send(id, &frame) {
-                        let sess = conns.get_mut(id).expect("just sent to");
-                        sess.last_result = Some(frame);
+                        session(conns, route).expect("just sent to").last_result = Some(frame);
                     }
                 }
                 // Re-serve: a session registers with a position, so its
                 // first tick should always be Fresh and a cached result
                 // should exist by the time a deadline tick leaves it
                 // stale. Should that invariant ever break (a hostile
-                // client finding a path around it), drop the one
+                // client finding a path around it), end the one
                 // session — never panic the reactor every other session
                 // depends on.
                 None => match sess.last_result.clone() {
                     Some(frame) => {
                         conns.send(id, &frame);
                     }
-                    None => conns.drop_conn(id),
+                    None => {
+                        let verdict = (ErrorCode::Unavailable, "no result to re-serve");
+                        self.end(conns, route, Some(verdict));
+                    }
                 },
             }
         }

@@ -238,6 +238,12 @@ pub fn max_open_files() -> io::Result<u64> {
     Ok(lim.cur)
 }
 
+/// The open-file soft limit as it stands (unraised; `usize::MAX` when
+/// unknown or unlimited).
+pub(crate) fn open_file_limit() -> usize {
+    nofile_limit().map_or(usize::MAX, |l| usize::try_from(l.cur).unwrap_or(usize::MAX))
+}
+
 /// Sets the open-file **soft** limit (clamped to the hard limit) —
 /// test scaffolding for descriptor-exhaustion regressions, which need
 /// a limit low enough to hit without hoarding tens of thousands of

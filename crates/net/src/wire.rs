@@ -6,7 +6,7 @@
 //! ```text
 //! ┌────────────┬───────────┬───────┬──────────────────┐
 //! │ len: u32le │ ver: u8   │ tag:  │ body …           │
-//! │ (payload   │ (== 1)    │ u8    │ (per-message     │
+//! │ (payload   │ (== 3)    │ u8    │ (per-message     │
 //! │  bytes)    │           │       │  fields, LE)     │
 //! └────────────┴───────────┴───────┴──────────────────┘
 //! ```
@@ -26,6 +26,9 @@
 //! back as a [`DecodeError`] (`tests/codec_fuzz.rs` hammers this;
 //! `tests/codec_props.rs` proves `decode(encode(m)) == m` for arbitrary
 //! messages).
+//! A [`Message::Mux`] envelope's body is opaque to the frame decoder:
+//! an inner message that does not decode ([`Message::decode_inner`]) is
+//! charged to its session, never to the connection.
 
 use std::io;
 
@@ -35,8 +38,9 @@ use std::io;
 ///
 /// Version history: 1 = PR 5/6 message set; 2 = [`Message::KnnResult`]
 /// carries a `flags` byte (partition certification) and
-/// [`ErrorCode::Unavailable`] exists (router backend loss).
-pub const WIRE_VERSION: u8 = 2;
+/// [`ErrorCode::Unavailable`] exists (router backend loss); 3 =
+/// [`Message::Mux`] and [`Message::Drained`] (one leg per backend).
+pub const WIRE_VERSION: u8 = 3;
 
 /// [`Message::KnnResult`] flag bit: the serving partition could not
 /// certify this result against the global site set — the query's k-th
@@ -486,7 +490,7 @@ impl Decode for ErrorCode {
 ///
 /// Client → server: [`Message::Register`], [`Message::PositionUpdate`],
 /// [`Message::Deregister`]. Server → client: [`Message::KnnResult`],
-/// [`Message::EpochNotify`], [`Message::Error`].
+/// [`Message::EpochNotify`], [`Message::Error`], [`Message::Drained`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Opens a session: registers one moving kNN query. `pos` doubles as
@@ -540,6 +544,17 @@ pub enum Message {
         /// Human-readable detail (bounded at [`MAX_DETAIL_LEN`] bytes).
         detail: String,
     },
+    /// One inner message's payload for session `session` of a
+    /// connection that carries many (a cluster router's backend leg).
+    Mux {
+        /// The session number, chosen by the connecting side.
+        session: u32,
+        /// The inner message's [`Message::encode_payload`], undecoded.
+        payload: Vec<u8>,
+    },
+    /// Enveloped, server → router: the session ended after its
+    /// `Deregister`; no further frame for it follows.
+    Drained,
 }
 
 impl Message {
@@ -549,6 +564,8 @@ impl Message {
     const TAG_KNN_RESULT: u8 = 3;
     const TAG_EPOCH_NOTIFY: u8 = 4;
     const TAG_ERROR: u8 = 5;
+    const TAG_MUX: u8 = 6;
+    const TAG_DRAINED: u8 = 7;
 
     /// Serialises the frame payload: version byte, tag byte, body.
     pub fn encode_payload(&self, out: &mut Vec<u8>) {
@@ -589,6 +606,13 @@ impl Message {
                 code.encode(out);
                 detail.encode(out);
             }
+            Message::Mux { session, payload } => {
+                Self::TAG_MUX.encode(out);
+                session.encode(out);
+                (payload.len() as u32).encode(out);
+                out.extend_from_slice(payload);
+            }
+            Message::Drained => Self::TAG_DRAINED.encode(out),
         }
     }
 
@@ -625,6 +649,13 @@ impl Message {
                 code: ErrorCode::decode(&mut r)?,
                 detail: String::decode(&mut r)?,
             },
+            Self::TAG_MUX => {
+                let session = u32::decode(&mut r)?;
+                let n = decode_len(&mut r, MAX_PAYLOAD_LEN, 1)?;
+                let payload = r.take(n)?.to_vec();
+                Message::Mux { session, payload }
+            }
+            Self::TAG_DRAINED => Message::Drained,
             tag => return Err(DecodeError::BadTag(tag)),
         };
         if r.remaining() != 0 {
@@ -633,6 +664,15 @@ impl Message {
             });
         }
         Ok(msg)
+    }
+
+    /// Opens a [`Message::Mux`] payload. The envelope never decodes
+    /// its body, so a nested envelope is rejected here, unrecursed.
+    pub fn decode_inner(payload: &[u8]) -> Result<Message, DecodeError> {
+        match Message::decode_payload(payload)? {
+            Message::Mux { .. } => Err(DecodeError::BadTag(Self::TAG_MUX)),
+            inner => Ok(inner),
+        }
     }
 
     /// Serialises the complete frame (length prefix + payload).
@@ -644,6 +684,13 @@ impl Message {
         (payload.len() as u32).encode(&mut frame);
         frame.extend_from_slice(&payload);
         frame
+    }
+
+    /// The frame of `inner` enveloped for `session`.
+    pub fn mux_frame(session: u32, inner: &Message) -> Vec<u8> {
+        let mut payload = Vec::with_capacity(32);
+        inner.encode_payload(&mut payload);
+        Message::Mux { session, payload }.encode_frame()
     }
 }
 

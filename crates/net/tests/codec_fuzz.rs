@@ -50,7 +50,17 @@ fn corpus() -> Vec<Message> {
             code: ErrorCode::Overloaded,
             detail: "write queue full".to_string(),
         },
+        Message::Drained,
+        envelope(7, &Message::Deregister),
+        envelope(u32::MAX, &Message::Drained),
     ]
+}
+
+/// The envelope of `inner` for `session`.
+fn envelope(session: u32, inner: &Message) -> Message {
+    let mut payload = Vec::new();
+    inner.encode_payload(&mut payload);
+    Message::Mux { session, payload }
 }
 
 #[test]
@@ -100,12 +110,51 @@ fn wrong_version_bytes_are_rejected() {
 
 #[test]
 fn unknown_tags_are_rejected() {
-    for bad in 6u8..=255 {
+    for bad in 8u8..=255 {
         let payload = [WIRE_VERSION, bad];
         assert_eq!(
             Message::decode_payload(&payload),
             Err(DecodeError::BadTag(bad))
         );
+    }
+}
+
+/// An envelope's body is opaque to the frame decoder, so a body that
+/// does not decode — a bad tag, a truncation, an envelope inside the
+/// envelope — still frames cleanly and fails only when opened; the
+/// nested envelope is never decoded.
+#[test]
+fn envelope_bodies_fail_only_when_opened() {
+    let nested = envelope(1, &envelope(2, &Message::Deregister));
+    let mut truncated = Vec::new();
+    Message::Drained.encode_payload(&mut truncated);
+    truncated.pop();
+    let cases = [
+        (nested, DecodeError::BadTag(6)),
+        (
+            Message::Mux {
+                session: 3,
+                payload: vec![WIRE_VERSION, 0xEE],
+            },
+            DecodeError::BadTag(0xEE),
+        ),
+        (
+            Message::Mux {
+                session: 4,
+                payload: truncated,
+            },
+            DecodeError::Truncated,
+        ),
+    ];
+    for (mux, err) in cases {
+        let mut fb = FrameBuf::new();
+        fb.extend(&mux.encode_frame());
+        let (back, _) = fb.next_message().expect("frames cleanly").expect("one");
+        assert_eq!(back, mux);
+        let Message::Mux { payload, .. } = back else {
+            unreachable!()
+        };
+        assert_eq!(Message::decode_inner(&payload), Err(err));
     }
 }
 

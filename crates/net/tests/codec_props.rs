@@ -60,8 +60,25 @@ fn arb_detail() -> BoxedStrategy<String> {
         .boxed()
 }
 
+/// The envelope of `inner` for `session`.
+fn envelope(session: u32, inner: &Message) -> Message {
+    let mut payload = Vec::new();
+    inner.encode_payload(&mut payload);
+    Message::Mux { session, payload }
+}
+
 fn arb_message() -> BoxedStrategy<Message> {
     prop_oneof![
+        arb_inner(),
+        (0u32..u32::MAX, arb_inner()).prop_map(|(session, inner)| envelope(session, &inner)),
+    ]
+    .boxed()
+}
+
+/// Every message that may travel inside an envelope.
+fn arb_inner() -> BoxedStrategy<Message> {
+    prop_oneof![
+        Just(Message::Drained),
         (arb_space(), 1u32..1_000, 1f64..8.0, arb_pos())
             .prop_map(|(space, k, rho, pos)| Message::Register { space, k, rho, pos }),
         arb_pos().prop_map(|pos| Message::PositionUpdate { pos }),
@@ -126,6 +143,17 @@ proptest! {
         roundtrip(&Message::Error { code, detail })?;
     }
 
+    // The envelope round-trips, opens to its inner message, and
+    // `mux_frame` builds the same bytes in place.
+    #[test]
+    fn mux_roundtrips(session in 0u32..u32::MAX, inner in arb_inner()) {
+        let mux = envelope(session, &inner);
+        roundtrip(&mux)?;
+        prop_assert_eq!(Message::mux_frame(session, &inner), mux.encode_frame());
+        let Message::Mux { payload, .. } = mux else { unreachable!() };
+        prop_assert_eq!(Message::decode_inner(&payload), Ok(inner));
+    }
+
     #[test]
     fn any_message_roundtrips(msg in arb_message()) {
         roundtrip(&msg)?;
@@ -147,6 +175,12 @@ proptest! {
         prop_assert!(fb.next_message().expect("nothing left").is_none());
         prop_assert!(fb.at_frame_boundary());
     }
+}
+
+#[test]
+fn drained_roundtrips() {
+    let frame = Message::Drained.encode_frame();
+    assert_eq!(Message::decode_payload(&frame[4..]), Ok(Message::Drained));
 }
 
 #[test]

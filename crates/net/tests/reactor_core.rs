@@ -1,6 +1,6 @@
 //! The reactor core on its own, driven by a scripted [`Handler`]: the
-//! close state machine, generation-tagged ids, bounded output, paused
-//! reads and shutdown — the rules `NetServer` and the cluster router
+//! close state machine, generation-tagged ids, bounded output and
+//! shutdown — the rules `NetServer` and the cluster router
 //! both inherit, pinned without either protocol on top.
 
 #![cfg(target_os = "linux")]
@@ -223,7 +223,7 @@ fn recycled_slot_never_sees_its_predecessors_event() {
             Message::Register { .. } => {
                 let victim = by_tag[&1];
                 conns.drop_conn(victim);
-                let heir = conns.connect(upstream_addr, 99, false).unwrap();
+                let heir = conns.connect(upstream_addr, 99).unwrap();
                 assert!(conns.get_mut(victim).is_none());
                 assert!(!conns.send(victim, &result(13, 1).encode_frame()));
                 *script_ids.lock().unwrap() = vec![format!("{victim:?}"), format!("{heir:?}")];
@@ -325,94 +325,25 @@ fn overflowing_consumer_is_dropped_alone_and_without_an_error_frame() {
     assert_eq!(saw(&log, &Seen::Closed(0, Closed::Overflow)), 0);
 }
 
-/// (d) Reads paused on a connection deliver nothing — not even frames
-/// already buffered behind the one that paused it — until resumed, and
-/// nothing is lost.
-#[test]
-fn paused_reads_deliver_nothing_until_resumed() {
-    let mut by_tag: HashMap<u32, ConnId> = HashMap::new();
-    let (reactor, log) = spawn(1 << 20, SLICE, None, move |conns, id, tag, msg| {
-        by_tag.insert(tag, id);
-        match (tag, msg) {
-            (0, Message::Deregister) => conns.pause_reads(id, true),
-            (1, Message::Deregister) => conns.pause_reads(by_tag[&0], false),
-            _ => {}
-        }
-    });
-    let (mut paused, mut control) = (connect(&reactor), connect(&reactor));
-    // One write: the pause and three frames behind it in the same
-    // read chunk.
-    send(
-        &mut paused,
-        &[
-            update(0),
-            Message::Deregister,
-            update(1),
-            update(2),
-            update(3),
-        ],
-    );
-    wait_for("the pause", || {
-        saw(&log, &Seen::Frame(0, Message::Deregister)) == 1
-    });
-    send(&mut paused, &[update(4)]);
-    send(&mut control, &[update(50)]);
-    wait_for("the control connection", || {
-        saw(&log, &Seen::Frame(1, update(50))) == 1
-    });
-    let of_paused = |log: &Log| -> Vec<Seen> {
-        let log = log.lock().unwrap();
-        let mine = log.iter().filter(|s| matches!(s, Seen::Frame(0, _)));
-        mine.cloned().collect()
-    };
-    assert_eq!(
-        of_paused(&log),
-        [
-            Seen::Frame(0, update(0)),
-            Seen::Frame(0, Message::Deregister)
-        ],
-        "frames were delivered while paused"
-    );
-
-    send(&mut control, &[Message::Deregister]);
-    wait_for("the backlog", || saw(&log, &Seen::Frame(0, update(4))) == 1);
-    let expect: Vec<Seen> = [update(0), Message::Deregister]
-        .into_iter()
-        .chain((1..=4).map(update))
-        .map(|m| Seen::Frame(0, m))
-        .collect();
-    assert_eq!(of_paused(&log), expect, "lost or reordered");
-    drop(reactor);
-}
-
-/// (e) Shutdown with connections in every state — fresh, closing with
-/// a residue, paused — joins within two poll slices and closes them all.
+/// (d) Shutdown with connections in every state — fresh, mid-frame,
+/// closing with a residue — joins within two poll slices and closes them
+/// all.
 #[test]
 fn shutdown_joins_promptly_whatever_the_connections_are_doing() {
     let slice = Duration::from_millis(100);
-    let (mut reactor, log) = spawn(
-        4 << 20,
-        slice,
-        Some(16 * 1024),
-        |conns, id, _, msg| match msg {
-            Message::Deregister => conns.pause_reads(id, true),
-            Message::PositionUpdate { .. } => {
-                for i in 0..4000 {
-                    conns.send(id, &result(i, 64).encode_frame());
-                }
-                conns.close(id);
+    let (mut reactor, log) = spawn(4 << 20, slice, Some(16 * 1024), |conns, id, _, msg| {
+        if let Message::PositionUpdate { .. } = msg {
+            for i in 0..4000 {
+                conns.send(id, &result(i, 64).encode_frame());
             }
-            _ => {}
-        },
-    );
-    let mut fresh = connect(&reactor);
-    let mut paused = connect(&reactor);
-    send(&mut paused, &[Message::Deregister]);
-    wait_for("the pause", || {
-        saw(&log, &Seen::Frame(0, Message::Deregister))
-            + saw(&log, &Seen::Frame(1, Message::Deregister))
-            == 1
+            conns.close(id);
+        }
     });
+    let mut fresh = connect(&reactor);
+    let mut partial = connect(&reactor);
+    // Half a frame: the reactor holds it, waiting for the rest.
+    let frame = register().encode_frame();
+    partial.write_all(&frame[..frame.len() / 2]).unwrap();
     let mut closing = connect(&reactor);
     sys::set_recv_buffer(sys::raw_fd(&closing), 16 * 1024).unwrap();
     send(&mut closing, &[update(0)]);
@@ -431,5 +362,12 @@ fn shutdown_joins_promptly_whatever_the_connections_are_doing() {
     let (got, _) = read_to_end(&mut closing);
     assert!(got.len() < 4000, "residue survived shutdown");
     assert!(read_to_end(&mut fresh).0.is_empty());
-    assert!(read_to_end(&mut paused).0.is_empty());
+    assert!(read_to_end(&mut partial).0.is_empty());
+    assert!(
+        log.lock()
+            .unwrap()
+            .iter()
+            .all(|s| !matches!(s, Seen::Frame(1, _))),
+        "half a frame was delivered"
+    );
 }
