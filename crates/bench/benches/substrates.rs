@@ -20,7 +20,7 @@ fn space() -> Aabb {
 fn bench_delaunay(c: &mut Criterion) {
     let mut group = c.benchmark_group("delaunay_build");
     group.sample_size(20);
-    for n in [1_000usize, 10_000, 50_000] {
+    for n in [1_000usize, 10_000, 50_000, 100_000] {
         let points = Distribution::Uniform.generate(n, &space(), 1);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
@@ -50,6 +50,15 @@ fn bench_indexes(c: &mut Criterion) {
     group.bench_function("voronoi_build_10k", |b| {
         b.iter(|| {
             black_box(Voronoi::build(black_box(points.clone()), space().inflated(10.0)).unwrap())
+        })
+    });
+    // The benchmark's scale: the whole set-up build, diagram and tree.
+    let points_100k = Distribution::Uniform.generate(100_000, &space(), 3);
+    group.bench_function("vortree_build_100k", |b| {
+        b.iter(|| {
+            black_box(
+                VorTree::build(black_box(points_100k.clone()), space().inflated(10.0)).unwrap(),
+            )
         })
     });
 

@@ -51,30 +51,31 @@ pub struct VorTreeScratch {
 impl VorTree {
     /// Builds the Voronoi diagram of `points` (clipped to `bounds`) and
     /// bulk-loads an R-tree over the sites.
+    ///
+    /// Both are built on the calling thread, the R-tree after the diagram:
+    /// a second thread loading the tree beside the triangulation builds
+    /// the same index, but its allocations interleave with the sweep's on
+    /// the shared heap by timing, so the process's peak resident memory
+    /// varies from run to run.
     pub fn build(points: Vec<Point>, bounds: Aabb) -> Result<VorTree, VoronoiError> {
         let voronoi = Voronoi::build(points, bounds)?;
-        Ok(Self::from_voronoi(voronoi))
-    }
-
-    /// Wraps an existing Voronoi diagram.
-    pub fn from_voronoi(voronoi: Voronoi) -> VorTree {
         let entries: Vec<Entry> = voronoi
             .points()
             .iter()
             .enumerate()
-            .map(|(i, &p)| Entry {
-                point: p,
+            .map(|(i, &point)| Entry {
+                point,
                 id: i as u32,
             })
             .collect();
         let xs: Vec<f64> = voronoi.points().iter().map(|p| p.x).collect();
         let ys: Vec<f64> = voronoi.points().iter().map(|p| p.y).collect();
-        VorTree {
+        Ok(VorTree {
             rtree: RTree::bulk_load(entries),
             voronoi,
             xs,
             ys,
-        }
+        })
     }
 
     /// The underlying Voronoi diagram.

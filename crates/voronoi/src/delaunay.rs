@@ -8,12 +8,18 @@
 //! of triangles to visible hull edges plus Lawson flips
 //! (Lawson legalization) to restore the empty-circle property.
 //!
+//! The order is one unstable sort of the ids on precomputed keys (squared
+//! distances from the circumcenter); `tests/build_identity.rs` pins where
+//! its ties fall. Coincident points have bit-equal keys, so duplicates are
+//! sought only in runs of equal keys. The sweep runs on local ids (points
+//! copied into insertion order), mapped back to input ids at the end.
+//!
 //! All orientation and in-circle decisions use the adaptive-exact predicates
 //! of `insq-geom`, so the topology is exact even for cocircular and nearly
 //! collinear inputs.
 
 use insq_geom::predicates::{incircle, InCircle};
-use insq_geom::{orient2d, Orientation, Point};
+use insq_geom::{orient2d, Aabb, Orientation, Point};
 
 use crate::VoronoiError;
 
@@ -88,27 +94,108 @@ impl Triangulation {
         if let Some(i) = points.iter().position(|p| !p.is_finite()) {
             return Err(VoronoiError::NonFinite { index: i });
         }
-        detect_duplicates(points)?;
-
-        let mut builder = Builder::new(points)?;
-        builder.run(points)?;
-        Ok(builder.finish())
+        let (ids, center) = insertion_order(points)?;
+        let local: Vec<Point> = ids.iter().map(|&i| points[i as usize]).collect();
+        let mut builder = Builder::new(&local, center);
+        builder.run(&local, &ids)?;
+        Ok(builder.finish(&ids))
     }
 }
 
-/// Errors out on exactly coincident points.
-fn detect_duplicates(points: &[Point]) -> Result<(), VoronoiError> {
-    use std::collections::HashMap;
-    let mut seen: HashMap<(u64, u64), usize> = HashMap::with_capacity(points.len());
-    for (i, p) in points.iter().enumerate() {
-        // Normalise -0.0 to 0.0 so the bit patterns match.
-        let key = ((p.x + 0.0).to_bits(), (p.y + 0.0).to_bits());
-        if let Some(&first) = seen.get(&key) {
-            return Err(VoronoiError::DuplicateSites { first, second: i });
-        }
-        seen.insert(key, i);
+/// The seed triangle's ids counter-clockwise, then every other id by
+/// ascending distance from its circumcenter (returned too). Rejects
+/// duplicate and all-collinear inputs.
+fn insertion_order(points: &[Point]) -> Result<(Vec<u32>, Point), VoronoiError> {
+    let n = points.len();
+
+    // Seed: the point closest to the bbox center, its nearest neighbor,
+    // and the third point minimising the circumradius.
+    let bb_center = Aabb::of_points(points.iter().copied())
+        .expect("n >= 3")
+        .center();
+    let i0 = (0..n)
+        .min_by(|&i, &j| {
+            points[i]
+                .distance_sq(bb_center)
+                .total_cmp(&points[j].distance_sq(bb_center))
+        })
+        .expect("n >= 3");
+    let p0 = points[i0];
+
+    let i1 = (0..n)
+        .filter(|&i| i != i0)
+        .min_by(|&i, &j| {
+            points[i]
+                .distance_sq(p0)
+                .total_cmp(&points[j].distance_sq(p0))
+        })
+        .expect("n >= 3");
+    let p1 = points[i1];
+
+    let i2 = (0..n)
+        .filter(|&i| i != i0 && i != i1)
+        .min_by(|&i, &j| {
+            circumradius_sq(p0, p1, points[i]).total_cmp(&circumradius_sq(p0, p1, points[j]))
+        })
+        .expect("n >= 3");
+    // Without a seed triangle there is no order to read duplicates from,
+    // so the whole input is searched for them.
+    let collinear = || {
+        reject_duplicates(points, &mut (0..n as u32).collect::<Vec<_>>())?;
+        Err(VoronoiError::AllCollinear)
+    };
+    if circumradius_sq(p0, p1, points[i2]) == f64::INFINITY {
+        return collinear();
     }
-    Ok(())
+
+    // Orient the seed triangle counter-clockwise.
+    let (i1, i2) = match orient2d(p0, p1, points[i2]) {
+        Orientation::CounterClockwise => (i1, i2),
+        Orientation::Clockwise => (i2, i1),
+        Orientation::Collinear => return collinear(),
+    };
+    let seeds = [i0 as u32, i1 as u32, i2 as u32];
+    let center = circumcenter_fast(points[i0], points[i1], points[i2]);
+
+    // Ascending distance from the seed circumcenter, each computed once.
+    let keys: Vec<f64> = points.iter().map(|p| p.distance_sq(center)).collect();
+    let key = |i: u32| keys[i as usize];
+    let mut ids = Vec::with_capacity(n);
+    ids.extend(seeds);
+    ids.extend((0..n as u32).filter(|i| !seeds.contains(i)));
+    ids[3..].sort_unstable_by(|&a, &b| key(a).total_cmp(&key(b)));
+
+    // Coincident points have bit-equal keys: every duplicate lies in a run
+    // of equal keys or shares a seed's key (the three seeds are distinct).
+    let seed_keys = seeds.map(key);
+    let mut suspects = seeds.to_vec();
+    for run in ids[3..].chunk_by(|&a, &b| key(a) == key(b)) {
+        if run.len() > 1 || seed_keys.contains(&key(run[0])) {
+            suspects.extend_from_slice(run);
+        }
+    }
+    reject_duplicates(points, &mut suspects)?;
+    Ok((ids, center))
+}
+
+/// Fails with the duplicate a scan of `ids` in ascending order meets
+/// first: the least id whose point an earlier id already holds, and the
+/// earliest such id. Reorders `ids`.
+fn reject_duplicates(points: &[Point], ids: &mut [u32]) -> Result<(), VoronoiError> {
+    // `+ 0.0` turns -0.0 into 0.0, so coincident points share a key.
+    let key = |i: u32| {
+        let p = points[i as usize];
+        ((p.x + 0.0).to_bits(), (p.y + 0.0).to_bits())
+    };
+    ids.sort_unstable_by_key(|&i| (key(i), i));
+    let pairs = ids.windows(2).filter(|w| key(w[0]) == key(w[1]));
+    match pairs.min_by_key(|w| w[1]) {
+        Some(&[first, second]) => Err(VoronoiError::DuplicateSites {
+            first: first as usize,
+            second: second as usize,
+        }),
+        _ => Ok(()),
+    }
 }
 
 /// Monotone pseudo-angle of a direction, in `[0, 1)`; increases
@@ -157,6 +244,7 @@ fn circumcenter_fast(a: Point, b: Point, c: Point) -> Point {
     Point::new(x, y)
 }
 
+/// The sweep's state over local ids: seeds 0, 1, 2, then insertion order.
 struct Builder {
     triangles: Vec<u32>,
     halfedges: Vec<u32>,
@@ -169,113 +257,38 @@ struct Builder {
     hull_hash: Vec<u32>,
     hull_start: u32,
     center: Point,
-    /// Insertion order (indices into `points`).
-    order: Vec<u32>,
-    seed: [u32; 3],
     legalize_stack: Vec<u32>,
 }
 
 impl Builder {
-    fn new(points: &[Point]) -> Result<Builder, VoronoiError> {
+    fn new(points: &[Point], center: Point) -> Builder {
         let n = points.len();
-
-        // Seed: the point closest to the bbox center, its nearest neighbor,
-        // and the third point minimising the circumradius.
-        let bb_center = {
-            let mut min = points[0];
-            let mut max = points[0];
-            for p in points {
-                min.x = min.x.min(p.x);
-                min.y = min.y.min(p.y);
-                max.x = max.x.max(p.x);
-                max.y = max.y.max(p.y);
-            }
-            min.midpoint(max)
-        };
-
-        let i0 = (0..n)
-            .min_by(|&i, &j| {
-                points[i]
-                    .distance_sq(bb_center)
-                    .total_cmp(&points[j].distance_sq(bb_center))
-            })
-            .expect("n >= 3");
-        let p0 = points[i0];
-
-        let i1 = (0..n)
-            .filter(|&i| i != i0)
-            .min_by(|&i, &j| {
-                points[i]
-                    .distance_sq(p0)
-                    .total_cmp(&points[j].distance_sq(p0))
-            })
-            .expect("n >= 3");
-        let p1 = points[i1];
-
-        let i2 = (0..n)
-            .filter(|&i| i != i0 && i != i1)
-            .min_by(|&i, &j| {
-                circumradius_sq(p0, p1, points[i]).total_cmp(&circumradius_sq(p0, p1, points[j]))
-            })
-            .expect("n >= 3");
-        if circumradius_sq(p0, p1, points[i2]) == f64::INFINITY {
-            return Err(VoronoiError::AllCollinear);
-        }
-
-        // Orient the seed triangle counter-clockwise.
-        let (i1, i2) = match orient2d(p0, p1, points[i2]) {
-            Orientation::CounterClockwise => (i1, i2),
-            Orientation::Clockwise => (i2, i1),
-            Orientation::Collinear => return Err(VoronoiError::AllCollinear),
-        };
-        let (i0, i1, i2) = (i0 as u32, i1 as u32, i2 as u32);
-        let center = circumcenter_fast(
-            points[i0 as usize],
-            points[i1 as usize],
-            points[i2 as usize],
-        );
-
-        // Insertion order: ascending distance from the seed circumcenter.
-        let mut order: Vec<u32> = (0..n as u32)
-            .filter(|&i| i != i0 && i != i1 && i != i2)
-            .collect();
-        order.sort_unstable_by(|&a, &b| {
-            points[a as usize]
-                .distance_sq(center)
-                .total_cmp(&points[b as usize].distance_sq(center))
-        });
-
-        let max_triangles = 2 * n - 5; // Euler bound for planar triangulations
+        // Twice the Euler bound `2n - 5`: room for `DynamicDelaunay`'s ghost
+        // triangles, so wrapping never moves the arrays (a moved array's
+        // untouched tail can land on resident, reused heap).
+        let capacity = 2 * 3 * (2 * n - 5);
         let hash_size = (n as f64).sqrt().ceil() as usize;
         let mut b = Builder {
-            triangles: Vec::with_capacity(3 * max_triangles),
-            halfedges: Vec::with_capacity(3 * max_triangles),
+            triangles: Vec::with_capacity(capacity),
+            halfedges: Vec::with_capacity(capacity),
             hull_prev: vec![EMPTY; n],
             hull_next: vec![EMPTY; n],
             hull_tri: vec![EMPTY; n],
             hull_hash: vec![EMPTY; hash_size],
-            hull_start: i0,
+            hull_start: 0,
             center,
-            order,
-            seed: [i0, i1, i2],
             legalize_stack: Vec::with_capacity(64),
         };
 
         // Initialise the hull with the seed triangle.
-        b.hull_next[i0 as usize] = i1;
-        b.hull_prev[i2 as usize] = i1;
-        b.hull_next[i1 as usize] = i2;
-        b.hull_prev[i0 as usize] = i2;
-        b.hull_next[i2 as usize] = i0;
-        b.hull_prev[i1 as usize] = i0;
-        b.hull_tri[i0 as usize] = 0;
-        b.hull_tri[i1 as usize] = 1;
-        b.hull_tri[i2 as usize] = 2;
-        b.hash_edge(points[i0 as usize], i0);
-        b.hash_edge(points[i1 as usize], i1);
-        b.hash_edge(points[i2 as usize], i2);
-        b.add_triangle(i0, i1, i2, EMPTY, EMPTY, EMPTY);
-        Ok(b)
+        for v in 0..3 {
+            b.hull_next[v as usize] = (v + 1) % 3;
+            b.hull_prev[v as usize] = (v + 2) % 3;
+            b.hull_tri[v as usize] = v;
+            b.hash_edge(points[v as usize], v);
+        }
+        b.add_triangle(0, 1, 2, EMPTY, EMPTY, EMPTY);
+        b
     }
 
     #[inline]
@@ -328,9 +341,9 @@ impl Builder {
         orient2d(points[u as usize], points[v as usize], p) == Orientation::Clockwise
     }
 
-    fn run(&mut self, points: &[Point]) -> Result<(), VoronoiError> {
-        let order = std::mem::take(&mut self.order);
-        for &i in &order {
+    /// Inserts the points after the seeds; `ids[v]` is local `v`'s input id.
+    fn run(&mut self, points: &[Point], ids: &[u32]) -> Result<(), VoronoiError> {
+        for i in 3..points.len() as u32 {
             let p = points[i as usize];
 
             // Find a visible hull edge via the angular hash.
@@ -355,8 +368,8 @@ impl Builder {
                     // No visible edge: impossible for distinct points under
                     // the sorted insertion order (see module docs).
                     return Err(VoronoiError::DuplicateSites {
-                        first: e as usize,
-                        second: i as usize,
+                        first: ids[e as usize] as usize,
+                        second: ids[i as usize] as usize,
                     });
                 }
             }
@@ -502,18 +515,21 @@ impl Builder {
         ar
     }
 
-    fn finish(self) -> Triangulation {
+    /// The triangulation over the input's ids: `ids[v]` is local `v`'s.
+    fn finish(mut self, ids: &[u32]) -> Triangulation {
         // Collect the hull in CCW order.
         let mut hull = Vec::new();
         let mut e = self.hull_start;
         loop {
-            hull.push(e);
+            hull.push(ids[e as usize]);
             e = self.hull_next[e as usize];
             if e == self.hull_start {
                 break;
             }
         }
-        let _ = self.seed;
+        for v in &mut self.triangles {
+            *v = ids[*v as usize];
+        }
         Triangulation {
             triangles: self.triangles,
             halfedges: self.halfedges,
@@ -650,6 +666,23 @@ mod tests {
             Triangulation::build(&pts(&[(0.0, 0.0), (f64::NAN, 0.0), (0.0, 1.0)])),
             Err(VoronoiError::NonFinite { index: 1 })
         ));
+
+        // The duplicate a scan in input order meets first: the least
+        // second occurrence, with the earliest point it repeats.
+        let (o, x, y, d, m) = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (3.0, 1.0), (2.0, 2.0));
+        let square = [o, (4.0, 0.0), (4.0, 4.0), (0.0, 4.0), m]; // seeds m, then (2.5, 2)
+        for (coords, first, second) in [
+            (vec![o, x, y, x], 1, 3),
+            (vec![o, x, y, d, d, x], 3, 4), // two pairs
+            (vec![(0.0, -0.0), x, y, (-0.0, 0.0)], 0, 3),
+            ([&square[..], &[(1.0, 3.0), m]].concat(), 4, 6),
+            ([&square[..], &[(2.5, 2.0), y, (2.5, 2.0)]].concat(), 5, 7),
+            (vec![o, d, x, d, y, d], 1, 3), // three copies
+            (vec![o, (1.0, 1.0), m, (1.0, 1.0), (3.0, 3.0)], 1, 3), // collinear
+        ] {
+            let want = VoronoiError::DuplicateSites { first, second };
+            assert_eq!(Triangulation::build(&pts(&coords)).err(), Some(want));
+        }
     }
 
     #[test]

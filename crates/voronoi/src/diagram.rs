@@ -68,13 +68,12 @@ struct Adjacency {
 }
 
 impl Adjacency {
-    /// The lists of `n` sites from every undirected edge, once: degree
+    /// The lists of `n` sites from every directed edge, once: degree
     /// count, prefix sum, fill, sort each span.
-    fn build(n: usize, edges: &[(u32, u32)]) -> Adjacency {
+    fn build(n: usize, edges: impl Iterator<Item = (u32, u32)> + Clone) -> Adjacency {
         let mut spans = vec![Span::default(); n];
-        for &(u, v) in edges {
+        for (u, _) in edges.clone() {
             spans[u as usize].len += 1;
-            spans[v as usize].len += 1;
         }
         let mut end = 0usize;
         for span in &mut spans {
@@ -83,12 +82,10 @@ impl Adjacency {
             span.len = 0;
         }
         let mut pool = vec![SiteId(0); end];
-        for &(u, v) in edges {
-            for (from, to) in [(u, v), (v, u)] {
-                let span = &mut spans[from as usize];
-                pool[span.range().end] = SiteId(to);
-                span.len += 1;
-            }
+        for (u, v) in edges {
+            let span = &mut spans[u as usize];
+            pool[span.range().end] = SiteId(v);
+            span.len += 1;
         }
         for span in &spans {
             pool[span.range()].sort_unstable();
@@ -170,7 +167,7 @@ impl Voronoi {
         let triangulation = Triangulation::build(&points)?;
         let n = points.len();
         let tri = DynamicDelaunay::from_triangulation(triangulation, n);
-        let adj = Adjacency::build(n, &tri.edges());
+        let adj = Adjacency::build(n, tri.directed_edges());
         Ok(Voronoi {
             points,
             bounds,

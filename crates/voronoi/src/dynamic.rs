@@ -128,23 +128,15 @@ impl DynamicDelaunay {
         ]
     }
 
-    /// Every finite undirected Delaunay edge, once.
-    pub fn edges(&self) -> Vec<(u32, u32)> {
-        let mut out = Vec::new();
-        for e in 0..self.triangles.len() as u32 {
+    /// Every finite directed Delaunay edge `(from, to)`, once: with the
+    /// ghosts in place, each is a halfedge of exactly one live triangle.
+    pub(crate) fn directed_edges(&self) -> impl Iterator<Item = (u32, u32)> + Clone + '_ {
+        (0..self.triangles.len() as u32).filter_map(move |e| {
             let a = self.triangles[e as usize];
-            if a == EMPTY || a == GHOST {
-                continue;
-            }
             let b = self.triangles[next_halfedge(e) as usize];
-            if b == GHOST {
-                continue;
-            }
-            if e < self.halfedges[e as usize] {
-                out.push((a, b));
-            }
-        }
-        out
+            // `EMPTY` and `GHOST` are the two largest ids.
+            (a < GHOST && b < GHOST).then_some((a, b))
+        })
     }
 
     /// The convex hull vertex ids in counter-clockwise order (hull chains
