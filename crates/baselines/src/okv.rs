@@ -16,7 +16,7 @@
 
 use insq_core::{influential_neighbor_set, CoreError, MovingKnn, QueryStats, TickOutcome};
 use insq_geom::Point;
-use insq_index::VorTree;
+use insq_index::{RTree, VorTree};
 use insq_paper::{ConvexPolygon, HalfPlane};
 use insq_voronoi::SiteId;
 
@@ -24,6 +24,7 @@ use insq_voronoi::SiteId;
 #[derive(Debug, Clone)]
 pub struct OkvProcessor<'a> {
     index: &'a VorTree,
+    rtree: RTree,
     k: usize,
     knn: Vec<(SiteId, f64)>,
     region: ConvexPolygon,
@@ -46,6 +47,7 @@ impl<'a> OkvProcessor<'a> {
         }
         Ok(OkvProcessor {
             index,
+            rtree: index.rtree(),
             k,
             knn: Vec::new(),
             region: ConvexPolygon::empty(),
@@ -66,7 +68,7 @@ impl<'a> OkvProcessor<'a> {
     }
 
     fn recompute(&mut self, q: Point) {
-        let (res, st) = self.index.rtree().knn_with_stats(q, self.k);
+        let (res, st) = self.rtree.knn_with_stats(q, self.k);
         self.stats.search_ops += (st.nodes_visited + st.entries_scanned) as u64;
         self.knn = res.into_iter().map(|(e, d)| (SiteId(e.id), d)).collect();
         // The server ships the k result objects.

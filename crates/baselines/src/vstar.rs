@@ -21,7 +21,7 @@
 
 use insq_core::{CoreError, MovingKnn, QueryStats, TickOutcome};
 use insq_geom::Point;
-use insq_index::VorTree;
+use insq_index::{RTree, VorTree};
 use insq_voronoi::SiteId;
 
 /// Configuration of the V* baseline.
@@ -51,6 +51,7 @@ impl VStarConfig {
 #[derive(Debug, Clone)]
 pub struct VStarProcessor<'a> {
     index: &'a VorTree,
+    rtree: RTree,
     cfg: VStarConfig,
     /// Retrieval anchor.
     q0: Point,
@@ -84,6 +85,7 @@ impl<'a> VStarProcessor<'a> {
         }
         Ok(VStarProcessor {
             index,
+            rtree: index.rtree(),
             cfg,
             q0: Point::ORIGIN,
             known_radius: 0.0,
@@ -106,7 +108,7 @@ impl<'a> VStarProcessor<'a> {
 
     fn retrieve(&mut self, q: Point) {
         let m = (self.cfg.k + self.cfg.x).min(self.index.len());
-        let (res, st) = self.index.rtree().knn_with_stats(q, m);
+        let (res, st) = self.rtree.knn_with_stats(q, m);
         self.stats.search_ops += (st.nodes_visited + st.entries_scanned) as u64;
         // Communication: objects not already held.
         let newly = res

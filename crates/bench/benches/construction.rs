@@ -11,6 +11,7 @@ use std::hint::black_box;
 
 fn bench_construction(c: &mut Criterion) {
     let index = build_index(10_000, Distribution::Uniform, 5);
+    let rtree = index.rtree();
     let q = Point::new(47.3, 52.9);
     let mut group = c.benchmark_group("construction");
     group.sample_size(60);
@@ -35,7 +36,7 @@ fn bench_construction(c: &mut Criterion) {
         });
         let x = (k / 2).max(2);
         group.bench_with_input(BenchmarkId::new("vstar_retrieve", k), &k, |b, _| {
-            b.iter(|| black_box(index.rtree().knn(black_box(q), k + x)))
+            b.iter(|| black_box(rtree.knn(black_box(q), k + x)))
         });
         group.bench_with_input(BenchmarkId::new("ins_full_prefetch", k), &k, |b, _| {
             // The whole INS recomputation: ⌊ρk⌋-NN search + neighbor union.

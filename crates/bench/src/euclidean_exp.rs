@@ -48,7 +48,8 @@ pub fn run_all_methods(
     cmp.add(&run_euclidean(&mut okv, traj, ticks, speed));
     let mut vstar = VStarProcessor::new(index, VStarConfig::with_k(k)).expect("valid k");
     cmp.add(&run_euclidean(&mut vstar, traj, ticks, speed));
-    let mut naive = NaiveProcessor::new(index.rtree(), k).expect("valid k");
+    let rtree = index.rtree();
+    let mut naive = NaiveProcessor::new(&rtree, k).expect("valid k");
     cmp.add(&run_euclidean(&mut naive, traj, ticks, speed));
     cmp
 }
@@ -325,6 +326,7 @@ pub fn e9_construction_micro(effort: Effort) -> String {
         Effort::Full => 20_000,
     };
     let index = build_index(10_000, Distribution::Uniform, 5);
+    let rtree = index.rtree();
     let q = Point::new(47.3, 52.9);
     let mut out = String::from("per-recomputation construction kernels (n=10000, ns mean)\n");
     out.push_str(&format!(
@@ -353,7 +355,7 @@ pub fn e9_construction_micro(effort: Effort) -> String {
         let x = (k / 2).max(2);
         let t0 = Instant::now();
         for _ in 0..reps {
-            sink += index.rtree().knn(q, k + x).len();
+            sink += rtree.knn(q, k + x).len();
         }
         let vstar_ns = t0.elapsed().as_nanos() as f64 / reps as f64;
 
@@ -476,14 +478,15 @@ pub fn ablation(effort: Effort) -> String {
         sink += index.knn(q, 13).len();
     }
     let vor_ns = t0.elapsed().as_nanos() as f64 / reps as f64;
+    let rtree = index.rtree();
     let t0 = Instant::now();
     for _ in 0..reps {
-        sink += index.rtree().knn(q, 13).len();
+        sink += rtree.knn(q, 13).len();
     }
     let rtree_ns = t0.elapsed().as_nanos() as f64 / reps as f64;
     out.push_str(&format!(
         "\nkNN search (k+x = 13, mean of {reps} reps; sink {sink}):\n\
-         VoR-tree (1NN descent + Voronoi expansion): {vor_ns:>8.0} ns\n\
+         VoR-tree (1NN walk + Voronoi expansion):    {vor_ns:>8.0} ns\n\
          R-tree best-first:                          {rtree_ns:>8.0} ns\n",
     ));
     out.push_str(

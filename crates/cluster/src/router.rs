@@ -16,8 +16,8 @@
 //!   positions; the router homes them through its [`Partitioner`] and
 //!   forwards them, tagged, on that region's leg.
 //! * **Id rewrite**: backend `KnnResult` frames carry region-local site
-//!   ids; the router rewrites them to global ids through its rewrite
-//!   tables ([`RouterServer::set_tables`]) so clients only ever see the
+//!   ids; the router rewrites them to global ids through the rewrite
+//!   tables fixed at [`RouterServer::bind`] so clients only ever see the
 //!   ids a single-world deployment would emit. `FLAG_UNCERTIFIED` passes
 //!   through untouched.
 //! * **Handoff**: when a fresh position homes in a different region, the
@@ -41,18 +41,12 @@
 //! deregistered at its backend at once; after its own `Deregister` it
 //! closes once its queued output flushes, and whatever the backend still
 //! sends for it is dropped.
-//!
-//! Rewrite tables are swapped atomically ([`RouterServer::set_tables`])
-//! by whatever orchestrates delta epochs across the backends; swap them
-//! while the affected backend is quiescent (between ticks), in the same
-//! breath as the backend's `World::apply`, so no in-flight result is
-//! rewritten through the wrong table generation.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 use insq_geom::Point;
@@ -66,9 +60,10 @@ pub struct RouterConfig {
     /// Backend partition servers, indexed by [`RegionId`] — must match
     /// the partitioner's region count.
     pub backends: Vec<SocketAddr>,
-    /// Initial rewrite tables (`tables[region][local_id] = global_id`),
-    /// typically [`crate::ClusterPlan::tables`]. Empty means identity
-    /// (backends already speak global ids).
+    /// Rewrite tables (`tables[region][local_id] = global_id`), fixed
+    /// for the router's lifetime, typically
+    /// [`crate::ClusterPlan::tables`]. Empty means identity (backends
+    /// already speak global ids).
     pub tables: Vec<Vec<u32>>,
     /// Byte bound of each session's client-facing write buffer.
     pub write_buf: usize,
@@ -90,7 +85,7 @@ impl RouterConfig {
 
 struct RouterShared {
     part: Arc<dyn Partitioner + Send + Sync>,
-    tables: RwLock<Vec<Vec<u32>>>,
+    tables: Vec<Vec<u32>>,
     backends: Vec<SocketAddr>,
     live: AtomicUsize,
     handoffs: AtomicU64,
@@ -154,7 +149,7 @@ impl RouterServer {
         check_tables(&cfg.tables, cfg.backends.len())?;
         let shared = Arc::new(RouterShared {
             part,
-            tables: RwLock::new(cfg.tables),
+            tables: cfg.tables,
             backends: cfg.backends,
             live: AtomicUsize::new(0),
             handoffs: AtomicU64::new(0),
@@ -188,21 +183,6 @@ impl RouterServer {
     /// Client-side wire bytes `(received, sent)` so far.
     pub fn wire_bytes(&self) -> (u64, u64) {
         self.reactor.wire_bytes()
-    }
-
-    /// Atomically replaces the local→global rewrite tables (after a
-    /// delta epoch reshapes the regional site sets): empty, or one row
-    /// per region — anything else is an `InvalidInput` error and leaves
-    /// the tables as they were. See the module docs for the quiescence
-    /// requirement.
-    pub fn set_tables(&self, tables: Vec<Vec<u32>>) -> io::Result<()> {
-        check_tables(&tables, self.shared.backends.len())?;
-        *self
-            .shared
-            .tables
-            .write()
-            .unwrap_or_else(|e| e.into_inner()) = tables;
-        Ok(())
     }
 
     /// Stops the reactor, closing every session and backend connection.
@@ -493,11 +473,7 @@ impl Routing {
                 outcome,
                 flags,
             } => {
-                let rewritten = {
-                    let tables = self.shared.tables.read().unwrap_or_else(|e| e.into_inner());
-                    rewrite_ids(tables.get(region.0 as usize), ids)
-                };
-                let Some(ids) = rewritten else {
+                let Some(ids) = rewrite_ids(self.shared.tables.get(region.0 as usize), ids) else {
                     let detail = format!("backend {region} returned an unknown site id");
                     return conns.fail(client, ErrorCode::Malformed, &detail);
                 };

@@ -528,14 +528,12 @@ fn bad_configs_are_rejected_not_panicked_on_or_misrouted() {
     };
     invalid(RouterServer::bind("127.0.0.1:0", two(), short));
 
-    // Identity (no tables) and one row per region are both fine, and
-    // `set_tables` holds a running router to the same rule.
-    let router = RouterServer::bind("127.0.0.1:0", two(), RouterConfig::new(vec![addr, addr]))
+    // Identity (no tables) and one row per region are both fine.
+    RouterServer::bind("127.0.0.1:0", two(), RouterConfig::new(vec![addr, addr]))
         .expect("identity tables bind");
-    router
-        .set_tables(vec![vec![0, 1], vec![2]])
-        .expect("a row per region");
-    let e = router.set_tables(vec![vec![0, 1]]).expect_err("one row");
-    assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
-    router.set_tables(Vec::new()).expect("back to identity");
+    let per_region = RouterConfig {
+        tables: vec![vec![0, 1], vec![2]],
+        ..RouterConfig::new(vec![addr, addr])
+    };
+    RouterServer::bind("127.0.0.1:0", two(), per_region).expect("a row per region binds");
 }

@@ -2,19 +2,20 @@
 //!
 //! Spatial indexes for the INSQ moving-kNN system:
 //!
-//! * [`RTree`] — a dynamic point R-tree (STR bulk load, insert/remove,
-//!   range queries, best-first kNN), used directly by the naive baseline
-//!   that recomputes the kNN set at every timestamp;
 //! * [`VorTree`] — the VoR-tree of Sharifzadeh & Shahabi (reference \[7\] of
-//!   the paper): the same R-tree bundled with the precomputed Voronoi
-//!   diagram, so kNN search can expand Voronoi neighbor links after a
-//!   single best-first descent and the INS construction gets its neighbor
+//!   the paper): the precomputed Voronoi diagram as the one spatial
+//!   structure. kNN search locates the 1NN by walking Delaunay links from
+//!   a fixed set of start sites — it returns the site an R-tree's
+//!   best-first descent would, ties included — and expands Voronoi
+//!   neighbor links from there; the INS construction gets its neighbor
 //!   lists for free;
 //! * [`SiteDelta`] — a batched incremental update
 //!   ([`VorTree::insert_site`] / [`VorTree::remove_site`] /
-//!   [`VorTree::apply`]) that patches both structures locally instead of
+//!   [`VorTree::apply`]) that patches the diagram locally instead of
 //!   rebuilding, proven equivalent to a from-scratch build by
-//!   `tests/incremental_conformance.rs`.
+//!   `tests/incremental_conformance.rs`;
+//! * [`RTree`] — a static point R-tree (STR bulk load, best-first kNN),
+//!   the search of the paper's Naive, OkV and V* baselines.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -25,6 +26,6 @@ pub mod vortree;
 pub mod weighted;
 
 pub use delta::SiteDelta;
-pub use rtree::{Entry, RTree, RTreeScratch};
+pub use rtree::{Entry, RTree};
 pub use vortree::{VorTree, VorTreeScratch};
 pub use weighted::{AxisWeights, WeightedVorTree};

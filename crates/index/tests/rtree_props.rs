@@ -1,122 +1,13 @@
-//! Property-based tests for the R-tree: arbitrary interleavings of bulk
-//! load, insert and remove must preserve query correctness against a
-//! shadow brute-force model.
+//! Property test: the VoR-tree's kNN (the point-location walk plus
+//! Voronoi expansion) equals best-first search over an R-tree freshly
+//! bulk-loaded on the same sites, ties broken by id in both.
 
 use insq_geom::{Aabb, Point};
-use insq_index::rtree::Entry;
-use insq_index::{RTree, VorTree};
+use insq_index::VorTree;
 use proptest::prelude::*;
-
-#[derive(Debug, Clone)]
-enum Op {
-    Insert { x: f64, y: f64 },
-    RemoveNth(usize),
-    Knn { x: f64, y: f64, k: usize },
-    Range { x: f64, y: f64, w: f64, h: f64 },
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        3 => (0.0f64..100.0, 0.0f64..100.0).prop_map(|(x, y)| Op::Insert { x, y }),
-        1 => (0usize..400).prop_map(Op::RemoveNth),
-        2 => (0.0f64..100.0, 0.0f64..100.0, 1usize..12)
-            .prop_map(|(x, y, k)| Op::Knn { x, y, k }),
-        1 => (0.0f64..90.0, 0.0f64..90.0, 1.0f64..40.0, 1.0f64..40.0)
-            .prop_map(|(x, y, w, h)| Op::Range { x, y, w, h }),
-    ]
-}
-
-fn brute_knn(model: &[(Point, u32)], q: Point, k: usize) -> Vec<u32> {
-    let mut v: Vec<&(Point, u32)> = model.iter().collect();
-    v.sort_by(|a, b| {
-        a.0.distance_sq(q)
-            .total_cmp(&b.0.distance_sq(q))
-            .then(a.1.cmp(&b.1))
-    });
-    v.into_iter().take(k).map(|e| e.1).collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
-
-    #[test]
-    fn mixed_operations_match_model(
-        initial in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 0..120),
-        ops in prop::collection::vec(op_strategy(), 1..80),
-    ) {
-        let mut next_id: u32 = 0;
-        let mut model: Vec<(Point, u32)> = Vec::new();
-        let entries: Vec<Entry> = initial
-            .iter()
-            .map(|&(x, y)| {
-                let e = Entry { point: Point::new(x, y), id: next_id };
-                model.push((e.point, e.id));
-                next_id += 1;
-                e
-            })
-            .collect();
-        let mut tree = RTree::bulk_load(entries);
-
-        for op in ops {
-            match op {
-                Op::Insert { x, y } => {
-                    let p = Point::new(x, y);
-                    tree.insert(p, next_id);
-                    model.push((p, next_id));
-                    next_id += 1;
-                }
-                Op::RemoveNth(i) => {
-                    if !model.is_empty() {
-                        let (p, id) = model.swap_remove(i % model.len());
-                        prop_assert!(tree.remove(p, id), "existing entry removable");
-                    }
-                }
-                Op::Knn { x, y, k } => {
-                    let q = Point::new(x, y);
-                    let got: Vec<u32> = tree.knn(q, k).into_iter().map(|(e, _)| e.id).collect();
-                    prop_assert_eq!(got, brute_knn(&model, q, k));
-                }
-                Op::Range { x, y, w, h } => {
-                    let region = Aabb::new(Point::new(x, y), Point::new(x + w, y + h));
-                    let mut got: Vec<u32> =
-                        tree.range(&region).into_iter().map(|e| e.id).collect();
-                    got.sort_unstable();
-                    let mut want: Vec<u32> = model
-                        .iter()
-                        .filter(|(p, _)| region.contains(*p))
-                        .map(|&(_, id)| id)
-                        .collect();
-                    want.sort_unstable();
-                    prop_assert_eq!(got, want);
-                }
-            }
-            prop_assert_eq!(tree.len(), model.len());
-        }
-        tree.check_invariants();
-    }
-
-    #[test]
-    fn bulk_load_equals_incremental(pts in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..150)) {
-        let entries: Vec<Entry> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, &(x, y))| Entry { point: Point::new(x, y), id: i as u32 })
-            .collect();
-        let bulk = RTree::bulk_load(entries.clone());
-        let mut incr = RTree::new();
-        for e in &entries {
-            incr.insert(e.point, e.id);
-        }
-        bulk.check_invariants();
-        incr.check_invariants();
-        // Same answers to the same queries.
-        for &(x, y) in pts.iter().take(10) {
-            let q = Point::new(x + 0.1, y - 0.1);
-            let a: Vec<u32> = bulk.knn(q, 5).into_iter().map(|(e, _)| e.id).collect();
-            let b: Vec<u32> = incr.knn(q, 5).into_iter().map(|(e, _)| e.id).collect();
-            prop_assert_eq!(a, b);
-        }
-    }
 
     #[test]
     fn vortree_knn_equals_rtree_knn(pts in prop::collection::vec((0.0f64..100.0, 0.0f64..100.0), 8..100), qx in -20.0f64..120.0, qy in -20.0f64..120.0, k in 1usize..10) {

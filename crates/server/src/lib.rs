@@ -92,7 +92,6 @@ fn assert_thread_safety() {
     use std::sync::Arc;
 
     // Substrates.
-    assert_send_sync::<insq_index::RTree>();
     assert_send_sync::<insq_index::VorTree>();
     assert_send_sync::<insq_index::WeightedVorTree>();
     assert_send_sync::<insq_roadnet::RoadNetwork>();

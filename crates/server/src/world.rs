@@ -12,8 +12,10 @@
 //!   all of them). A copy nobody reads is patched (cost proportional
 //!   to the delta's neighborhood, see `insq_index::VorTree::apply` /
 //!   `insq_roadnet::NetworkVoronoi::insert_site` /
-//!   `insq_roadnet::NetworkVoronoi::reweight_edges`) and published.
-//!   Structures untouched by the delta are shared via `Arc` where the
+//!   `insq_roadnet::NetworkVoronoi::reweight_edges`) and published. A
+//!   Euclidean snapshot is one spatial structure, the Voronoi diagram
+//!   (plus its coordinate lanes): its 1NN search walks the diagram, so a
+//!   delta patches, and a copy clones, nothing else. Structures untouched by the delta are shared via `Arc` where the
 //!   snapshot allows it (a [`NetworkWorld`] keeps its road network
 //!   across pure site-churn deltas; a traffic delta — a `NetDelta`
 //!   carrying edge re-weights — replaces it with a re-weighted copy and

@@ -143,7 +143,8 @@ mod tests {
             1,
         );
         let mut ins = InsProcessor::new(&idx, InsConfig::new(4, 1.6)).unwrap();
-        let mut naive = NaiveProcessor::new(idx.rtree(), 4).unwrap();
+        let rtree = idx.rtree();
+        let mut naive = NaiveProcessor::new(&rtree, 4).unwrap();
         let run_a = run_euclidean(&mut ins, &traj, 300, 0.4);
         let run_b = run_euclidean(&mut naive, &traj, 300, 0.4);
         for (a, b) in run_a.ticks.iter().zip(&run_b.ticks) {

@@ -35,7 +35,8 @@ fn main() {
     let mut vstar = VStarProcessor::new(&index, VStarConfig::with_k(k)).unwrap();
     comparison.add(&run_euclidean(&mut vstar, &walk, ticks, speed));
 
-    let mut naive = NaiveProcessor::new(index.rtree(), k).unwrap();
+    let rtree = index.rtree();
+    let mut naive = NaiveProcessor::new(&rtree, k).unwrap();
     comparison.add(&run_euclidean(&mut naive, &walk, ticks, speed));
 
     println!("{}", comparison.to_table());

@@ -62,7 +62,8 @@ fn all_euclidean_methods_agree_with_brute_force() {
         let mut ins_inc = InsProcessor::new(&index, InsConfig::new(k, 1.6).incremental()).unwrap();
         let mut okv = OkvProcessor::new(&index, k).unwrap();
         let mut vstar = VStarProcessor::new(&index, VStarConfig::with_k(k)).unwrap();
-        let mut naive = NaiveProcessor::new(index.rtree(), k).unwrap();
+        let rtree = index.rtree();
+        let mut naive = NaiveProcessor::new(&rtree, k).unwrap();
 
         for tick in 0..ticks {
             let pos = traj.position_looped(speed * tick as f64);
@@ -97,7 +98,8 @@ fn cost_hierarchy_matches_paper_claims() {
     comparison.add(&run_euclidean(&mut okv, &traj, ticks, speed));
     let mut vstar = VStarProcessor::new(&index, VStarConfig::with_k(k)).unwrap();
     comparison.add(&run_euclidean(&mut vstar, &traj, ticks, speed));
-    let mut naive = NaiveProcessor::new(index.rtree(), k).unwrap();
+    let rtree = index.rtree();
+    let mut naive = NaiveProcessor::new(&rtree, k).unwrap();
     comparison.add(&run_euclidean(&mut naive, &traj, ticks, speed));
 
     let row = |m: &str| comparison.row(m).unwrap().clone();
