@@ -15,7 +15,7 @@ use insq_geom::Point;
 use insq_index::{VorTree, VorTreeScratch};
 use insq_voronoi::SiteId;
 
-use crate::influential::influential_neighbor_set_into;
+use crate::influential::{guard_scan, influential_neighbor_set_into};
 use crate::processor::Processor;
 use crate::space::{Space, Verdict};
 
@@ -70,7 +70,7 @@ impl Space for Euclidean {
     }
 
     fn brute_knn(index: &VorTree, pos: Point, k: usize) -> Vec<SiteId> {
-        index.brute_knn(pos, k)
+        index.voronoi().knn_brute(pos, k)
     }
 
     fn validate_into(
@@ -89,19 +89,14 @@ impl Space for Euclidean {
 }
 
 /// The §III-A validation scan shared by the (plain and weighted)
-/// Euclidean spaces: the result is valid while the farthest current
-/// member (`r.delete`) is not farther than the nearest guard
-/// (`r.candidate`, ties valid). On invalidation the held objects are
-/// ranked into the candidate replacement. One distance evaluation per
-/// held object either way; `out` receives the refreshed result
-/// (valid) or the candidate set (invalid).
-///
-/// This is the same predicate as
-/// [`crate::influential::validate_by_distance`] (which reports the
-/// delete/candidate pair for observers and benches); the comparison
-/// semantics — squared distances, boundary ties valid — must stay in
-/// sync between the two. This variant materialises nothing, keeping the
-/// fleet engine's valid-tick path allocation-free.
+/// Euclidean spaces: [`guard_scan`] over the current members and the
+/// held objects outside them, as in
+/// [`crate::influential::validate_by_distance`]. On invalidation the
+/// held objects are ranked into the candidate replacement. One distance
+/// evaluation per held object either way; `out` receives the refreshed
+/// result (valid) or the candidate set (invalid), and nothing else is
+/// materialised, keeping the fleet engine's valid-tick path
+/// allocation-free.
 pub(crate) fn scan_validate_into<F: Fn(SiteId) -> f64 + Copy>(
     dist_sq: F,
     held: &[SiteId],
@@ -110,17 +105,13 @@ pub(crate) fn scan_validate_into<F: Fn(SiteId) -> f64 + Copy>(
     out: &mut Vec<(SiteId, f64)>,
 ) -> (Verdict, u64) {
     let ops = held.len() as u64;
-    let mut max_knn = f64::NEG_INFINITY;
-    for &(s, _) in current {
-        max_knn = max_knn.max(dist_sq(s));
-    }
-    let mut min_guard = f64::INFINITY;
-    for &s in held {
-        if !current.iter().any(|&(c, _)| c == s) {
-            min_guard = min_guard.min(dist_sq(s));
-        }
-    }
-    if max_knn <= min_guard {
+    let members = current.iter().map(|&(s, _)| s);
+    let guards = held
+        .iter()
+        .copied()
+        .filter(|&s| !current.iter().any(|&(c, _)| c == s));
+    let (valid, _, _) = guard_scan(dist_sq, members, guards);
+    if valid {
         out.clear();
         out.extend(current.iter().map(|&(s, _)| (s, dist_sq(s))));
         // Total-order comparator, so the unstable (allocation-free)

@@ -45,42 +45,52 @@ pub fn influential_neighbor_set_into(voronoi: &Voronoi, knn: &[SiteId], out: &mu
 /// This is the O(k + |IS|) validation scan of paper §III-A: find the
 /// farthest current kNN (`r.delete`) and the nearest guard
 /// (`r.candidate`); the set is valid while the former is not farther than
-/// the latter.
-///
-/// The generic processor's hot path uses the allocation-free twin of
-/// this predicate (`euclidean::scan_validate`); the comparison
-/// semantics — squared distances, boundary ties valid — must stay in
-/// sync between the two.
+/// the latter. The processor's tick path runs the same scan
+/// (`guard_scan`) through `<Euclidean as Space>::validate_into`.
 pub fn validate_by_distance(
     points: &[Point],
     q: Point,
     knn: &[SiteId],
     guard: &[SiteId],
 ) -> Validation {
-    let mut delete = None;
-    let mut max_knn = f64::NEG_INFINITY;
-    for &p in knn {
-        let d = points[p.idx()].distance_sq(q);
-        if d > max_knn {
-            max_knn = d;
-            delete = Some(p);
-        }
-    }
-    let mut candidate = None;
-    let mut min_guard = f64::INFINITY;
-    for &s in guard {
-        let d = points[s.idx()].distance_sq(q);
-        if d < min_guard {
-            min_guard = d;
-            candidate = Some(s);
-        }
-    }
+    let (valid, delete, candidate) = guard_scan(
+        |s| points[s.idx()].distance_sq(q),
+        knn.iter().copied(),
+        guard.iter().copied(),
+    );
     Validation {
-        valid: max_knn <= min_guard,
+        valid,
         delete,
         candidate,
         ops: (knn.len() + guard.len()) as u64,
     }
+}
+
+/// The §III-A guard scan: the farthest of `members` (`r.delete`) and
+/// the nearest of `guards` (`r.candidate`) under `dist_sq`, the first
+/// of equals winning, and whether the former is not farther than the
+/// latter — boundary ties valid, no guards always valid.
+#[inline]
+pub(crate) fn guard_scan<F: Fn(SiteId) -> f64>(
+    dist_sq: F,
+    members: impl Iterator<Item = SiteId>,
+    guards: impl Iterator<Item = SiteId>,
+) -> (bool, Option<SiteId>, Option<SiteId>) {
+    let (mut max_member, mut delete) = (f64::NEG_INFINITY, None);
+    for s in members {
+        let d = dist_sq(s);
+        if d > max_member {
+            (max_member, delete) = (d, Some(s));
+        }
+    }
+    let (mut min_guard, mut candidate) = (f64::INFINITY, None);
+    for s in guards {
+        let d = dist_sq(s);
+        if d < min_guard {
+            (min_guard, candidate) = (d, Some(s));
+        }
+    }
+    (max_member <= min_guard, delete, candidate)
 }
 
 /// Result of a validation scan.

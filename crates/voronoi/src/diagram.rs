@@ -348,30 +348,24 @@ impl Voronoi {
         self.neighbors(a).binary_search(&b).is_ok()
     }
 
-    /// Brute-force nearest site to `q` — an oracle for tests and tiny
-    /// inputs; real queries should go through `insq-index`.
-    pub fn nearest_site_brute(&self, q: Point) -> SiteId {
-        let i = (0..self.points.len())
-            .min_by(|&i, &j| {
-                self.points[i]
-                    .distance_sq(q)
-                    .total_cmp(&self.points[j].distance_sq(q))
-            })
-            .expect("diagram has at least 3 sites");
-        SiteId(i as u32)
-    }
-
-    /// Brute-force k nearest sites to `q`, ascending by distance — test
-    /// oracle.
+    /// Brute-force k nearest sites to `q`, ascending by `(squared
+    /// distance, id)` — the reference every kNN search is checked
+    /// against. One pass scores the sites, an O(n) select keeps the k
+    /// least, and only those are sorted.
     pub fn knn_brute(&self, q: Point, k: usize) -> Vec<SiteId> {
-        let mut ids: Vec<u32> = (0..self.points.len() as u32).collect();
-        ids.sort_by(|&i, &j| {
-            self.points[i as usize]
-                .distance_sq(q)
-                .total_cmp(&self.points[j as usize].distance_sq(q))
-        });
-        ids.truncate(k);
-        ids.into_iter().map(SiteId).collect()
+        let mut scored: Vec<(f64, u32)> = self
+            .points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.distance_sq(q), i as u32))
+            .collect();
+        let cmp = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1));
+        if k > 0 && scored.len() > k {
+            scored.select_nth_unstable_by(k - 1, cmp);
+        }
+        scored.truncate(k);
+        scored.sort_unstable_by(cmp);
+        scored.into_iter().map(|(_, i)| SiteId(i)).collect()
     }
 }
 
@@ -609,14 +603,32 @@ mod tests {
         );
     }
 
+    /// The select-then-sort is a full sort by `(squared distance, id)`,
+    /// ties included: a lattice puts many sites at bit-equal distances
+    /// from each query, and `k` runs over the edge cases.
     #[test]
     fn knn_brute_sorted() {
-        let v = grid_3x3();
-        let knn = v.knn_brute(Point::new(0.1, 0.1), 3);
-        assert_eq!(knn[0], SiteId(0));
-        assert_eq!(knn.len(), 3);
-        let d0 = v.point(knn[0]).distance(Point::new(0.1, 0.1));
-        let d2 = v.point(knn[2]).distance(Point::new(0.1, 0.1));
-        assert!(d0 <= d2);
+        let points: Vec<Point> = (0..6)
+            .flat_map(|i| (0..6).map(move |j| Point::new(i as f64, j as f64)))
+            .collect();
+        let bounds = Aabb::new(Point::new(-1.0, -1.0), Point::new(6.0, 6.0));
+        let v = Voronoi::build(points, bounds).unwrap();
+        let n = v.len();
+        for q in [
+            Point::new(0.1, 0.1),
+            Point::new(2.5, 2.5),
+            Point::new(2.0, 3.0),
+            Point::new(-4.0, 2.5),
+            Point::new(3.5, 9.0),
+        ] {
+            let mut full: Vec<(f64, SiteId)> = (0..n as u32)
+                .map(|i| (v.point(SiteId(i)).distance_sq(q), SiteId(i)))
+                .collect();
+            full.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            for k in [0, 1, 5, n, n + 3] {
+                let want: Vec<SiteId> = full.iter().take(k).map(|&(_, s)| s).collect();
+                assert_eq!(v.knn_brute(q, k), want, "k={k} q={q:?}");
+            }
+        }
     }
 }
