@@ -1,6 +1,8 @@
 //! The allocation guard: proves the steady-state tick hot path performs
 //! **zero heap allocations** — valid ticks *and* full kNN recomputations
-//! — in all three spaces, standalone and under the fleet engine.
+//! — in all three spaces, standalone and under the fleet engine (on
+//! one worker lane, and under its default configuration, where a fleet
+//! below the inline-tick bound spawns no worker).
 //!
 //! Method: every scenario runs the same deterministic position sequence
 //! twice. Pass 1 is the warm-up — scratch arenas and result buffers grow
@@ -236,4 +238,29 @@ fn steady_state_ticks_allocate_nothing() {
     recording_lap(&mut fleet);
     let events = events_during(|| recording_lap(&mut fleet));
     assert_eq!(events, 0, "fleet recording tick allocated");
+
+    // ------------------------------- fleet engine (default config)
+    // The same fleet built with `FleetConfig::default()`, whose thread
+    // cap is the host's parallelism: 32 queries are below the engine's
+    // inline-tick bound, so both kinds of tick run on the calling thread
+    // and spawn no worker — a spawned thread allocates.
+    let mut fleet: FleetEngine<VorTree, InsFleetQuery> =
+        FleetEngine::new(Arc::clone(&tree), FleetConfig::default());
+    for _ in 0..n_queries {
+        fleet.register(InsFleetQuery::new(&tree, InsConfig::new(5, 1.6)).unwrap());
+    }
+    for _ in 0..2 {
+        for t in 0..path.len() {
+            fleet.tick_all(feed(t));
+        }
+    }
+    recording_lap(&mut fleet);
+    let events = events_during(|| {
+        for t in 0..path.len() {
+            fleet.tick_all(feed(t));
+        }
+    });
+    assert_eq!(events, 0, "default-config fleet tick_all allocated");
+    let events = events_during(|| recording_lap(&mut fleet));
+    assert_eq!(events, 0, "default-config fleet recording tick allocated");
 }

@@ -23,8 +23,7 @@ use std::net::{Shutdown, ToSocketAddrs};
 
 use insq_server::Epoch;
 
-use crate::buffer::READ_CHUNK;
-use crate::reactor::Link;
+use crate::reactor::{Fill, Link};
 use crate::space::WireSpace;
 use crate::sys;
 use crate::wire::{ErrorCode, Message, SpaceKind, WireOutcome};
@@ -118,6 +117,14 @@ pub enum ClientEvent {
 /// updates, still finite.
 pub(crate) const CLIENT_WRITE_BUF: usize = 1 << 20;
 
+/// The size of a [`ClientCore`]'s own read buffer, allocated once per
+/// core and reused by every read. A session receives one result per
+/// request (tens of bytes at served `k`), so one read still takes a
+/// backlog of a dozen results, and a larger one takes a few reads; the
+/// reactor's [`crate::buffer::READ_CHUNK`] (16 KiB) per core would hold
+/// 320 MB at the soak's 20 000 sessions.
+const CLIENT_READ_CHUNK: usize = 1024;
+
 /// The non-blocking client core: one socket, zero blocking calls.
 ///
 /// Sends queue into a bounded write buffer and flush opportunistically
@@ -131,9 +138,14 @@ pub(crate) const CLIENT_WRITE_BUF: usize = 1 << 20;
 #[derive(Debug)]
 pub struct ClientCore {
     link: Link,
+    /// Read buffer reused by every [`ClientCore::poll_message`].
+    scratch: Box<[u8]>,
     bytes_out: u64,
     bytes_in: u64,
     eof: bool,
+    /// The last read came back short (the socket was drained then), and
+    /// no poll has reported "nothing yet" since.
+    drained: bool,
 }
 
 impl ClientCore {
@@ -141,9 +153,11 @@ impl ClientCore {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<ClientCore> {
         Ok(ClientCore {
             link: Link::connect(addr)?,
+            scratch: vec![0u8; CLIENT_READ_CHUNK].into_boxed_slice(),
             bytes_out: 0,
             bytes_in: 0,
             eof: false,
+            drained: false,
         })
     }
 
@@ -198,25 +212,34 @@ impl ClientCore {
     /// Decodes the next buffered frame, reading whatever the socket has
     /// — never blocking. `Ok(None)` means no complete frame yet (poll
     /// for readability); EOF is reported via [`ClientCore::is_eof`].
+    ///
+    /// A read that came back short drained the socket, so the first
+    /// call after it that finds no complete buffered frame returns
+    /// `Ok(None)` without a syscall: a caller that waits for
+    /// readiness next loses nothing, and a caller that polls again
+    /// without waiting reads as before one call later.
     pub fn poll_message(&mut self) -> io::Result<Option<Message>> {
         loop {
             if let Some((msg, _)) = self.link.rbuf.next_message().map_err(io::Error::from)? {
                 return Ok(Some(msg));
             }
-            if self.eof {
+            if self.eof || std::mem::take(&mut self.drained) {
                 return Ok(None);
             }
-            let mut chunk = [0u8; READ_CHUNK];
-            match self.link.fill(&mut chunk)? {
-                None => return Ok(None),
-                Some(0) => {
+            match self.link.fill(&mut self.scratch)? {
+                Fill::Empty => return Ok(None),
+                Fill::Eof => {
                     self.eof = true;
                     if !self.link.rbuf.at_frame_boundary() {
                         return Err(io::ErrorKind::UnexpectedEof.into());
                     }
                     return Ok(None);
                 }
-                Some(n) => self.bytes_in += n as u64,
+                Fill::More(n) => self.bytes_in += n as u64,
+                Fill::Drained(n) => {
+                    self.bytes_in += n as u64;
+                    self.drained = true;
+                }
             }
         }
     }

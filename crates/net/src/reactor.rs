@@ -16,8 +16,13 @@
 //! * the **listener**, disarmed at the session cap and during the
 //!   `ACCEPT_ERROR_PAUSE` after descriptor exhaustion;
 //! * the **bounded read → frame-drain loop**: frames reassemble
-//!   incrementally ([`FrameBuf`]) across any number of wakeups, and a
-//!   connection yields to its peers after `READS_PER_WAKEUP` chunks;
+//!   incrementally ([`FrameBuf`]) across any number of wakeups. A read
+//!   that comes back short of its buffer drained the socket, so the
+//!   connection's turn ends there, after its frames are delivered —
+//!   readiness is level-triggered, so bytes or a FIN that arrive later
+//!   are reported again, and an answer costs one read, not a second one
+//!   that finds nothing. A run of full reads yields to the connection's
+//!   peers after `READS_PER_WAKEUP` chunks;
 //! * **bounded output with a coalesced optimistic flush**: frames
 //!   queue into the connection's [`WriteBuf`], and a burst of frames
 //!   to one connection leaves in one `write` — when the callbacks'
@@ -63,9 +68,10 @@ use crate::client::CLIENT_WRITE_BUF;
 use crate::sys::{self, Readiness, ReadinessKind};
 use crate::wire::{ErrorCode, Message};
 
-/// How many [`READ_CHUNK`]s one connection may consume per wakeup
-/// before yielding to its peers (level-triggered readiness re-reports
-/// the rest; see [`Readiness`]).
+/// How many reads one connection may make per wakeup before yielding to
+/// its peers — a bound on a run of full [`READ_CHUNK`]s, since a short
+/// read ends the turn anyway (level-triggered readiness re-reports the
+/// rest; see [`Readiness`]).
 const READS_PER_WAKEUP: usize = 4;
 
 /// The listener's readiness token (no connection can reach it: slots
@@ -80,6 +86,21 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 /// fullest; pausing briefly lets live connections keep being served and
 /// retries once descriptors may have freed.
 const ACCEPT_ERROR_PAUSE: Duration = Duration::from_millis(25);
+
+/// What one [`Link::fill`] found.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Fill {
+    /// The socket had nothing right now.
+    Empty,
+    /// The peer closed its end.
+    Eof,
+    /// `n` bytes were appended and the read filled its buffer: more may
+    /// be waiting.
+    More(usize),
+    /// `n` bytes were appended and the read came back short: the socket
+    /// was drained at that moment.
+    Drained(usize),
+}
 
 /// One non-blocking socket with its reassembly and write buffers — the
 /// single type behind accepted sessions, outbound legs and
@@ -106,17 +127,24 @@ impl Link {
         Link::new(TcpStream::connect(addr)?, CLIENT_WRITE_BUF)
     }
 
-    /// One non-blocking read into the reassembly buffer: the bytes
-    /// appended (`Some(0)` is the peer's EOF), or `None` when the
-    /// socket has nothing right now.
-    pub(crate) fn fill(&mut self, scratch: &mut [u8]) -> io::Result<Option<usize>> {
+    /// One non-blocking read through `scratch` into the reassembly
+    /// buffer. This is the one place the short-read rule lives: a read
+    /// that returns less than `scratch` holds means the socket was
+    /// drained at that moment ([`Fill::Drained`]), so its reader need
+    /// not read again before readiness reports it again.
+    pub(crate) fn fill(&mut self, scratch: &mut [u8]) -> io::Result<Fill> {
         loop {
             match self.stream.read(scratch) {
+                Ok(0) => return Ok(Fill::Eof),
                 Ok(n) => {
                     self.rbuf.extend(&scratch[..n]);
-                    return Ok(Some(n));
+                    return Ok(if n < scratch.len() {
+                        Fill::Drained(n)
+                    } else {
+                        Fill::More(n)
+                    });
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(Fill::Empty),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -656,7 +684,8 @@ impl<H: Handler> Reactor<H> {
         }
     }
 
-    /// Drains the socket (bounded per wakeup), delivering every
+    /// Reads the socket until a short read drains it (at most
+    /// `READS_PER_WAKEUP` full reads per wakeup), delivering every
     /// complete frame.
     fn read_ready(&mut self, id: ConnId) {
         for _ in 0..READS_PER_WAKEUP {
@@ -668,18 +697,18 @@ impl<H: Handler> Reactor<H> {
                 return;
             }
             match slot.link.fill(&mut c.scratch) {
-                Ok(None) => return,
-                Ok(Some(0)) if !slot.outbound => return c.close_with(id, Closed::Eof),
-                Ok(Some(0)) if slot.link.rbuf.at_frame_boundary() => {
+                Ok(Fill::Empty) => return,
+                Ok(Fill::Eof) if !slot.outbound => return c.close_with(id, Closed::Eof),
+                Ok(Fill::Eof) if slot.link.rbuf.at_frame_boundary() => {
                     return c.drop_with(id, Closed::Eof)
                 }
-                Ok(Some(0)) => return c.drop_with(id, Closed::Malformed),
-                Ok(Some(n)) => {
+                Ok(Fill::Eof) => return c.drop_with(id, Closed::Malformed),
+                Ok(fill @ (Fill::More(n) | Fill::Drained(n))) => {
                     if !slot.outbound {
                         c.shared.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
                     }
                     Conns::<H::Conn>::note_buffers(&c.shared, &slot.link);
-                    if !self.deliver(id) {
+                    if !self.deliver(id) || matches!(fill, Fill::Drained(_)) {
                         return;
                     }
                 }

@@ -43,7 +43,8 @@
 //! to register/deregister/tick, the owner's API calls ([`stats`],
 //! [`query_ids`]) lock it to read — there is no condvar and no
 //! lock-order graph, and the engine's own scoped-thread pool still
-//! parallelises the tick itself.
+//! parallelises the tick itself once the fleet is large enough to pay
+//! for it (a small fleet ticks on the reactor thread).
 //!
 //! [`stats`]: NetServer::stats
 //! [`query_ids`]: NetServer::query_ids
@@ -195,6 +196,9 @@ impl<S: WireSpace> NetServer<S> {
             registered_ever: 0,
             fresh: 0,
             last_tick: Instant::now(),
+            feed: HashMap::new(),
+            dispositions: Vec::new(),
+            results: Vec::new(),
         };
         let reactor = Reactor::spawn(addr, cfg.max_sessions, cfg.write_buf, serving)?;
         Ok(NetServer { shared, reactor })
@@ -320,6 +324,11 @@ struct Serving<S: WireSpace> {
     /// not an O(live) recount.
     fresh: usize,
     last_tick: Instant,
+    /// A tick's positions by query id, its dispositions and its results:
+    /// cleared by every tick, their capacity kept.
+    feed: HashMap<u64, TickPos<S::Pos>>,
+    dispositions: Vec<(QueryId, TickDisposition)>,
+    results: Vec<(QueryId, Option<Message>)>,
 }
 
 impl<S: WireSpace> Handler for Serving<S> {
@@ -505,7 +514,7 @@ impl<S: WireSpace> Serving<S> {
 
         // Batch: consume every pending position. `Q::Pos` is `Copy`, so
         // the feed map costs one word-sized copy per session.
-        let mut feed: HashMap<u64, TickPos<S::Pos>> = HashMap::with_capacity(self.by_qid.len());
+        self.feed.clear();
         for (&qid, &route) in &self.by_qid {
             let sess = session(conns, route).expect("by_qid sessions are live");
             let tp = match sess.pending.take() {
@@ -518,7 +527,7 @@ impl<S: WireSpace> Serving<S> {
                     None => TickPos::Missing,
                 },
             };
-            feed.insert(qid, tp);
+            self.feed.insert(qid, tp);
         }
         // Every pending position was just consumed.
         self.fresh = 0;
@@ -527,11 +536,14 @@ impl<S: WireSpace> Serving<S> {
         // pass: `for_each_query` visits in exactly the (deterministic)
         // shard order `tick` reported in, and nothing mutates the
         // engine in between (the reactor holds the lock throughout).
-        let mut dispositions: Vec<(QueryId, TickDisposition)> = Vec::new();
-        let mut results: Vec<(QueryId, Option<Message>)> = Vec::with_capacity(self.by_qid.len());
+        self.dispositions.clear();
+        let (feed, dispositions) = (&self.feed, &mut self.dispositions);
+        // Taken for the push loop, which needs `self`; it leaves the
+        // buffer drained, and it is put back below.
+        let mut results = std::mem::take(&mut self.results);
         let epoch = {
             let mut engine = self.shared.engine();
-            let summary = engine.tick(policy, |id| feed[&id.0], &mut dispositions);
+            let summary = engine.tick(policy, |id| feed[&id.0], dispositions);
             let mut at = 0usize;
             engine.for_each_query(|qid, q| {
                 let (did, disposition) = dispositions[at];
@@ -563,7 +575,7 @@ impl<S: WireSpace> Serving<S> {
         // reactor flushes each connection's frames in one write as the
         // loop moves on to the next connection — a backend leg's whole
         // tick leaves in one.
-        for (qid, msg) in results {
+        for (qid, msg) in results.drain(..) {
             let Some(&route) = self.by_qid.get(&qid.0) else {
                 continue;
             };
@@ -603,6 +615,7 @@ impl<S: WireSpace> Serving<S> {
                 },
             }
         }
+        self.results = results;
         self.shared.ticks.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -371,3 +371,133 @@ fn shutdown_joins_promptly_whatever_the_connections_are_doing() {
         "half a frame was delivered"
     );
 }
+
+// ---------------------------------------------------------------------
+// Short reads. A read that comes back short of its buffer drained the
+// socket, so the connection's turn ends there; level-triggered readiness
+// reports whatever arrives later. None of that may lose or tear a frame.
+
+/// A frame cut in two, the halves written with a pause between them:
+/// the first half is read alone (a short read), and the frame is
+/// delivered once, whole, when the rest arrives.
+#[test]
+fn a_frame_split_over_two_writes_with_a_pause_arrives_whole() {
+    let (reactor, log) = spawn(1 << 20, SLICE, None, |_, _, _, _| {});
+    let mut peer = connect(&reactor);
+    let frame = register().encode_frame();
+    let half = frame.len() / 2;
+    peer.write_all(&frame[..half]).unwrap();
+    wait_for("the first half to be read", || {
+        reactor.wire_bytes().0 == half as u64
+    });
+    std::thread::sleep(4 * SLICE);
+    assert!(log.lock().unwrap().is_empty(), "half a frame was delivered");
+
+    peer.write_all(&frame[half..]).unwrap();
+    wait_for("the frame", || !log.lock().unwrap().is_empty());
+    std::thread::sleep(4 * SLICE);
+    assert_eq!(*log.lock().unwrap(), vec![Seen::Frame(0, register())]);
+}
+
+/// Exactly `bytes` of wire in whole frames: results of 64 ids, padded
+/// to the exact length by one `Error` frame.
+fn frames_of_exactly(bytes: usize) -> Vec<Message> {
+    let pad = |len: usize| Message::Error {
+        code: insq_net::ErrorCode::Malformed,
+        detail: "x".repeat(len),
+    };
+    let base = pad(0).encode_frame().len();
+    let (mut msgs, mut left) = (Vec::new(), bytes);
+    loop {
+        let next = result(msgs.len() as u64, 64);
+        let len = next.encode_frame().len();
+        if left < len + base {
+            break;
+        }
+        msgs.push(next);
+        left -= len;
+    }
+    msgs.push(pad(left - base));
+    let wire: usize = msgs.iter().map(|m| m.encode_frame().len()).sum();
+    assert_eq!(wire, bytes);
+    msgs
+}
+
+/// A burst of exactly one read buffer (a full read: the turn goes on
+/// and finds the socket empty) and one of three buffers and a byte
+/// (three full reads, then a one-byte short one) is delivered in full,
+/// in order.
+#[test]
+fn bursts_of_whole_read_buffers_are_delivered_in_full() {
+    use insq_net::buffer::READ_CHUNK;
+    for bytes in [READ_CHUNK, 3 * READ_CHUNK + 1] {
+        let (reactor, log) = spawn(1 << 20, SLICE, None, |_, _, _, _| {});
+        let mut peer = connect(&reactor);
+        let msgs = frames_of_exactly(bytes);
+        send(&mut peer, &msgs);
+        wait_for("the whole burst", || reactor.wire_bytes().0 == bytes as u64);
+        wait_for("every frame", || log.lock().unwrap().len() == msgs.len());
+        let want: Vec<Seen> = msgs.into_iter().map(|m| Seen::Frame(0, m)).collect();
+        assert_eq!(*log.lock().unwrap(), want, "burst of {bytes} B");
+    }
+}
+
+/// Frames and the peer's FIN in one go: the short read that takes the
+/// frames ends the turn, the FIN is reported at the next wakeup, and
+/// the handler sees every frame, then one `Eof`.
+#[test]
+fn data_then_fin_delivers_every_frame_then_one_eof() {
+    let (reactor, log) = spawn(1 << 20, SLICE, None, |_, _, _, _| {});
+    let mut peer = connect(&reactor);
+    let msgs: Vec<Message> = (0..5).map(update).collect();
+    send(&mut peer, &msgs);
+    peer.shutdown(Shutdown::Write).unwrap();
+    wait_for("the EOF", || saw(&log, &Seen::Closed(0, Closed::Eof)) > 0);
+    std::thread::sleep(4 * SLICE);
+    let mut want: Vec<Seen> = msgs.into_iter().map(|m| Seen::Frame(0, m)).collect();
+    want.push(Seen::Closed(0, Closed::Eof));
+    assert_eq!(*log.lock().unwrap(), want);
+}
+
+/// A `ClientCore` whose last read came back short answers the next poll
+/// that finds no buffered frame with "nothing yet" and no syscall; a
+/// caller that polls again without waiting for readiness reads the next
+/// frame one call later.
+#[test]
+fn a_client_spinning_on_poll_gets_the_next_frame_one_call_later() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut core = insq_net::ClientCore::connect(listener.local_addr().unwrap()).unwrap();
+    let (mut server, _) = listener.accept().unwrap();
+    server.set_nodelay(true).unwrap();
+    let poll_until_some = |core: &mut insq_net::ClientCore| {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            if let Some(msg) = core.poll_message().unwrap() {
+                return msg;
+            }
+            assert!(Instant::now() < deadline, "no frame for 20 s");
+        }
+    };
+
+    send(&mut server, &[result(0, 4), result(1, 4)]);
+    assert_eq!(poll_until_some(&mut core), result(0, 4));
+    assert_eq!(poll_until_some(&mut core), result(1, 4));
+
+    // The last read was short. The next frame is in the socket before
+    // the client polls again.
+    send(&mut server, &[result(2, 4)]);
+    sys::wait_readable(core.raw_fd()).unwrap();
+    assert_eq!(core.poll_message().unwrap(), None, "the short-read poll");
+    assert_eq!(core.poll_message().unwrap(), Some(result(2, 4)));
+    assert!(!core.is_eof());
+
+    // A spinning caller still sees frames and the end of the stream.
+    send(&mut server, &[result(3, 4)]);
+    drop(server);
+    assert_eq!(poll_until_some(&mut core), result(3, 4));
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !core.is_eof() {
+        assert_eq!(core.poll_message().unwrap(), None);
+        assert!(Instant::now() < deadline, "no EOF for 20 s");
+    }
+}

@@ -2,8 +2,11 @@
 //!
 //! [`FleetEngine`] owns a sharded registry of live [`FleetQuery`]s over
 //! one shared, epoch-versioned [`World`] and advances all of them per
-//! timestamp in parallel, shard by shard, on the calling thread and a
-//! scoped-thread worker pool beside it.
+//! timestamp, shard by shard: in parallel on the calling thread and a
+//! scoped-thread worker pool beside it, or on the calling thread alone
+//! while the fleet is too small to pay for spawning a worker (fewer
+//! than 128 live queries; the bound's derivation is on
+//! `INLINE_TICK_BELOW`).
 //!
 //! **The tick contract.** [`FleetEngine::tick`] is the one entry point:
 //! it takes an explicit [`TickPolicy`], a position feed returning a
@@ -36,6 +39,21 @@ use insq_core::{QueryStats, TickOutcome};
 use crate::queries::FleetQuery;
 use crate::world::{Epoch, World};
 
+/// Below this many live queries a tick runs on the calling thread
+/// alone, whatever [`FleetConfig::threads`] says.
+///
+/// Spawning and joining a scoped worker costs about as much as the tick
+/// work it takes over: on a 2-vCPU host, `wire_fleet`'s 64-query tick
+/// took 38–50 µs on one thread and 51–60 µs on two, so spawn + join
+/// ≈ `t2 − t1/2` ≈ 30–36 µs, while one query-tick costs 0.6–0.8 µs. A
+/// second worker takes half of an `n`-query tick off the caller, which
+/// pays for the spawn once `n · 0.6…0.8 µs / 2 > 30…36 µs`, i.e. at
+/// `n` ≈ 75–120 queries. The bound is the next power of two above that
+/// range: the smallest in-process fleets (1 000 queries and up) keep
+/// their workers, and a fleet that is not above break-even never waits
+/// for a thread.
+const INLINE_TICK_BELOW: usize = 128;
+
 /// Identifier of a registered query. Ids are assigned sequentially from
 /// 0 in registration order and are never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -66,7 +84,9 @@ pub struct FleetConfig {
     /// additionally clamped to the shard count and to the hardware
     /// parallelism available at engine construction — oversubscribing a
     /// host buys nothing but scheduler overhead, and the tick results are
-    /// bit-identical at every worker count anyway.
+    /// bit-identical at every worker count anyway — and a fleet of fewer
+    /// than 128 live queries ticks on the calling thread alone, where a
+    /// spawned worker would cost more than it takes off the tick.
     pub threads: usize,
 }
 
@@ -364,7 +384,8 @@ where
         self.len == 0
     }
 
-    /// Worker threads used by [`FleetEngine::tick_all`].
+    /// The configured worker cap of a tick (see [`FleetConfig::threads`]
+    /// for how a tick clamps it).
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -508,8 +529,13 @@ where
         // Never oversubscribe: more workers than the host has cores buys
         // nothing but scheduler overhead (results are bit-identical at
         // every worker count), so the configured thread cap is clamped to
-        // the hardware parallelism probed at construction.
-        let threads = self.threads.min(n_shards).min(self.hw).max(1);
+        // the hardware parallelism probed at construction; and a fleet
+        // below `INLINE_TICK_BELOW` does not pay for a spawn at all.
+        let threads = if self.len < INLINE_TICK_BELOW {
+            1
+        } else {
+            self.threads.min(n_shards).min(self.hw).max(1)
+        };
         self.summaries.clear();
         self.summaries.resize(n_shards, TickSummary::default());
 

@@ -21,8 +21,9 @@
 //!   [`InsFleetQuery`] / [`NetFleetQuery`] / [`WFleetQuery`] are its
 //!   per-space aliases.
 //! * [`FleetEngine`] — a sharded registry of live queries, ticked in
-//!   parallel batches on a scoped-thread worker pool with deterministic
-//!   per-shard scheduling: results and statistics are bit-identical to
+//!   parallel batches on a scoped-thread worker pool (a small fleet on
+//!   the calling thread alone) with deterministic per-shard
+//!   scheduling: results and statistics are bit-identical to
 //!   sequential execution at any thread count, in every space
 //!   (`tests/space_conformance.rs` runs the same harness over all of
 //!   them).

@@ -1,8 +1,11 @@
 //! Fleet-vs-sequential equivalence: `FleetEngine::tick_all` must produce
 //! bit-identical results (kNN sets and `QueryStats`, per query and in
 //! aggregate) to driving each query sequentially by hand — at every
-//! thread count, including across a mid-run epoch swap.
+//! thread count, including across a mid-run epoch swap, whether the
+//! fleet is small enough to tick on the calling thread alone or large
+//! enough to spawn workers.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use insq_core::{InsConfig, InsProcessor, MovingKnn, NetInsConfig, NetInsProcessor, QueryStats};
@@ -65,7 +68,9 @@ fn run_sequential(
         .collect()
 }
 
-/// The same run through the fleet engine at `threads` workers.
+/// The same run through the fleet engine at `threads` workers; the flag
+/// says whether any position was fed off the calling thread, i.e. on a
+/// spawned worker.
 fn run_fleet(
     sc: &FleetScenario,
     idx_v0: &Arc<VorTree>,
@@ -73,7 +78,7 @@ fn run_fleet(
     trajs: &[Trajectory],
     threads: usize,
     shards: usize,
-) -> (Vec<PerQuery>, QueryStats) {
+) -> (Vec<PerQuery>, QueryStats, bool) {
     let world = Arc::new(World::from_arc(Arc::clone(idx_v0)));
     let mut fleet: FleetEngine<VorTree, InsFleetQuery> =
         FleetEngine::new(Arc::clone(&world), FleetConfig { shards, threads });
@@ -82,6 +87,8 @@ fn run_fleet(
         fleet.register(q);
     }
 
+    let caller = std::thread::current().id();
+    let spawned = AtomicBool::new(false);
     for tick in 0..sc.ticks {
         if tick == SWAP_AT {
             world.publish_arc(Arc::clone(idx_v1));
@@ -89,7 +96,12 @@ fn run_fleet(
         let positions: Vec<Point> = (0..sc.clients)
             .map(|c| sc.position(&trajs[c], c, tick))
             .collect();
-        let summary = fleet.tick_all(|id| positions[id.index()]);
+        let summary = fleet.tick_all(|id| {
+            if std::thread::current().id() != caller {
+                spawned.store(true, Ordering::Relaxed);
+            }
+            positions[id.index()]
+        });
         assert_eq!(summary.ticked as usize, sc.clients, "tick {tick}");
         let expected_rebinds = if tick == SWAP_AT { sc.clients } else { 0 };
         assert_eq!(
@@ -107,17 +119,19 @@ fn run_fleet(
             }
         })
         .collect();
-    (per_query, fleet.stats().total)
+    (per_query, fleet.stats().total, spawned.into_inner())
 }
 
-#[test]
-fn fleet_matches_sequential_at_every_thread_count_across_epoch_swap() {
-    let sc = scenario();
+/// Runs `sc` sequentially and through the fleet engine at each of
+/// `thread_counts`, asserting the fleet runs bit-identical to the
+/// sequential one and exact in the new epoch. Returns whether any fleet
+/// run fed a position on a spawned worker.
+fn assert_fleet_matches_sequential(sc: &FleetScenario, thread_counts: &[usize]) -> bool {
     let idx_v0 = Arc::new(VorTree::build(sc.points(0), sc.clip_window()).unwrap());
     let idx_v1 = Arc::new(VorTree::build(sc.points(1), sc.clip_window()).unwrap());
     let trajs: Vec<Trajectory> = (0..sc.clients).map(|c| sc.client_trajectory(c)).collect();
 
-    let reference = run_sequential(&sc, &idx_v0, &idx_v1, &trajs);
+    let reference = run_sequential(sc, &idx_v0, &idx_v1, &trajs);
     let mut reference_total = QueryStats::default();
     for r in &reference {
         reference_total.merge(&r.stats);
@@ -126,10 +140,13 @@ fn fleet_matches_sequential_at_every_thread_count_across_epoch_swap() {
     // recomputation (1 initial + 1 post-swap at minimum).
     assert!(reference_total.recomputations >= 2 * sc.clients as u64);
 
-    for threads in [1usize, 2, 8] {
+    let mut any_spawned = false;
+    for &threads in thread_counts {
         // An uneven shard count exercises chunked scheduling paths.
         for shards in [7usize, 64] {
-            let (fleet, fleet_total) = run_fleet(&sc, &idx_v0, &idx_v1, &trajs, threads, shards);
+            let (fleet, fleet_total, spawned) =
+                run_fleet(sc, &idx_v0, &idx_v1, &trajs, threads, shards);
+            any_spawned |= spawned;
             assert_eq!(
                 fleet_total, reference_total,
                 "aggregate stats diverged (threads={threads}, shards={shards})"
@@ -149,7 +166,7 @@ fn fleet_matches_sequential_at_every_thread_count_across_epoch_swap() {
 
     // Exactness across the swap: final results are the brute-force kNN of
     // the *new* world.
-    for c in [0usize, 11, 63, CLIENTS - 1] {
+    for c in [0usize, 11, 63, sc.clients - 1] {
         let pos = sc.position(&trajs[c], c, sc.ticks - 1);
         let mut got = reference[c].knn.clone();
         got.sort_unstable();
@@ -157,6 +174,35 @@ fn fleet_matches_sequential_at_every_thread_count_across_epoch_swap() {
         want.sort_unstable();
         assert_eq!(got, want, "client {c} must answer from the new epoch");
     }
+    any_spawned
+}
+
+#[test]
+fn fleet_matches_sequential_at_every_thread_count_across_epoch_swap() {
+    let spawned = assert_fleet_matches_sequential(&scenario(), &[1, 2, 8]);
+    assert!(
+        !spawned,
+        "a fleet of {CLIENTS} queries ticks on the calling thread alone"
+    );
+}
+
+/// A fleet above the engine's inline-tick bound (128 live queries)
+/// spawns workers, and they still produce the sequential run bit for
+/// bit. On a single-core host the engine never spawns, and the run is
+/// the inline one.
+#[test]
+fn fleet_above_the_inline_bound_matches_sequential_on_spawned_workers() {
+    let sc = FleetScenario {
+        clients: 320,
+        ticks: 50,
+        ..scenario()
+    };
+    let spawned = assert_fleet_matches_sequential(&sc, &[2, 8]);
+    let parallel = std::thread::available_parallelism().is_ok_and(|p| p.get() >= 2);
+    assert_eq!(
+        spawned, parallel,
+        "a fleet of 320 queries ticks on spawned workers wherever there are cores for them"
+    );
 }
 
 #[test]

@@ -290,7 +290,12 @@ fn wait_until(what: &str, cond: impl Fn() -> bool) {
 #[test]
 fn a_stalled_worker_holds_back_only_its_own_shard() {
     const SHARDS: usize = 6;
-    let sc = scenario();
+    // Above the engine's inline-tick bound (128 live queries): a smaller
+    // fleet ticks on the caller alone and spawns no worker to stall.
+    let sc = FleetScenario {
+        clients: 180,
+        ..scenario()
+    };
     let per_shard = sc.clients / SHARDS;
     let idx = Arc::new(VorTree::build(sc.points(0), sc.clip_window()).unwrap());
     let trajs: Vec<Trajectory> = (0..sc.clients).map(|c| sc.client_trajectory(c)).collect();
