@@ -43,7 +43,7 @@ use crate::space::Space;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Network;
 
-/// Per-shard search scratch of the road-network space: the Theorem-2
+/// Per-worker search scratch of the road-network space: the Theorem-2
 /// restriction mask plus the Dijkstra expansion state (distance slots
 /// and frontier heap). A default scratch is empty; backing storage
 /// appears on first use, sized to the bound network.

@@ -138,9 +138,9 @@ pub struct Processor<S: Space, B: Borrow<S::Index>> {
     held: HeldSet<S::SiteId>,
     /// Own search scratch, used only by the standalone
     /// [`MovingKnn::tick`] path. Empty (no backing storage) until that
-    /// path runs — fleet engines drive [`Processor::tick_with`] with a
-    /// shard-shared scratch instead, so thousands of queries share a
-    /// handful of O(index-size) scratch arenas.
+    /// path runs — fleet engines drive [`Processor::tick_with`] with
+    /// their worker's scratch instead, so thousands of queries share one
+    /// O(index-size) scratch arena per worker.
     scratch: S::Scratch,
     /// Valid for the bound snapshot and `scope`: whoever changes either forgets it.
     anchor: S::Anchor,

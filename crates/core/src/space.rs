@@ -51,8 +51,8 @@ pub trait Space: Sized + Copy + Send + Sync + 'static {
     /// slots, the restricted-search site mask — threaded through all
     /// `*_into` probes so the hot tick path allocates nothing. A default
     /// scratch is empty (backing storage appears on first use and is
-    /// sized to the index), so it can be shared per worker shard rather
-    /// than per query: `insq_index::VorTreeScratch` for the Euclidean
+    /// sized to the index), so it can be shared per worker rather than
+    /// per query: `insq_index::VorTreeScratch` for the Euclidean
     /// spaces, [`crate::network::NetScratch`] on road networks.
     type Scratch: Default + Clone + Debug + Send + Sync;
     /// What the scoped probe remembers **per query** between ticks, O(k):

@@ -7,9 +7,9 @@
 //!
 //! The interleavings are randomized but deterministic (fixed-seed LCG):
 //! several processors round-robin over one shared scratch — exactly how
-//! a fleet shard uses it — with invalidations and index rebinds (epoch
-//! swaps) injected mid-run, while twin processors run the identical
-//! schedule on fresh scratches.
+//! a fleet worker uses it across the shards it drains — with
+//! invalidations and index rebinds (epoch swaps) injected mid-run, while
+//! twin processors run the identical schedule on fresh scratches.
 
 use insq_core::{InsConfig, MovingKnn, Processor, QueryStats, Space};
 use insq_geom::{Aabb, Point};

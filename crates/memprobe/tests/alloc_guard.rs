@@ -180,7 +180,7 @@ fn steady_state_ticks_allocate_nothing() {
 
     // ------------------------------- fleet engine (single worker lane)
     // The engine's own per-tick machinery — position feed, per-shard
-    // summaries, shard-persistent scratch — must be allocation-free too.
+    // summaries, worker-persistent scratch — must be allocation-free too.
     let tree = Arc::new(World::new(
         VorTree::build(random_points(400, 42), bounds()).unwrap(),
     ));

@@ -1,6 +1,6 @@
 //! Footprint and rebind guards: a query costs what its guard set costs.
 //!
-//! Four claims, all about memory that must **not** scale with the
+//! Five claims, all about memory that must **not** scale with the
 //! number of sites in the index beyond what the diagram itself holds:
 //!
 //! 1. the bytes allocated to register one more query and give it its
@@ -18,12 +18,17 @@
 //! 4. a copy of the index — what a first-epoch or fallback
 //!    `World::apply` makes — allocates the copy of its Voronoi diagram
 //!    plus the point-location walk's start table, and nothing else: the
-//!    site coordinates are stored once, in the diagram.
+//!    site coordinates are stored once, in the diagram;
+//! 5. the shard count does not multiply index-sized memory: a fleet's
+//!    first tick allocates the same at 64 shards as at 2 with the same
+//!    workers, since the search scratch is held per worker.
 //!
 //! One `#[test]`, so no concurrent test thread allocates inside a
 //! measured window (see `alloc_guard.rs`).
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use insq_core::{Euclidean, InsConfig, MovingKnn, Processor};
 use insq_geom::{Aabb, Point};
@@ -66,8 +71,8 @@ fn bytes_to_join(n: usize) -> u64 {
             threads: 1,
         },
     );
-    // A first query warms what the engine shares per shard (the search
-    // scratch *is* sized to the index, once per shard) and its own
+    // A first query warms what the engine shares per worker (the search
+    // scratch *is* sized to the index, once per worker) and its own
     // validation buffers.
     let pos = Point::new(47.0, 53.0);
     fleet.register(InsFleetQuery::new(&world, cfg).unwrap());
@@ -185,13 +190,13 @@ fn a_query_costs_what_its_guard_set_costs() {
     );
 
     // ------------------------------------- a copy is its diagram's copy
-    let tree = build(100_000, 0xc0de);
+    let tree = Arc::new(build(100_000, 0xc0de));
     let before = PROBE.bytes();
     let diagram = tree.voronoi().clone();
     let diagram_bytes = PROBE.bytes() - before;
     drop(diagram);
     let before = PROBE.bytes();
-    let copy = tree.clone();
+    let copy = (*tree).clone();
     let tree_bytes = PROBE.bytes() - before;
     drop(copy);
     // The start table holds ⌈√n⌉ entries. The sum is exact; 256 B of
@@ -202,5 +207,51 @@ fn a_query_costs_what_its_guard_set_costs() {
         tree_bytes <= diagram_bytes + starts + 256,
         "a copy of the index allocated {tree_bytes} B, its diagram {diagram_bytes} B \
          and the start table {starts} B"
+    );
+
+    // ------------------------- shards do not multiply the scratch
+    // The bytes the first tick allocates, with every query registered
+    // beforehand: each query's first answer is a full recomputation, so
+    // every shard searches the index. Two workers at 64 shards and at 2
+    // hold the same two scratches. The caller's first position request
+    // waits (at most ten seconds) until the spawned worker has made one,
+    // so each worker drains at least one shard, and grows its scratch,
+    // in both runs.
+    let parallel = std::thread::available_parallelism().is_ok_and(|p| p.get() >= 2);
+    let first_tick_bytes = |shards: usize| {
+        let world = Arc::new(World::from_arc(Arc::clone(&tree)));
+        let mut fleet: FleetEngine<VorTree, InsFleetQuery> =
+            FleetEngine::new(Arc::clone(&world), FleetConfig { shards, threads: 2 });
+        let mut next = lcg(0x5ca7);
+        let clients: Vec<Point> = (0..192)
+            .map(|_| Point::new(next() * 100.0, next() * 100.0))
+            .collect();
+        for _ in &clients {
+            fleet.register(InsFleetQuery::new(&world, InsConfig::new(5, 1.6)).unwrap());
+        }
+        let caller = std::thread::current().id();
+        let (held, spawned) = (AtomicBool::new(!parallel), AtomicBool::new(false));
+        let before = PROBE.bytes();
+        let summary = fleet.tick_all(|id| {
+            if std::thread::current().id() != caller {
+                spawned.store(true, Ordering::Release);
+            } else if !held.swap(true, Ordering::Relaxed) {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !spawned.load(Ordering::Acquire) && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            }
+            clients[id.index()]
+        });
+        let bytes = PROBE.bytes() - before;
+        assert_eq!(summary.recomputations, clients.len() as u64);
+        bytes
+    };
+    let (wide, narrow) = (first_tick_bytes(64), first_tick_bytes(2));
+    let scratch = 4 * tree.len() as u64;
+    assert!(
+        wide.abs_diff(narrow) < scratch,
+        "the first tick allocated {wide} B at 64 shards and {narrow} B at 2 \
+         with the same two workers; one scratch is {scratch} B"
     );
 }

@@ -24,12 +24,12 @@
 //! immutable world snapshot), every query belongs to exactly one shard,
 //! shards process their queries in registration order, per-query
 //! staleness counters advance in that same order, which worker ticks a
-//! shard is the only thing left to chance, and per-shard statistics are
-//! merged in shard order — so `tick` results and all aggregate counters
-//! are bit-identical to sequential execution at every thread count,
-//! under either policy. The equivalence tests in
-//! `tests/fleet_equivalence.rs` and `tests/tick_policy.rs` assert exactly
-//! this, across an epoch swap.
+//! shard (and so whose search scratch serves it) is the only thing left
+//! to chance, and per-shard statistics are merged in shard order — so
+//! `tick` results and all aggregate counters are bit-identical to
+//! sequential execution at every thread count, under either policy. The
+//! equivalence tests in `tests/fleet_equivalence.rs` and
+//! `tests/tick_policy.rs` assert exactly this, across an epoch swap.
 
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -324,10 +324,11 @@ impl FleetStats {
 pub struct FleetEngine<W, Q: FleetQuery<W>> {
     world: Arc<World<W>>,
     shards: Vec<Vec<Entry<Q>>>,
-    /// One search scratch per shard, persistent across ticks — every
+    /// One search scratch per worker, persistent across ticks — every
     /// per-query search transient (frontier heaps, visited marks,
-    /// distance slots) of the shard's queries runs through it, so
-    /// steady-state ticks allocate nothing.
+    /// distance slots) of the shards a worker drains runs through it, so
+    /// steady-state ticks allocate nothing. A scratch grows to the size
+    /// of the index, so there are only as many as a tick has workers.
     scratches: Vec<Q::Scratch>,
     /// Per-shard tick summaries, reused across ticks.
     summaries: Vec<TickSummary>,
@@ -336,9 +337,6 @@ pub struct FleetEngine<W, Q: FleetQuery<W>> {
     /// have grown to the shard sizes).
     records: Vec<Vec<(QueryId, TickDisposition)>>,
     threads: usize,
-    /// Hardware parallelism probed once at construction; the effective
-    /// worker count of a tick never exceeds it.
-    hw: usize,
     next_id: u64,
     len: usize,
     elapsed: Duration,
@@ -353,16 +351,17 @@ where
     /// at least 1).
     pub fn new(world: Arc<World<W>>, cfg: FleetConfig) -> FleetEngine<W, Q> {
         let shards = cfg.shards.max(1);
+        // More workers than cores or shards buy nothing but scheduler
+        // overhead; results are bit-identical at every worker count.
+        let hw = std::thread::available_parallelism().map_or(usize::MAX, |p| p.get());
+        let workers = cfg.threads.max(1).min(shards).min(hw);
         FleetEngine {
             world,
             shards: (0..shards).map(|_| Vec::new()).collect(),
-            scratches: (0..shards).map(|_| Q::Scratch::default()).collect(),
+            scratches: (0..workers).map(|_| Q::Scratch::default()).collect(),
             summaries: vec![TickSummary::default(); shards],
             records: vec![Vec::new(); shards],
             threads: cfg.threads.max(1),
-            hw: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(usize::MAX),
             next_id: 0,
             len: 0,
             elapsed: Duration::ZERO,
@@ -526,16 +525,6 @@ where
         let (epoch, snapshot, touched) = self.world.snapshot_traced();
         let touched = touched.as_deref();
         let n_shards = self.shards.len();
-        // Never oversubscribe: more workers than the host has cores buys
-        // nothing but scheduler overhead (results are bit-identical at
-        // every worker count), so the configured thread cap is clamped to
-        // the hardware parallelism probed at construction; and a fleet
-        // below `INLINE_TICK_BELOW` does not pay for a spawn at all.
-        let threads = if self.len < INLINE_TICK_BELOW {
-            1
-        } else {
-            self.threads.min(n_shards).min(self.hw).max(1)
-        };
         self.summaries.clear();
         self.summaries.resize(n_shards, TickSummary::default());
 
@@ -608,11 +597,13 @@ where
         let work = self
             .shards
             .iter_mut()
-            .zip(self.scratches.iter_mut())
             .zip(self.summaries.iter_mut())
             .zip(self.records.iter_mut());
-        if threads == 1 {
-            for (((shard, scratch), out), rec) in work {
+        // One worker per scratch, the caller first; a fleet below
+        // `INLINE_TICK_BELOW` does not pay for a spawn at all.
+        let (scratch, spawned) = self.scratches.split_first_mut().expect("new() makes one");
+        if self.len < INLINE_TICK_BELOW || spawned.is_empty() {
+            for ((shard, out), rec) in work {
                 tick_shard(shard, scratch, out, rec);
             }
         } else {
@@ -623,21 +614,22 @@ where
             // on one core, or take a core away for a moment — and on a
             // two-core host that was one tick in ten. Which worker ticks
             // a shard changes nothing the shard computes, so results
-            // stay bit-identical. The guard is released before the shard
-            // is ticked: a panicking query cannot poison the queue.
+            // stay bit-identical, whichever worker's scratch serves it.
+            // The guard is released before the shard is ticked: a
+            // panicking query cannot poison the queue.
             let work = Mutex::new(work);
-            let drain = || loop {
+            let drain = |scratch: &mut Q::Scratch| loop {
                 let next = work.lock().unwrap_or_else(PoisonError::into_inner).next();
-                let Some((((shard, scratch), out), rec)) = next else {
+                let Some(((shard, out), rec)) = next else {
                     break;
                 };
                 tick_shard(shard, scratch, out, rec);
             };
             std::thread::scope(|scope| {
-                for _ in 1..threads {
-                    scope.spawn(drain);
+                for scratch in spawned {
+                    scope.spawn(move || drain(scratch));
                 }
-                drain();
+                drain(scratch);
             });
         }
 

@@ -33,7 +33,7 @@ pub trait FleetQuery<W>: MovingKnn<Self::Pos, Self::Id> + Send {
     /// Reusable search scratch threaded through [`FleetQuery::tick_with`].
     /// A default scratch is empty (backing storage appears on first use,
     /// sized to the bound index), so the [`crate::FleetEngine`] keeps one
-    /// per *shard* — persistent across ticks — instead of one per query.
+    /// per *worker* — persistent across ticks — instead of one per query.
     type Scratch: Default + Send + std::fmt::Debug;
 
     /// The epoch of the snapshot the query currently holds.

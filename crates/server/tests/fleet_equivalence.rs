@@ -7,6 +7,8 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 use insq_core::{InsConfig, InsProcessor, MovingKnn, NetInsConfig, NetInsProcessor, QueryStats};
 use insq_geom::{Point, Trajectory};
@@ -43,6 +45,55 @@ struct PerQuery {
     stats: QueryStats,
 }
 
+/// Watches a fleet run's position feed for a request made off the
+/// calling thread, i.e. on a spawned worker.
+///
+/// The caller is one of a tick's workers, so on a loaded host it can
+/// drain every shard before a spawned worker asks for its first
+/// position. A probe that `holds` the caller therefore keeps the
+/// caller's first request waiting until another thread has made one,
+/// for at most ten seconds, so the run cannot hang.
+struct SpawnProbe {
+    caller: ThreadId,
+    holds: bool,
+    held: AtomicBool,
+    spawned: AtomicBool,
+}
+
+impl SpawnProbe {
+    fn new(holds: bool) -> SpawnProbe {
+        SpawnProbe {
+            caller: std::thread::current().id(),
+            holds,
+            held: AtomicBool::new(false),
+            spawned: AtomicBool::new(false),
+        }
+    }
+
+    /// Called by the position feed on every request.
+    fn observe(&self) {
+        if std::thread::current().id() != self.caller {
+            self.spawned.store(true, Ordering::Release);
+        } else if self.holds && !self.held.swap(true, Ordering::Relaxed) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !self.spawned.load(Ordering::Acquire) && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Whether any position was fed on a spawned worker.
+    fn spawned(&self) -> bool {
+        self.spawned.load(Ordering::Acquire)
+    }
+}
+
+/// Whether the host has the cores for a second worker: a fleet above
+/// the inline-tick bound spawns one exactly then.
+fn parallel_host() -> bool {
+    std::thread::available_parallelism().is_ok_and(|p| p.get() >= 2)
+}
+
 /// The ground truth: each client driven by hand on one thread, with a
 /// manual rebind at the swap tick.
 fn run_sequential(
@@ -70,7 +121,7 @@ fn run_sequential(
 
 /// The same run through the fleet engine at `threads` workers; the flag
 /// says whether any position was fed off the calling thread, i.e. on a
-/// spawned worker.
+/// spawned worker (`hold_caller`: see [`SpawnProbe`]).
 fn run_fleet(
     sc: &FleetScenario,
     idx_v0: &Arc<VorTree>,
@@ -78,6 +129,7 @@ fn run_fleet(
     trajs: &[Trajectory],
     threads: usize,
     shards: usize,
+    hold_caller: bool,
 ) -> (Vec<PerQuery>, QueryStats, bool) {
     let world = Arc::new(World::from_arc(Arc::clone(idx_v0)));
     let mut fleet: FleetEngine<VorTree, InsFleetQuery> =
@@ -87,8 +139,7 @@ fn run_fleet(
         fleet.register(q);
     }
 
-    let caller = std::thread::current().id();
-    let spawned = AtomicBool::new(false);
+    let probe = SpawnProbe::new(hold_caller);
     for tick in 0..sc.ticks {
         if tick == SWAP_AT {
             world.publish_arc(Arc::clone(idx_v1));
@@ -97,9 +148,7 @@ fn run_fleet(
             .map(|c| sc.position(&trajs[c], c, tick))
             .collect();
         let summary = fleet.tick_all(|id| {
-            if std::thread::current().id() != caller {
-                spawned.store(true, Ordering::Relaxed);
-            }
+            probe.observe();
             positions[id.index()]
         });
         assert_eq!(summary.ticked as usize, sc.clients, "tick {tick}");
@@ -119,14 +168,19 @@ fn run_fleet(
             }
         })
         .collect();
-    (per_query, fleet.stats().total, spawned.into_inner())
+    (per_query, fleet.stats().total, probe.spawned())
 }
 
 /// Runs `sc` sequentially and through the fleet engine at each of
 /// `thread_counts`, asserting the fleet runs bit-identical to the
 /// sequential one and exact in the new epoch. Returns whether any fleet
-/// run fed a position on a spawned worker.
-fn assert_fleet_matches_sequential(sc: &FleetScenario, thread_counts: &[usize]) -> bool {
+/// run fed a position on a spawned worker (`hold_caller`: see
+/// [`SpawnProbe`]).
+fn assert_fleet_matches_sequential(
+    sc: &FleetScenario,
+    thread_counts: &[usize],
+    hold_caller: bool,
+) -> bool {
     let idx_v0 = Arc::new(VorTree::build(sc.points(0), sc.clip_window()).unwrap());
     let idx_v1 = Arc::new(VorTree::build(sc.points(1), sc.clip_window()).unwrap());
     let trajs: Vec<Trajectory> = (0..sc.clients).map(|c| sc.client_trajectory(c)).collect();
@@ -145,7 +199,7 @@ fn assert_fleet_matches_sequential(sc: &FleetScenario, thread_counts: &[usize]) 
         // An uneven shard count exercises chunked scheduling paths.
         for shards in [7usize, 64] {
             let (fleet, fleet_total, spawned) =
-                run_fleet(sc, &idx_v0, &idx_v1, &trajs, threads, shards);
+                run_fleet(sc, &idx_v0, &idx_v1, &trajs, threads, shards, hold_caller);
             any_spawned |= spawned;
             assert_eq!(
                 fleet_total, reference_total,
@@ -179,7 +233,7 @@ fn assert_fleet_matches_sequential(sc: &FleetScenario, thread_counts: &[usize]) 
 
 #[test]
 fn fleet_matches_sequential_at_every_thread_count_across_epoch_swap() {
-    let spawned = assert_fleet_matches_sequential(&scenario(), &[1, 2, 8]);
+    let spawned = assert_fleet_matches_sequential(&scenario(), &[1, 2, 8], false);
     assert!(
         !spawned,
         "a fleet of {CLIENTS} queries ticks on the calling thread alone"
@@ -197,8 +251,8 @@ fn fleet_above_the_inline_bound_matches_sequential_on_spawned_workers() {
         ticks: 50,
         ..scenario()
     };
-    let spawned = assert_fleet_matches_sequential(&sc, &[2, 8]);
-    let parallel = std::thread::available_parallelism().is_ok_and(|p| p.get() >= 2);
+    let parallel = parallel_host();
+    let spawned = assert_fleet_matches_sequential(&sc, &[2, 8], parallel);
     assert_eq!(
         spawned, parallel,
         "a fleet of 320 queries ticks on spawned workers wherever there are cores for them"
@@ -779,11 +833,18 @@ fn network_fleet_stays_exact_when_traffic_lands_inside_warm_subnetworks() {
     assert!(streams.iter().all(|s| *s == streams[0]));
 }
 
-#[test]
-fn network_fleet_matches_sequential_across_epoch_swap() {
+/// Drives `clients` road-network queries through a fleet at each of
+/// `thread_counts` across a full-publish epoch swap and asserts every
+/// query's kNN and statistics equal a sequential processor's with a
+/// manual rebind. Returns whether any fleet run fed a position on a
+/// spawned worker (`hold_caller`: see [`SpawnProbe`]).
+fn assert_network_fleet_matches_sequential(
+    clients: usize,
+    thread_counts: &[usize],
+    hold_caller: bool,
+) -> bool {
     let ticks = 50usize;
     let swap_at = 25usize;
-    let clients = 24usize;
     let k = 3usize;
     let speed = 0.12;
 
@@ -824,7 +885,8 @@ fn network_fleet_matches_sequential_across_epoch_swap() {
         })
         .collect();
 
-    for threads in [1usize, 2, 8] {
+    let mut any_spawned = false;
+    for &threads in thread_counts {
         let world = Arc::new(World::new(NetworkWorld::build(
             Arc::clone(&net),
             sites_a.clone(),
@@ -834,15 +896,20 @@ fn network_fleet_matches_sequential_across_epoch_swap() {
         for _ in 0..clients {
             fleet.register(NetFleetQuery::new(&world, NetInsConfig::new(k, 1.6)).unwrap());
         }
+        let probe = SpawnProbe::new(hold_caller);
         for tick in 0..ticks {
             if tick == swap_at {
                 let (_, snap) = world.snapshot();
                 world.publish(snap.with_sites(sites_b.clone()));
             }
             let positions: Vec<NetPosition> = (0..clients).map(|c| pos_of(c, tick)).collect();
-            let summary = fleet.tick_all(|id| positions[id.index()]);
+            let summary = fleet.tick_all(|id| {
+                probe.observe();
+                positions[id.index()]
+            });
             assert_eq!(summary.ticked as usize, clients);
         }
+        any_spawned |= probe.spawned();
         for (c, (ref_knn, ref_stats)) in reference.iter().enumerate() {
             let q = fleet.query(QueryId(c as u64)).unwrap();
             assert_eq!(
@@ -857,4 +924,28 @@ fn network_fleet_matches_sequential_across_epoch_swap() {
             );
         }
     }
+    any_spawned
+}
+
+#[test]
+fn network_fleet_matches_sequential_across_epoch_swap() {
+    let spawned = assert_network_fleet_matches_sequential(24, &[1, 2, 8], false);
+    assert!(
+        !spawned,
+        "a fleet of 24 queries ticks on the calling thread alone"
+    );
+}
+
+/// Above the inline-tick bound the five shards are drained by two
+/// workers or more, so one `NetScratch` serves several shards on a
+/// spawned worker, across the epoch swap, and the run is still the
+/// sequential one bit for bit.
+#[test]
+fn network_fleet_above_the_inline_bound_matches_sequential_on_spawned_workers() {
+    let parallel = parallel_host();
+    let spawned = assert_network_fleet_matches_sequential(160, &[2, 8], parallel);
+    assert_eq!(
+        spawned, parallel,
+        "a fleet of 160 queries ticks on spawned workers wherever there are cores for them"
+    );
 }
