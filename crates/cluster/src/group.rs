@@ -74,8 +74,8 @@ struct ClientState {
 }
 
 /// N regional `FleetEngine`s behind one position-routed registry, with
-/// border handoff. Generic over any planar [`WireSpace`] (Euclidean and
-/// weighted-Euclidean in tree).
+/// border handoff. Generic over any planar [`WireSpace`] (`Euclidean` in
+/// tree).
 pub struct PartitionGroup<S: WireSpace + Space<Pos = Point>> {
     plan: ClusterPlan,
     worlds: Vec<Arc<World<S::Index>>>,

@@ -88,16 +88,15 @@ impl Space for Euclidean {
     }
 }
 
-/// The §III-A validation scan shared by the (plain and weighted)
-/// Euclidean spaces: [`guard_scan`] over the current members and the
-/// held objects outside them, as in
+/// The §III-A validation scan of the Euclidean space: [`guard_scan`]
+/// over the current members and the held objects outside them, as in
 /// [`crate::influential::validate_by_distance`]. On invalidation the
 /// held objects are ranked into the candidate replacement. One distance
 /// evaluation per held object either way; `out` receives the refreshed
 /// result (valid) or the candidate set (invalid), and nothing else is
 /// materialised, keeping the fleet engine's valid-tick path
 /// allocation-free.
-pub(crate) fn scan_validate_into<F: Fn(SiteId) -> f64 + Copy>(
+fn scan_validate_into<F: Fn(SiteId) -> f64 + Copy>(
     dist_sq: F,
     held: &[SiteId],
     current: &[(SiteId, f64)],
@@ -127,12 +126,11 @@ pub(crate) fn scan_validate_into<F: Fn(SiteId) -> f64 + Copy>(
     }
 }
 
-/// The §III-A scan shared by the (plain and weighted) Euclidean spaces:
-/// the top-k of the held objects under `dist_sq`, ascending by
-/// (distance, id), distances square-rooted on the way out, written into
-/// `out` (cleared first). Op count = one distance evaluation per held
+/// The §III-A scan of the Euclidean space: the top-k of the held
+/// objects under `dist_sq`, ascending by (distance, id), distances
+/// square-rooted on the way out, written into `out` (cleared first). Op count = one distance evaluation per held
 /// object.
-pub(crate) fn rank_held_into<F: Fn(SiteId) -> f64>(
+fn rank_held_into<F: Fn(SiteId) -> f64>(
     dist_sq: F,
     held: &[SiteId],
     k: usize,

@@ -28,7 +28,7 @@ pub fn influential_neighbor_set(voronoi: &Voronoi, knn: &[SiteId]) -> Vec<SiteId
 
 /// Allocation-free [`influential_neighbor_set`]: writes `I(knn)` into
 /// `out` (cleared first). With `out` at capacity this touches no
-/// allocator — the per-tick construction path of the Euclidean spaces.
+/// allocator — the per-tick construction path of the Euclidean space.
 pub fn influential_neighbor_set_into(voronoi: &Voronoi, knn: &[SiteId], out: &mut Vec<SiteId>) {
     out.clear();
     for &p in knn {

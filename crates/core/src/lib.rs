@@ -4,13 +4,12 @@
 //! contribution of *INSQ: An Influential Neighbor Set Based Moving kNN
 //! Query Processing System* (Li et al., ICDE 2016) — implemented **once**,
 //! generically over a [`Space`], and instantiated for the paper's two
-//! settings plus a third:
+//! settings:
 //!
 //! | Space | Setting | Processor alias |
 //! |---|---|---|
 //! | [`Euclidean`] | 2-D plane, L2 (paper §III) | [`InsProcessor`] |
 //! | [`Network`] | road networks, shortest path (paper §IV) | [`NetInsProcessor`] |
-//! | [`WeightedEuclidean`] | 2-D plane, per-axis scaled L2 | [`WInsProcessor`] |
 //!
 //! Map from the paper to the code. This crate is on every served query's
 //! path; what the paper defines but a served query never builds — the
@@ -44,7 +43,6 @@ pub mod metrics;
 pub mod network;
 pub mod processor;
 pub mod space;
-pub mod weighted;
 
 pub use euclidean::{Euclidean, InsProcessor};
 pub use influential::{
@@ -57,7 +55,6 @@ pub use network::{
 };
 pub use processor::{InsConfig, MovingKnn, Processor};
 pub use space::{DeltaIndex, Space, TouchedSet, Verdict};
-pub use weighted::{WInsProcessor, WeightedEuclidean};
 
 /// The network processor configuration — identical to [`InsConfig`] now
 /// that one generic processor serves every space (the

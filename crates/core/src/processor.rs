@@ -11,7 +11,7 @@
 //!    it.
 //! 2. **Validation per timestamp** (§III-A / Theorem 2) — a scoped probe
 //!    of the result's certified neighborhood (a distance re-rank of the
-//!    held objects in Euclidean spaces; the restricted expansion over
+//!    held objects in the Euclidean space; the restricted expansion over
 //!    the `kNN ∪ INS` Voronoi cells on road networks). While the probe
 //!    returns the current result set, the result is provably still the
 //!    global kNN.
@@ -116,9 +116,8 @@ impl InsConfig {
 /// passes `Arc<S::Index>` so queries own their world snapshot and can be
 /// rebound to a newly published epoch without lifetime entanglement.
 ///
-/// Use the per-space aliases [`crate::InsProcessor`],
-/// [`crate::NetInsProcessor`] and [`crate::WInsProcessor`], or name a
-/// space directly: `Processor::<Euclidean, _>::new(&index, cfg)`.
+/// Use the per-space aliases [`crate::InsProcessor`] and
+/// [`crate::NetInsProcessor`], or name a space directly: `Processor::<Euclidean, _>::new(&index, cfg)`.
 #[derive(Debug, Clone)]
 pub struct Processor<S: Space, B: Borrow<S::Index>> {
     index: B,

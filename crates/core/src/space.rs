@@ -19,17 +19,16 @@
 //! conformance suites come for free (see the README's "how to add a
 //! space" checklist).
 //!
-//! Three spaces ship in-tree:
+//! Two spaces ship in-tree:
 //!
 //! | Space | Index | Position | Distance |
 //! |---|---|---|---|
 //! | [`crate::Euclidean`] | `insq_index::VorTree` | `insq_geom::Point` | L2 |
 //! | [`crate::Network`] | `insq_roadnet::NetworkWorld` | `insq_roadnet::NetPosition` | shortest path |
-//! | [`crate::WeightedEuclidean`] | `insq_index::WeightedVorTree` | `insq_geom::Point` | per-axis scaled L2 |
 
 use std::fmt::Debug;
 
-use insq_index::{SiteDelta, VorTree, WeightedVorTree};
+use insq_index::{SiteDelta, VorTree};
 use insq_roadnet::{NetDelta, NetworkWorld, RoadNetError};
 use insq_voronoi::VoronoiError;
 
@@ -280,7 +279,7 @@ pub trait DeltaIndex: Sized {
     /// right for an index whose repair costs more than its copy.
     ///
     /// Replaying is sound only if applying a delta is a **pure function
-    /// of the snapshot's content**. For the Euclidean indexes it is:
+    /// of the snapshot's content**. For the Euclidean index it is:
     /// exact predicates, free lists and pool offsets that are themselves
     /// copied content, hash tables that are looked up but never iterated
     /// (`insq-server`'s two-buffer conformance suite pins it).
@@ -295,43 +294,39 @@ pub trait DeltaIndex: Sized {
     }
 }
 
-/// Both Euclidean indexes patch a `SiteDelta` the same way, and state
-/// the patch once: a fresh copy is a retired snapshot that missed
-/// nothing.
-macro_rules! impl_site_delta_index {
-    ($($index:ty),*) => {$(
-        impl DeltaIndex for $index {
-            type Delta = SiteDelta;
-            type Error = VoronoiError;
+/// A `SiteDelta` patches the diagram in place, so a fresh copy is a
+/// retired snapshot that missed nothing.
+impl DeltaIndex for VorTree {
+    type Delta = SiteDelta;
+    type Error = VoronoiError;
 
-            fn apply_delta(&self, delta: &SiteDelta) -> Result<Self, VoronoiError> {
-                Ok(self.apply_delta_traced(delta)?.0)
-            }
+    fn apply_delta(&self, delta: &SiteDelta) -> Result<Self, VoronoiError> {
+        Ok(self.apply_delta_traced(delta)?.0)
+    }
 
-            fn apply_delta_traced(
-                &self,
-                delta: &SiteDelta,
-            ) -> Result<(Self, Option<TouchedSet>), VoronoiError> {
-                self.apply_delta_reclaiming(delta, self.clone(), &SiteDelta::default())
-            }
+    fn apply_delta_traced(
+        &self,
+        delta: &SiteDelta,
+    ) -> Result<(Self, Option<TouchedSet>), VoronoiError> {
+        self.apply_delta_reclaiming(delta, self.clone(), &SiteDelta::default())
+    }
 
-            fn apply_delta_reclaiming(
-                &self,
-                delta: &SiteDelta,
-                mut retired: Self,
-                missed: &SiteDelta,
-            ) -> Result<(Self, Option<TouchedSet>), VoronoiError> {
-                retired.apply(missed)?;
-                let mut touched = Vec::new();
-                retired.apply_traced(delta, &mut touched)?;
-                let touched = touched.iter().map(|s| s.idx());
-                Ok((retired, Some(TouchedSet::from_ordinals(self.len(), touched))))
-            }
-        }
-    )*};
+    fn apply_delta_reclaiming(
+        &self,
+        delta: &SiteDelta,
+        mut retired: Self,
+        missed: &SiteDelta,
+    ) -> Result<(Self, Option<TouchedSet>), VoronoiError> {
+        retired.apply(missed)?;
+        let mut touched = Vec::new();
+        retired.apply_traced(delta, &mut touched)?;
+        let touched = touched.iter().map(|s| s.idx());
+        Ok((
+            retired,
+            Some(TouchedSet::from_ordinals(self.len(), touched)),
+        ))
+    }
 }
-
-impl_site_delta_index!(VorTree, WeightedVorTree);
 
 impl DeltaIndex for NetworkWorld {
     /// The combined delta: site insertions/removals *and* edge re-weights

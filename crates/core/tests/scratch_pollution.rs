@@ -13,7 +13,7 @@
 
 use insq_core::{InsConfig, MovingKnn, Processor, QueryStats, Space};
 use insq_geom::{Aabb, Point};
-use insq_index::{AxisWeights, VorTree, WeightedVorTree};
+use insq_index::VorTree;
 use insq_roadnet::generators::{grid_network, random_site_vertices, GridConfig};
 use insq_roadnet::{NetTrajectory, NetworkWorld, SiteSet};
 use std::sync::Arc;
@@ -121,17 +121,6 @@ fn euclidean_shared_scratch_is_invisible() {
         .collect();
     let positions = random_points(64, 5);
     check_space::<insq_core::Euclidean>(&indexes, &positions, 5, 1);
-}
-
-#[test]
-fn weighted_shared_scratch_is_invisible() {
-    let w = AxisWeights::new(1.0, 2.5).unwrap();
-    let indexes: Vec<Arc<WeightedVorTree>> = [(300usize, 9u64), (200, 13)]
-        .iter()
-        .map(|&(n, s)| Arc::new(WeightedVorTree::build(random_points(n, s), bounds(), w).unwrap()))
-        .collect();
-    let positions = random_points(64, 6);
-    check_space::<insq_core::WeightedEuclidean>(&indexes, &positions, 4, 2);
 }
 
 #[test]

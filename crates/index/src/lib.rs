@@ -23,9 +23,7 @@
 pub mod delta;
 pub mod rtree;
 pub mod vortree;
-pub mod weighted;
 
 pub use delta::SiteDelta;
 pub use rtree::{Entry, RTree};
 pub use vortree::{VorTree, VorTreeScratch};
-pub use weighted::{AxisWeights, WeightedVorTree};

@@ -1,6 +1,6 @@
 //! The allocation guard: proves the steady-state tick hot path performs
 //! **zero heap allocations** — valid ticks *and* full kNN recomputations
-//! — in all three spaces, standalone and under the fleet engine (on
+//! — in both spaces, standalone and under the fleet engine (on
 //! one worker lane, and under its default configuration, where a fleet
 //! below the inline-tick bound spawns no worker).
 //!
@@ -18,9 +18,9 @@
 
 use std::sync::Arc;
 
-use insq_core::{InsConfig, InsProcessor, MovingKnn, NetInsProcessor, WInsProcessor};
+use insq_core::{InsConfig, InsProcessor, MovingKnn, NetInsProcessor};
 use insq_geom::{Aabb, Point};
-use insq_index::{AxisWeights, VorTree, WeightedVorTree};
+use insq_index::VorTree;
 use insq_memprobe::CountingAlloc;
 use insq_roadnet::generators::{grid_network, random_site_vertices, GridConfig};
 use insq_roadnet::{NetPosition, NetTrajectory, NetworkWorld, SiteSet};
@@ -107,28 +107,6 @@ fn steady_state_ticks_allocate_nothing() {
         "counted lap must exercise steady-state recomputations"
     );
     assert_eq!(events, 0, "Euclidean tick path allocated");
-
-    // ------------------------------------------- weighted Euclidean
-    let wtree = WeightedVorTree::build(
-        random_points(300, 9),
-        bounds(),
-        AxisWeights::new(1.0, 2.5).unwrap(),
-    )
-    .unwrap();
-    let mut wp = WInsProcessor::new(&wtree, InsConfig::new(4, 1.6)).unwrap();
-    for _ in 0..2 {
-        for &q in &path {
-            wp.tick(q);
-        }
-    }
-    let recomp_before = wp.stats().recomputations;
-    let events = events_during(|| {
-        for &q in &path {
-            wp.tick(q);
-        }
-    });
-    assert!(wp.stats().recomputations > recomp_before);
-    assert_eq!(events, 0, "weighted-Euclidean tick path allocated");
 
     // ------------------------------------------- road network (§IV)
     let net = Arc::new(

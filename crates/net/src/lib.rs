@@ -14,8 +14,8 @@
 //!   `Drained` let one connection carry many sessions.
 //!   Decoding never panics or over-allocates on untrusted bytes.
 //! * [`WireSpace`] — wire conversions per [`insq_core::Space`]
-//!   (positions are validated against the served index; all three
-//!   in-tree spaces implement it).
+//!   (positions are validated against the served index; both in-tree
+//!   spaces implement it).
 //! * [`reactor`] — the one connection driver: a readiness-driven event
 //!   loop on non-blocking sockets (the in-tree [`sys::Readiness`] set:
 //!   `epoll`, level-triggered, O(ready) wakeups, so serving requires

@@ -4,12 +4,12 @@
 //! ids as raw `u32`. [`WireSpace`] supplies the per-space conversions —
 //! a [`SpaceKind`] discriminant checked at registration, a *validated*
 //! wire→native position decode (untrusted positions are range-checked
-//! against the served index, never trusted), and id mappings. All three
+//! against the served index, never trusted), and id mappings. Both
 //! in-tree spaces implement it, so [`crate::NetServer`] and
 //! [`crate::NetClient`] are generic over the space exactly like the rest
 //! of the stack.
 
-use insq_core::{Euclidean, Network, Space, WeightedEuclidean};
+use insq_core::{Euclidean, Network, Space};
 use insq_geom::Point;
 use insq_roadnet::{EdgeId, NetPosition, SiteIdx, VertexId};
 use insq_voronoi::SiteId;
@@ -61,44 +61,20 @@ pub trait WireSpace: Space {
     fn id_from_wire(raw: u32) -> Self::SiteId;
 }
 
-fn planar_pos(pos: WirePos) -> Result<Point, PosError> {
-    match pos {
-        WirePos::Point { x, y } => {
-            if x.is_finite() && y.is_finite() {
-                Ok(Point::new(x, y))
-            } else {
-                Err(PosError::NotFinite)
-            }
-        }
-        _ => Err(PosError::WrongKind),
-    }
-}
-
 impl WireSpace for Euclidean {
     const KIND: SpaceKind = SpaceKind::Euclidean;
 
     fn pos_from_wire(_index: &Self::Index, pos: WirePos) -> Result<Point, PosError> {
-        planar_pos(pos)
-    }
-
-    fn pos_to_wire(pos: Point) -> WirePos {
-        WirePos::Point { x: pos.x, y: pos.y }
-    }
-
-    fn id_to_wire(id: SiteId) -> u32 {
-        id.0
-    }
-
-    fn id_from_wire(raw: u32) -> SiteId {
-        SiteId(raw)
-    }
-}
-
-impl WireSpace for WeightedEuclidean {
-    const KIND: SpaceKind = SpaceKind::WeightedEuclidean;
-
-    fn pos_from_wire(_index: &Self::Index, pos: WirePos) -> Result<Point, PosError> {
-        planar_pos(pos)
+        match pos {
+            WirePos::Point { x, y } => {
+                if x.is_finite() && y.is_finite() {
+                    Ok(Point::new(x, y))
+                } else {
+                    Err(PosError::NotFinite)
+                }
+            }
+            _ => Err(PosError::WrongKind),
+        }
     }
 
     fn pos_to_wire(pos: Point) -> WirePos {

@@ -280,8 +280,6 @@ pub enum SpaceKind {
     /// Road network (`insq_core::Network`, positions are
     /// vertex/on-edge).
     Network,
-    /// Weighted Euclidean (`insq_core::WeightedEuclidean`).
-    WeightedEuclidean,
 }
 
 impl Encode for SpaceKind {
@@ -289,7 +287,6 @@ impl Encode for SpaceKind {
         let b: u8 = match self {
             SpaceKind::Euclidean => 0,
             SpaceKind::Network => 1,
-            SpaceKind::WeightedEuclidean => 2,
         };
         b.encode(out);
     }
@@ -300,7 +297,6 @@ impl Decode for SpaceKind {
         match u8::decode(r)? {
             0 => Ok(SpaceKind::Euclidean),
             1 => Ok(SpaceKind::Network),
-            2 => Ok(SpaceKind::WeightedEuclidean),
             value => Err(DecodeError::BadDiscriminant {
                 what: "space kind",
                 value,
@@ -310,12 +306,12 @@ impl Decode for SpaceKind {
 }
 
 /// A space-agnostic query position: what clients put on the wire.
-/// Euclidean spaces use [`WirePos::Point`]; road networks use
+/// The Euclidean space uses [`WirePos::Point`]; road networks use
 /// [`WirePos::Vertex`] / [`WirePos::OnEdge`] (mirroring
 /// `insq_roadnet::NetPosition`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WirePos {
-    /// A planar point (Euclidean and weighted-Euclidean spaces).
+    /// A planar point (the Euclidean space).
     Point {
         /// Horizontal coordinate.
         x: f64,

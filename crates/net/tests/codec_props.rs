@@ -18,12 +18,7 @@ fn arb_pos() -> BoxedStrategy<WirePos> {
 }
 
 fn arb_space() -> BoxedStrategy<SpaceKind> {
-    prop_oneof![
-        Just(SpaceKind::Euclidean),
-        Just(SpaceKind::Network),
-        Just(SpaceKind::WeightedEuclidean),
-    ]
-    .boxed()
+    prop_oneof![Just(SpaceKind::Euclidean), Just(SpaceKind::Network)].boxed()
 }
 
 fn arb_outcome() -> BoxedStrategy<WireOutcome> {
@@ -236,6 +231,38 @@ fn one_past_max_ids_is_rejected() {
         Err(DecodeError::LengthOutOfBounds {
             claimed: (MAX_IDS + 1) as u64,
             limit: MAX_IDS,
+        })
+    );
+}
+
+#[test]
+fn space_kind_bytes_are_pinned() {
+    for (space, byte) in [(SpaceKind::Euclidean, 0u8), (SpaceKind::Network, 1)] {
+        let mut buf = Vec::new();
+        space.encode(&mut buf);
+        assert_eq!(buf, [byte], "{space:?}");
+        assert_eq!(SpaceKind::decode(&mut Reader::new(&buf)), Ok(space));
+    }
+}
+
+#[test]
+fn register_with_space_byte_2_is_a_bad_discriminant() {
+    let mut payload = Vec::new();
+    Message::Register {
+        space: SpaceKind::Euclidean,
+        k: 3,
+        rho: 1.6,
+        pos: WirePos::Point { x: 1.0, y: 2.0 },
+    }
+    .encode_payload(&mut payload);
+    // Version, tag, then the space byte.
+    assert_eq!(payload[2], 0);
+    payload[2] = 2;
+    assert_eq!(
+        Message::decode_payload(&payload),
+        Err(DecodeError::BadDiscriminant {
+            what: "space kind",
+            value: 2,
         })
     );
 }

@@ -6,9 +6,9 @@
 //! **epoch-versioned world** — all of it generic over the
 //! `insq_core::Space` a deployment runs in.
 //!
-//! * [`World`] / [`Epoch`] — the server-owned index snapshot (any
-//!   space's `Index` type: `VorTree`, `WeightedVorTree`,
-//!   [`NetworkWorld`]), published atomically. Data-object updates become
+//! * [`World`] / [`Epoch`] — the server-owned index snapshot (either
+//!   space's `Index` type: `VorTree` or [`NetworkWorld`]), published
+//!   atomically. Data-object updates become
 //!   a [`World::publish`] (full rebuild) or — the cheap path — a **delta
 //!   epoch** via [`World::apply`], one generic implementation over
 //!   `insq_core::DeltaIndex`: a copy nobody reads — in steady state the
@@ -18,15 +18,13 @@
 //!   tick and self-rebind either way.
 //! * [`SpaceQuery`] — the one fleet-client implementation, wrapping the
 //!   generic `insq_core::Processor` over an `Arc` world snapshot.
-//!   [`InsFleetQuery`] / [`NetFleetQuery`] / [`WFleetQuery`] are its
-//!   per-space aliases.
+//!   [`InsFleetQuery`] / [`NetFleetQuery`] are its per-space aliases.
 //! * [`FleetEngine`] — a sharded registry of live queries, ticked in
 //!   parallel batches on a scoped-thread worker pool (a small fleet on
 //!   the calling thread alone) with deterministic per-shard
 //!   scheduling: results and statistics are bit-identical to
-//!   sequential execution at any thread count, in every space
-//!   (`tests/space_conformance.rs` runs the same harness over all of
-//!   them).
+//!   sequential execution at any thread count, in both spaces
+//!   (`tests/space_conformance.rs` runs the same harness over each).
 //! * [`FleetStats`] — per-shard [`insq_core::QueryStats`] aggregation
 //!   surfacing fleet throughput (ticks/s, validations/tick, recompute
 //!   rate).
@@ -78,7 +76,7 @@ pub use fleet::{
     TickSummary,
 };
 pub use partition::{GridPartitioner, Partitioner, RegionId};
-pub use queries::{FleetQuery, InsFleetQuery, NetFleetQuery, SpaceQuery, WFleetQuery};
+pub use queries::{FleetQuery, InsFleetQuery, NetFleetQuery, SpaceQuery};
 pub use util::parallel_map;
 pub use world::{Epoch, NetworkWorld, World};
 
@@ -89,12 +87,11 @@ pub use world::{Epoch, NetworkWorld, World};
 #[allow(dead_code)]
 fn assert_thread_safety() {
     fn assert_send_sync<T: Send + Sync>() {}
-    use insq_core::{Euclidean, Network, Processor, Space, WeightedEuclidean};
+    use insq_core::{Euclidean, Network, Processor, Space};
     use std::sync::Arc;
 
     // Substrates.
     assert_send_sync::<insq_index::VorTree>();
-    assert_send_sync::<insq_index::WeightedVorTree>();
     assert_send_sync::<insq_roadnet::RoadNetwork>();
     assert_send_sync::<insq_roadnet::SiteSet>();
     assert_send_sync::<insq_roadnet::NetworkVoronoi>();
@@ -111,5 +108,4 @@ fn assert_thread_safety() {
     }
     assert_space::<Euclidean>();
     assert_space::<Network>();
-    assert_space::<WeightedEuclidean>();
 }

@@ -11,9 +11,8 @@
 //!
 //! There is exactly one implementation: the space-generic
 //! [`SpaceQuery`], wrapping the generic `insq_core::Processor` over an
-//! `Arc` snapshot of the world. [`InsFleetQuery`], [`NetFleetQuery`] and
-//! [`WFleetQuery`] are its per-space aliases; a new space gets its fleet
-//! client for free.
+//! `Arc` snapshot of the world. [`InsFleetQuery`] and [`NetFleetQuery`]
+//! are its per-space aliases; a new space gets its fleet client for free.
 
 use std::sync::Arc;
 
@@ -65,9 +64,6 @@ pub type InsFleetQuery = SpaceQuery<insq_core::Euclidean>;
 
 /// A road-network INS fleet client over a `World<NetworkWorld>`.
 pub type NetFleetQuery = SpaceQuery<insq_core::Network>;
-
-/// A weighted-Euclidean INS fleet client over a `World<WeightedVorTree>`.
-pub type WFleetQuery = SpaceQuery<insq_core::WeightedEuclidean>;
 
 impl<S: Space> SpaceQuery<S> {
     /// Creates a client bound to the world's current snapshot.

@@ -8,8 +8,7 @@
 //!   construction);
 //! * [`World::apply`] — **delta epochs**: available for every snapshot
 //!   type implementing [`insq_core::DeltaIndex`] (`VorTree`,
-//!   `WeightedVorTree`, [`NetworkWorld`] — one space-generic impl serves
-//!   all of them). A copy nobody reads is patched (cost proportional
+//!   [`NetworkWorld`] — one space-generic impl serves both). A copy nobody reads is patched (cost proportional
 //!   to the delta's neighborhood, see `insq_index::VorTree::apply` /
 //!   `insq_roadnet::NetworkVoronoi::insert_site` /
 //!   `insq_roadnet::NetworkVoronoi::reweight_edges`) and published. A
@@ -44,7 +43,7 @@
 //! *what the delta touched* ([`insq_core::TouchedSet`]); a query exactly
 //! one epoch behind whose held objects are all untouched moves to the
 //! new snapshot keeping its kNN and guards, and only the queries the
-//! delta is near recompute (Euclidean spaces; every road-network delta
+//! delta is near recompute (Euclidean space; every road-network delta
 //! still rebinds the whole fleet). This replaces the manual `rebind`
 //! dance of single-query code (`examples/data_updates.rs`).
 
@@ -76,8 +75,7 @@ impl Epoch {
 
 /// An epoch-versioned, shareable world: the server side of the INSQ
 /// system. `S` is the snapshot payload — any [`insq_core::Space`]'s
-/// `Index` type ([`insq_index::VorTree`],
-/// [`insq_index::WeightedVorTree`], [`NetworkWorld`]).
+/// `Index` type ([`insq_index::VorTree`] or [`NetworkWorld`]).
 ///
 /// Readers take cheap `Arc` snapshots and are never blocked by a publish
 /// for longer than the pointer swap; old snapshots stay alive until the
@@ -334,25 +332,6 @@ mod tests {
         // The world stays fully usable.
         let ok = world.apply(&SiteDelta::insert(vec![insq_geom::Point::new(3.25, 4.75)]));
         assert_eq!(ok.unwrap(), e0.next());
-    }
-
-    #[test]
-    fn weighted_worlds_apply_deltas_through_the_same_impl() {
-        use insq_index::{AxisWeights, WeightedVorTree};
-        let bounds = insq_geom::Aabb::new(
-            insq_geom::Point::new(-10.0, -10.0),
-            insq_geom::Point::new(110.0, 110.0),
-        );
-        let pts: Vec<insq_geom::Point> = (0..20)
-            .map(|i| insq_geom::Point::new((i % 5) as f64 * 20.0, (i / 5) as f64 * 25.0 + 1.0))
-            .collect();
-        let w = AxisWeights::new(1.0, 2.0).unwrap();
-        let world = World::new(WeightedVorTree::build(pts, bounds, w).unwrap());
-        let e1 = world
-            .apply(&SiteDelta::insert(vec![insq_geom::Point::new(33.3, 44.4)]))
-            .unwrap();
-        assert_eq!(e1, Epoch(1));
-        assert_eq!(world.snapshot().1.len(), 21);
     }
 
     #[test]

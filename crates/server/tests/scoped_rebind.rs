@@ -12,8 +12,7 @@
 //!   `Space::brute_knn` on the snapshot of the epoch it reports, at the
 //!   position it was last ticked at — over seeded random interleavings
 //!   of moves, `SiteDelta`s, back-to-back deltas and out-of-band
-//!   publishes, in the plain and the weighted Euclidean space, under
-//!   both tick policies;
+//!   publishes, under both tick policies;
 //! * the streams (kNN and outcome per query per tick) and all statistics
 //!   are bit-identical at 1, 2 and 8 threads;
 //! * named adversarial deltas — each one a way for a kept certificate to
@@ -22,46 +21,22 @@
 
 use std::sync::Arc;
 
-use insq_core::{
-    DeltaIndex, Euclidean, InsConfig, MovingKnn, QueryStats, Space, TickOutcome, WeightedEuclidean,
-};
+use insq_core::{Euclidean, InsConfig, MovingKnn, QueryStats, Space, TickOutcome};
 use insq_geom::{Aabb, Point};
-use insq_index::{AxisWeights, SiteDelta, VorTree, WeightedVorTree};
+use insq_index::{SiteDelta, VorTree};
 use insq_roadnet::generators::SplitMix64;
 use insq_server::{
-    Epoch, FleetConfig, FleetEngine, FleetQuery, QueryId, SpaceQuery, TickDisposition, TickPolicy,
-    TickPos, TickSummary, World,
+    Epoch, FleetConfig, FleetEngine, FleetQuery, InsFleetQuery, QueryId, TickDisposition,
+    TickPolicy, TickPos, TickSummary, World,
 };
-use insq_voronoi::{SiteId, VoronoiError};
-
-/// The two spaces whose delta epochs are traced.
-trait Plane:
-    Space<Pos = Point, SiteId = SiteId, Index: DeltaIndex<Delta = SiteDelta, Error = VoronoiError>>
-{
-    fn build(points: Vec<Point>) -> Self::Index;
-    fn site(index: &Self::Index, s: SiteId) -> Point;
-}
+use insq_voronoi::SiteId;
 
 fn bounds() -> Aabb {
     Aabb::new(Point::new(-10.0, -10.0), Point::new(110.0, 110.0))
 }
 
-impl Plane for Euclidean {
-    fn build(points: Vec<Point>) -> VorTree {
-        VorTree::build(points, bounds()).unwrap()
-    }
-    fn site(index: &VorTree, s: SiteId) -> Point {
-        index.point(s)
-    }
-}
-
-impl Plane for WeightedEuclidean {
-    fn build(points: Vec<Point>) -> WeightedVorTree {
-        WeightedVorTree::build(points, bounds(), AxisWeights::new(1.0, 2.5).unwrap()).unwrap()
-    }
-    fn site(index: &WeightedVorTree, s: SiteId) -> Point {
-        index.point(s)
-    }
+fn build(points: Vec<Point>) -> VorTree {
+    VorTree::build(points, bounds()).unwrap()
 }
 
 fn point(rng: &mut SplitMix64) -> Point {
@@ -80,21 +55,21 @@ fn random_points(n: usize, seed: u64) -> Vec<Point> {
 /// A world, an engine over it, every snapshot the world ever published
 /// (so a query can be checked against the epoch *it* reports), and the
 /// clients' positions.
-struct Rig<S: Plane> {
-    world: Arc<World<S::Index>>,
-    fleet: FleetEngine<S::Index, SpaceQuery<S>>,
+struct Rig {
+    world: Arc<World<VorTree>>,
+    fleet: FleetEngine<VorTree, InsFleetQuery>,
     /// `snapshots[e]` is the snapshot of epoch `e`.
-    snapshots: Vec<Arc<S::Index>>,
+    snapshots: Vec<Arc<VorTree>>,
     pos: Vec<Point>,
     outcomes: Vec<(QueryId, TickDisposition)>,
 }
 
-impl<S: Plane> Rig<S> {
-    fn new(points: Vec<Point>, threads: usize, clients: &[(usize, Point)]) -> Rig<S> {
-        let world = Arc::new(World::new(S::build(points)));
+impl Rig {
+    fn new(points: Vec<Point>, threads: usize, clients: &[(usize, Point)]) -> Rig {
+        let world = Arc::new(World::new(build(points)));
         let mut fleet = FleetEngine::new(Arc::clone(&world), FleetConfig { shards: 5, threads });
         for &(k, _) in clients {
-            fleet.register(SpaceQuery::<S>::new(&world, InsConfig::new(k, 1.6)).unwrap());
+            fleet.register(InsFleetQuery::new(&world, InsConfig::new(k, 1.6)).unwrap());
         }
         Rig {
             snapshots: vec![world.snapshot().1],
@@ -105,7 +80,7 @@ impl<S: Plane> Rig<S> {
         }
     }
 
-    fn index(&self) -> Arc<S::Index> {
+    fn index(&self) -> Arc<VorTree> {
         Arc::clone(self.snapshots.last().unwrap())
     }
 
@@ -116,12 +91,12 @@ impl<S: Plane> Rig<S> {
         epoch
     }
 
-    fn publish(&mut self, snapshot: Arc<S::Index>) {
+    fn publish(&mut self, snapshot: Arc<VorTree>) {
         self.world.publish_arc(Arc::clone(&snapshot));
         self.snapshots.push(snapshot);
     }
 
-    fn query(&self, c: usize) -> &SpaceQuery<S> {
+    fn query(&self, c: usize) -> &InsFleetQuery {
         self.fleet.query(QueryId(c as u64)).unwrap()
     }
 
@@ -169,7 +144,7 @@ impl<S: Plane> Rig<S> {
             let snapshot = &self.snapshots[q.bound_epoch().0 as usize];
             let mut got = q.current_knn();
             got.sort_unstable();
-            let mut want = S::brute_knn(snapshot, at, q.processor().config().k);
+            let mut want = Euclidean::brute_knn(snapshot, at, q.processor().config().k);
             want.sort_unstable();
             assert_eq!(
                 got,
@@ -185,17 +160,14 @@ impl<S: Plane> Rig<S> {
 /// The site farthest from `from` that client 0 does not hold and that is
 /// not the last one: removing it disturbs nothing near the client except
 /// through the swap-remove renumbering.
-fn far_unheld_site<S: Plane>(rig: &Rig<S>, from: Point) -> SiteId {
+fn far_unheld_site(rig: &Rig, from: Point) -> SiteId {
     let index = rig.index();
     let held = rig.query(0).processor().held_objects();
-    (0..S::num_sites(&index) as u32 - 1)
+    (0..index.len() as u32 - 1)
         .map(SiteId)
         .filter(|s| !held.contains(s))
         .max_by(|&a, &b| {
-            let (da, db) = (
-                S::site(&index, a).distance(from),
-                S::site(&index, b).distance(from),
-            );
+            let (da, db) = (index.point(a).distance(from), index.point(b).distance(from));
             da.total_cmp(&db)
         })
         .unwrap()
@@ -207,9 +179,10 @@ fn far_unheld_site<S: Plane>(rig: &Rig<S>, from: Point) -> SiteId {
 /// recomputation and communication counters untouched — and the very
 /// tick that crosses the epoch can be `Valid`. The query next to the
 /// delta pays the recomputation.
-fn untouched_queries_keep_their_guards<S: Plane>() {
+#[test]
+fn untouched_queries_keep_their_guards_euclidean() {
     let (near, far) = (Point::new(12.0, 11.0), Point::new(88.0, 91.0));
-    let mut rig = Rig::<S>::new(random_points(600, 0xfa4), 1, &[(4, near), (4, far)]);
+    let mut rig = Rig::new(random_points(600, 0xfa4), 1, &[(4, near), (4, far)]);
     rig.tick();
     rig.tick();
     let (near0, far0) = (rig.stats(0), rig.stats(1));
@@ -229,21 +202,11 @@ fn untouched_queries_keep_their_guards<S: Plane>() {
     assert!(rig.knn(0).contains(&SiteId(600)), "the insertion is found");
 }
 
-#[test]
-fn untouched_queries_keep_their_guards_euclidean() {
-    untouched_queries_keep_their_guards::<Euclidean>();
-}
-
-#[test]
-fn untouched_queries_keep_their_guards_weighted() {
-    untouched_queries_keep_their_guards::<WeightedEuclidean>();
-}
-
 // ------------------------------------------------- adversarial deltas
 
 /// One client (k = 3) at `at` over 300 random sites, initialised.
-fn lone_client<S: Plane>(at: Point) -> Rig<S> {
-    let mut rig = Rig::<S>::new(random_points(300, 0xad7e), 1, &[(3, at)]);
+fn lone_client(at: Point) -> Rig {
+    let mut rig = Rig::new(random_points(300, 0xad7e), 1, &[(3, at)]);
     rig.tick();
     rig.tick();
     rig
@@ -251,20 +214,21 @@ fn lone_client<S: Plane>(at: Point) -> Rig<S> {
 
 /// Applies `delta`, ticks (oracle-checked inside), and asserts the epoch
 /// forced client 0 to recompute.
-fn must_recompute<S: Plane>(rig: &mut Rig<S>, delta: &SiteDelta, why: &str) {
+fn must_recompute(rig: &mut Rig, delta: &SiteDelta, why: &str) {
     let before = rig.stats(0).recomputations;
     rig.apply(delta);
     rig.tick();
     assert_eq!(rig.stats(0).recomputations, before + 1, "{why}");
 }
 
-fn adversarial_deltas<S: Plane>() {
+#[test]
+fn adversarial_deltas_euclidean() {
     let at = Point::new(48.0, 52.0);
 
     // An insertion that becomes the 1NN: it lands in the 1NN's cell, so
     // it rewrites the 1NN's neighbor list.
-    let mut rig = lone_client::<S>(at);
-    let n = S::num_sites(&rig.index()) as u32;
+    let mut rig = lone_client(at);
+    let n = rig.index().len() as u32;
     must_recompute(
         &mut rig,
         &SiteDelta::insert(vec![Point::new(48.01, 52.01)]),
@@ -273,7 +237,7 @@ fn adversarial_deltas<S: Plane>() {
     assert_eq!(rig.knn(0)[0], SiteId(n));
 
     // Removal of a kNN member.
-    let mut rig = lone_client::<S>(at);
+    let mut rig = lone_client(at);
     let member = rig.knn(0)[1];
     must_recompute(
         &mut rig,
@@ -283,7 +247,7 @@ fn adversarial_deltas<S: Plane>() {
 
     // Removal of a guard only: the kNN may well stay, the certificate
     // does not.
-    let mut rig = lone_client::<S>(at);
+    let mut rig = lone_client(at);
     let knn = rig.knn(0);
     let guard = rig.query(0).processor().guard_set()[0];
     assert!(!knn.contains(&guard));
@@ -292,10 +256,10 @@ fn adversarial_deltas<S: Plane>() {
     // A far removal whose swap-remove renumbers a *held* site: the client
     // sits on the last site, so it holds id n-1, which the delta hands to
     // nobody and whose site now answers to the removed id.
-    let index = S::build(random_points(300, 0xad7e));
-    let last = SiteId(S::num_sites(&index) as u32 - 1);
-    let on_last = S::site(&index, last);
-    let mut rig = lone_client::<S>(on_last);
+    let index = build(random_points(300, 0xad7e));
+    let last = SiteId(index.len() as u32 - 1);
+    let on_last = index.point(last);
+    let mut rig = lone_client(on_last);
     assert_eq!(rig.knn(0)[0], last);
     let far = far_unheld_site(&rig, on_last);
     must_recompute(
@@ -308,7 +272,7 @@ fn adversarial_deltas<S: Plane>() {
     // An id vacated and re-used in the same delta: the held last id is
     // removed and a far insertion takes it over. Keeping the cache would
     // rank a site across the map as the 1NN's stand-in.
-    let mut rig = lone_client::<S>(on_last);
+    let mut rig = lone_client(on_last);
     let corner = Point::new(99.5, 0.5);
     must_recompute(
         &mut rig,
@@ -318,13 +282,13 @@ fn adversarial_deltas<S: Plane>() {
         },
         "a held id changed hands",
     );
-    assert!(S::site(&rig.index(), last).distance(corner) < 1e-9);
+    assert!(rig.index().point(last).distance(corner) < 1e-9);
     assert!(!rig.knn(0).contains(&last));
 
     // Same hand-over through the renumbering: a held non-last id is
     // removed, the last site moves into it, the insertion takes the last
     // id.
-    let mut rig = lone_client::<S>(at);
+    let mut rig = lone_client(at);
     let member = rig.knn(0)[0];
     must_recompute(
         &mut rig,
@@ -336,23 +300,13 @@ fn adversarial_deltas<S: Plane>() {
     );
 }
 
-#[test]
-fn adversarial_deltas_euclidean() {
-    adversarial_deltas::<Euclidean>();
-}
-
-#[test]
-fn adversarial_deltas_weighted() {
-    adversarial_deltas::<WeightedEuclidean>();
-}
-
 /// A delta that shrinks the world below `k`: every id at or beyond the
 /// new size is touched, so no query can keep `k` objects that no longer
 /// exist.
 #[test]
 fn delta_shrinking_the_world_below_k_rebinds_everyone() {
     let clients = [(5, Point::new(20.0, 30.0)), (5, Point::new(70.0, 60.0))];
-    let mut rig = Rig::<Euclidean>::new(random_points(7, 0x5ca1e), 2, &clients);
+    let mut rig = Rig::new(random_points(7, 0x5ca1e), 2, &clients);
     rig.tick();
     let before = [rig.stats(0).recomputations, rig.stats(1).recomputations];
     rig.apply(&SiteDelta::remove(vec![
@@ -376,7 +330,7 @@ fn delta_shrinking_the_world_below_k_rebinds_everyone() {
 fn deadline_held_query_two_epochs_behind_rebinds_in_full() {
     let at = Point::new(85.0, 88.0);
     let policy = TickPolicy::Deadline { max_staleness: 10 };
-    let mut rig = Rig::<Euclidean>::new(random_points(600, 0xdead), 1, &[(4, at), (4, at)]);
+    let mut rig = Rig::new(random_points(600, 0xdead), 1, &[(4, at), (4, at)]);
     rig.tick();
     rig.tick();
     let before = [rig.stats(0), rig.stats(1)];
@@ -402,7 +356,7 @@ fn deadline_held_query_two_epochs_behind_rebinds_in_full() {
 #[test]
 fn publishing_a_previously_applied_snapshot_rebinds_in_full() {
     let at = Point::new(85.0, 88.0);
-    let mut rig = Rig::<Euclidean>::new(random_points(600, 0x9a9), 1, &[(4, at)]);
+    let mut rig = Rig::new(random_points(600, 0x9a9), 1, &[(4, at)]);
     rig.tick();
     let original = rig.index();
     rig.apply(&SiteDelta::insert(vec![Point::new(8.0, 9.0)]));
@@ -434,9 +388,9 @@ struct Transcript {
     kept: u64,
 }
 
-fn random_delta<S: Plane>(rig: &Rig<S>, rng: &mut SplitMix64) -> SiteDelta {
+fn random_delta(rig: &Rig, rng: &mut SplitMix64) -> SiteDelta {
     let index = rig.index();
-    let n = S::num_sites(&index);
+    let n = index.len();
     let mut delta = SiteDelta::default();
     for _ in 0..rng.below(4) {
         // Half of the insertions land next to a client.
@@ -474,12 +428,12 @@ fn random_delta<S: Plane>(rig: &Rig<S>, rng: &mut SplitMix64) -> SiteDelta {
     delta
 }
 
-fn random_run<S: Plane>(seed: u64, policy: TickPolicy, threads: usize) -> Transcript {
+fn random_run(seed: u64, policy: TickPolicy, threads: usize) -> Transcript {
     let mut rng = SplitMix64::new(seed);
     let clients: Vec<(usize, Point)> = (0..16)
         .map(|_| (1 + rng.below(5), point(&mut rng)))
         .collect();
-    let mut rig = Rig::<S>::new(random_points(250, seed ^ 0x51e5), threads, &clients);
+    let mut rig = Rig::new(random_points(250, seed ^ 0x51e5), threads, &clients);
     let barrier = policy == TickPolicy::Barrier;
     let mut stream = Vec::new();
     let mut kept = 0;
@@ -529,9 +483,9 @@ fn random_run<S: Plane>(seed: u64, policy: TickPolicy, threads: usize) -> Transc
     }
 }
 
-fn random_interleavings<S: Plane>(policy: TickPolicy) {
+fn random_interleavings(policy: TickPolicy) {
     for seed in [0x1a5e_ed01u64, 0x1a5e_ed02, 0x1a5e_ed03] {
-        let reference = random_run::<S>(seed, policy, 1);
+        let reference = random_run(seed, policy, 1);
         assert!(reference.epochs >= 30, "the run must cross many epochs");
         assert!(
             reference.kept > 0,
@@ -543,7 +497,7 @@ fn random_interleavings<S: Plane>(policy: TickPolicy) {
         );
         for threads in [2usize, 8] {
             assert!(
-                random_run::<S>(seed, policy, threads) == reference,
+                random_run(seed, policy, threads) == reference,
                 "streams or statistics diverged at threads={threads} (seed {seed:#x})"
             );
         }
@@ -554,20 +508,10 @@ const DEADLINE: TickPolicy = TickPolicy::Deadline { max_staleness: 2 };
 
 #[test]
 fn random_interleavings_euclidean_barrier() {
-    random_interleavings::<Euclidean>(TickPolicy::Barrier);
+    random_interleavings(TickPolicy::Barrier);
 }
 
 #[test]
 fn random_interleavings_euclidean_deadline() {
-    random_interleavings::<Euclidean>(DEADLINE);
-}
-
-#[test]
-fn random_interleavings_weighted_barrier() {
-    random_interleavings::<WeightedEuclidean>(TickPolicy::Barrier);
-}
-
-#[test]
-fn random_interleavings_weighted_deadline() {
-    random_interleavings::<WeightedEuclidean>(DEADLINE);
+    random_interleavings(DEADLINE);
 }

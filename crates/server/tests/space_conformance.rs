@@ -1,5 +1,5 @@
-//! Cross-space conformance: ONE generic harness, every registered
-//! `Space`.
+//! Cross-space conformance: ONE generic harness, both registered
+//! `Space`s.
 //!
 //! For each space the same scenario is driven three ways and must agree:
 //!
@@ -18,9 +18,7 @@
 
 use std::sync::Arc;
 
-use insq_core::{
-    Euclidean, InsConfig, MovingKnn, Network, Processor, QueryStats, WeightedEuclidean,
-};
+use insq_core::{Euclidean, InsConfig, MovingKnn, Network, Processor, QueryStats};
 use insq_server::{FleetConfig, FleetEngine, QueryId, SpaceQuery, World};
 use insq_workload::{FleetScenario, SpaceWorkload};
 
@@ -113,27 +111,17 @@ fn conformance<S: SpaceWorkload>(sc: &FleetScenario) {
     }
 }
 
-fn euclidean_like_scenario() -> FleetScenario {
-    FleetScenario {
+#[test]
+fn euclidean_space_conforms() {
+    conformance::<Euclidean>(&FleetScenario {
         clients: 40,
         n: 800,
         k: 4,
         ticks: 60,
         updates: vec![30],
-        axis_weights: (1.0, 2.5),
         seed: 20160501,
         ..Default::default()
-    }
-}
-
-#[test]
-fn euclidean_space_conforms() {
-    conformance::<Euclidean>(&euclidean_like_scenario());
-}
-
-#[test]
-fn weighted_space_conforms() {
-    conformance::<WeightedEuclidean>(&euclidean_like_scenario());
+    });
 }
 
 #[test]

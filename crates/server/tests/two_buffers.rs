@@ -13,41 +13,19 @@
 
 use std::sync::Arc;
 
-use insq_core::{DeltaIndex, Euclidean, InsConfig, MovingKnn, Space, WeightedEuclidean};
+use insq_core::{Euclidean, InsConfig, MovingKnn, Space};
 use insq_geom::{Aabb, Point};
-use insq_index::{AxisWeights, SiteDelta, VorTree, WeightedVorTree};
+use insq_index::{SiteDelta, VorTree, VorTreeScratch};
 use insq_roadnet::generators::SplitMix64;
-use insq_server::{Epoch, FleetConfig, FleetEngine, FleetQuery, SpaceQuery, World};
+use insq_server::{Epoch, FleetConfig, FleetEngine, FleetQuery, InsFleetQuery, World};
 use insq_voronoi::{SiteId, Voronoi, VoronoiError};
-
-/// The two spaces whose indexes reclaim.
-trait Plane:
-    Space<Pos = Point, SiteId = SiteId, Index: DeltaIndex<Delta = SiteDelta, Error = VoronoiError>>
-{
-    fn build(points: Vec<Point>) -> Self::Index;
-    fn voronoi(index: &Self::Index) -> &Voronoi;
-}
 
 fn bounds() -> Aabb {
     Aabb::new(Point::new(-10.0, -10.0), Point::new(110.0, 110.0))
 }
 
-impl Plane for Euclidean {
-    fn build(points: Vec<Point>) -> VorTree {
-        VorTree::build(points, bounds()).unwrap()
-    }
-    fn voronoi(index: &VorTree) -> &Voronoi {
-        index.voronoi()
-    }
-}
-
-impl Plane for WeightedEuclidean {
-    fn build(points: Vec<Point>) -> WeightedVorTree {
-        WeightedVorTree::build(points, bounds(), AxisWeights::new(1.0, 2.5).unwrap()).unwrap()
-    }
-    fn voronoi(index: &WeightedVorTree) -> &Voronoi {
-        index.voronoi()
-    }
+fn build(points: Vec<Point>) -> VorTree {
+    VorTree::build(points, bounds()).unwrap()
 }
 
 fn point(rng: &mut SplitMix64) -> Point {
@@ -89,26 +67,26 @@ fn neighbor_lists(v: &Voronoi) -> Vec<Vec<SiteId>> {
 }
 
 /// A reclaiming world under a ticking fleet, and its pinned twin.
-struct Twins<S: Plane> {
-    world: Arc<World<S::Index>>,
-    fleet: FleetEngine<S::Index, SpaceQuery<S>>,
+struct Twins {
+    world: Arc<World<VorTree>>,
+    fleet: FleetEngine<VorTree, InsFleetQuery>,
     pos: Vec<Point>,
-    pinned_world: World<S::Index>,
-    pinned: Vec<Arc<S::Index>>,
+    pinned_world: World<VorTree>,
+    pinned: Vec<Arc<VorTree>>,
     rng: SplitMix64,
 }
 
-impl<S: Plane> Twins<S> {
-    fn new(seed: u64, threads: usize) -> Twins<S> {
+impl Twins {
+    fn new(seed: u64, threads: usize) -> Twins {
         let points = random_points(250, seed);
-        let world = Arc::new(World::new(S::build(points.clone())));
+        let world = Arc::new(World::new(build(points.clone())));
         let mut fleet = FleetEngine::new(Arc::clone(&world), FleetConfig { shards: 3, threads });
         let mut rng = SplitMix64::new(seed ^ 0x2b0f);
         let pos: Vec<Point> = (0..10).map(|_| point(&mut rng)).collect();
         for c in 0..pos.len() {
-            fleet.register(SpaceQuery::<S>::new(&world, InsConfig::new(1 + c % 5, 1.6)).unwrap());
+            fleet.register(InsFleetQuery::new(&world, InsConfig::new(1 + c % 5, 1.6)).unwrap());
         }
-        let pinned_world = World::new(S::build(points));
+        let pinned_world = World::new(build(points));
         let pinned = vec![pinned_world.snapshot().1];
         let mut twins = Twins {
             world,
@@ -123,7 +101,7 @@ impl<S: Plane> Twins<S> {
     }
 
     fn num_sites(&self) -> usize {
-        S::num_sites(&self.world.snapshot().1)
+        self.world.snapshot().1.len()
     }
 
     /// Moves every client and ticks the fleet: afterwards no query reads
@@ -143,7 +121,7 @@ impl<S: Plane> Twins<S> {
             let mut got = q.current_knn();
             answers.push(got.clone());
             got.sort_unstable();
-            let mut want = S::brute_knn(&snapshot, pos[id.index()], got.len());
+            let mut want = Euclidean::brute_knn(&snapshot, pos[id.index()], got.len());
             want.sort_unstable();
             assert_eq!(got, want, "{id:?} diverged from brute force on {epoch}");
         });
@@ -167,7 +145,7 @@ impl<S: Plane> Twins<S> {
         let (pinned_epoch, pinned, pinned_touched) = self.pinned_world.snapshot_traced();
         assert_eq!(epoch, pinned_epoch);
         assert_eq!(touched, pinned_touched, "touched sets differ on {epoch}");
-        let (v, pinned_v) = (S::voronoi(&snapshot), S::voronoi(&pinned));
+        let (v, pinned_v) = (snapshot.voronoi(), pinned.voronoi());
         assert_eq!(
             v.points(),
             pinned_v.points(),
@@ -181,14 +159,14 @@ impl<S: Plane> Twins<S> {
             neighbor_lists(&rebuilt),
             "{epoch} is not its rebuild"
         );
-        let (mut scratch, mut found) = (S::Scratch::default(), Vec::new());
+        let (mut scratch, mut found) = (VorTreeScratch::default(), Vec::new());
         for _ in 0..6 {
             let (q, k) = (point(&mut self.rng), 1 + self.rng.below(8));
-            S::global_knn_into(&snapshot, &mut scratch, q, k, &mut found);
+            Euclidean::global_knn_into(&snapshot, &mut scratch, q, k, &mut found);
             let found: Vec<SiteId> = found.iter().map(|&(s, _)| s).collect();
             assert_eq!(
                 found,
-                S::brute_knn(&snapshot, q, k),
+                Euclidean::brute_knn(&snapshot, q, k),
                 "kNN at {q:?} on {epoch}"
             );
         }
@@ -197,9 +175,10 @@ impl<S: Plane> Twins<S> {
 
 /// 48 random deltas with a tick after each: every epoch but the first
 /// reclaims. The answers are the same at every thread count.
-fn alternating_buffers_conform<S: Plane>() {
+#[test]
+fn alternating_buffers_conform_euclidean() {
     let run = |threads: usize| {
-        let mut twins = Twins::<S>::new(0x7b0_b0ff, threads);
+        let mut twins = Twins::new(0x7b0_b0ff, threads);
         let mut answers = Vec::new();
         for epoch in 1..=48 {
             let delta = random_delta(twins.num_sites(), &mut twins.rng);
@@ -217,53 +196,35 @@ fn alternating_buffers_conform<S: Plane>() {
     }
 }
 
-#[test]
-fn alternating_buffers_conform_euclidean() {
-    alternating_buffers_conform::<Euclidean>();
-}
-
-#[test]
-fn alternating_buffers_conform_weighted() {
-    alternating_buffers_conform::<WeightedEuclidean>();
-}
-
 /// A snapshot is immutable while anyone holds it: a reader parked on
 /// the retired snapshot keeps `apply` off it, and the world advances by
 /// copying instead.
-fn a_held_retired_snapshot_is_never_patched<S: Plane>() {
-    let mut twins = Twins::<S>::new(0x4e1d, 2);
+#[test]
+fn a_held_retired_snapshot_is_never_patched_euclidean() {
+    let mut twins = Twins::new(0x4e1d, 2);
     for _ in 0..3 {
         let delta = random_delta(twins.num_sites(), &mut twins.rng);
         twins.apply(&delta).unwrap();
         twins.tick();
     }
     let (held_epoch, held) = twins.world.snapshot();
-    let points = S::voronoi(&held).points().to_vec();
-    let lists = neighbor_lists(S::voronoi(&held));
+    let points = held.voronoi().points().to_vec();
+    let lists = neighbor_lists(held.voronoi());
     for further in 1..=3 {
         let delta = random_delta(twins.num_sites(), &mut twins.rng);
         assert_eq!(twins.apply(&delta), Ok(Epoch(held_epoch.0 + further)));
         twins.tick();
-        assert_eq!(S::voronoi(&held).points(), &points[..]);
-        assert_eq!(neighbor_lists(S::voronoi(&held)), lists);
+        assert_eq!(held.voronoi().points(), &points[..]);
+        assert_eq!(neighbor_lists(held.voronoi()), lists);
     }
-}
-
-#[test]
-fn a_held_retired_snapshot_is_never_patched_euclidean() {
-    a_held_retired_snapshot_is_never_patched::<Euclidean>();
-}
-
-#[test]
-fn a_held_retired_snapshot_is_never_patched_weighted() {
-    a_held_retired_snapshot_is_never_patched::<WeightedEuclidean>();
 }
 
 /// A delta that fails after the replay and half of its own changes went
 /// into the reclaimed buffer: the error comes back, nothing is
 /// published, and the buffer is gone — the next epoch is a clean one.
-fn a_rejected_delta_discards_the_reclaimed_buffer<S: Plane>() {
-    let mut twins = Twins::<S>::new(0xbad_de17a, 1);
+#[test]
+fn a_rejected_delta_discards_the_reclaimed_buffer_euclidean() {
+    let mut twins = Twins::new(0xbad_de17a, 1);
     let delta = random_delta(twins.num_sites(), &mut twins.rng);
     twins.apply(&delta).unwrap();
     twins.tick();
@@ -290,28 +251,19 @@ fn a_rejected_delta_discards_the_reclaimed_buffer<S: Plane>() {
     }
 }
 
-#[test]
-fn a_rejected_delta_discards_the_reclaimed_buffer_euclidean() {
-    a_rejected_delta_discards_the_reclaimed_buffer::<Euclidean>();
-}
-
-#[test]
-fn a_rejected_delta_discards_the_reclaimed_buffer_weighted() {
-    a_rejected_delta_discards_the_reclaimed_buffer::<WeightedEuclidean>();
-}
-
 /// A publish between two applies: the retired snapshot is one delta
 /// behind the snapshot `apply` replaced, not behind the published one,
 /// so it must not be replayed into the next epoch.
-fn a_publish_forgets_the_retired_snapshot<S: Plane>() {
-    let mut twins = Twins::<S>::new(0x9b1, 2);
-    let publish = |twins: &mut Twins<S>, snapshot: Arc<S::Index>| {
+#[test]
+fn a_publish_forgets_the_retired_snapshot_euclidean() {
+    let mut twins = Twins::new(0x9b1, 2);
+    let publish = |twins: &mut Twins, snapshot: Arc<VorTree>| {
         twins.world.publish_arc(Arc::clone(&snapshot));
         twins.pinned_world.publish_arc(Arc::clone(&snapshot));
         twins.pinned.push(snapshot);
         twins.tick();
     };
-    let step = |twins: &mut Twins<S>| {
+    let step = |twins: &mut Twins| {
         let delta = random_delta(twins.num_sites(), &mut twins.rng);
         twins.apply(&delta).unwrap();
         twins.tick();
@@ -320,7 +272,7 @@ fn a_publish_forgets_the_retired_snapshot<S: Plane>() {
     // snapshot is reclaimable.
     step(&mut twins);
     step(&mut twins);
-    publish(&mut twins, Arc::new(S::build(random_points(180, 0x07e4))));
+    publish(&mut twins, Arc::new(build(random_points(180, 0x07e4))));
     step(&mut twins);
     step(&mut twins);
     // A snapshot this world applied before, published again — while it
@@ -334,14 +286,4 @@ fn a_publish_forgets_the_retired_snapshot<S: Plane>() {
     step(&mut twins);
     step(&mut twins);
     assert_eq!(twins.world.epoch(), Epoch(12));
-}
-
-#[test]
-fn a_publish_forgets_the_retired_snapshot_euclidean() {
-    a_publish_forgets_the_retired_snapshot::<Euclidean>();
-}
-
-#[test]
-fn a_publish_forgets_the_retired_snapshot_weighted() {
-    a_publish_forgets_the_retired_snapshot::<WeightedEuclidean>();
 }

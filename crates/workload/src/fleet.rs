@@ -38,11 +38,6 @@ pub struct FleetScenario {
     /// Update schedule: ticks at which the server publishes a rebuilt
     /// index (epoch bumps), ascending.
     pub updates: Vec<usize>,
-    /// Per-axis metric weights `(wx, wy)` — used by the
-    /// weighted-Euclidean space only (see
-    /// [`FleetScenario::weights`](crate::spaces)); all other spaces
-    /// ignore it.
-    pub axis_weights: (f64, f64),
     /// Master seed.
     pub seed: u64,
 }
@@ -63,7 +58,6 @@ impl Default for FleetScenario {
             speed: 0.05,
             ticks: 200,
             updates: vec![100],
-            axis_weights: (1.0, 2.5),
             seed: 2016,
         }
     }

@@ -15,9 +15,9 @@
 
 use std::sync::Arc;
 
-use insq_core::{Euclidean, Network, Space, WeightedEuclidean};
+use insq_core::{Euclidean, Network, Space};
 use insq_geom::Trajectory;
-use insq_index::{AxisWeights, VorTree, WeightedVorTree};
+use insq_index::VorTree;
 use insq_roadnet::generators::{grid_network, random_site_vertices, GridConfig};
 use insq_roadnet::{NetTrajectory, NetworkWorld, RoadNetwork, SiteSet};
 
@@ -56,32 +56,6 @@ impl SpaceWorkload for Euclidean {
 
     fn build_index(sc: &FleetScenario, _fleet: &Vec<Trajectory>, version: usize) -> VorTree {
         VorTree::build(sc.points(version), sc.clip_window()).expect("generated data is valid")
-    }
-
-    fn position(
-        sc: &FleetScenario,
-        fleet: &Vec<Trajectory>,
-        client: usize,
-        tick: usize,
-    ) -> insq_geom::Point {
-        sc.position(&fleet[client], client, tick)
-    }
-}
-
-impl SpaceWorkload for WeightedEuclidean {
-    type Fleet = Vec<Trajectory>;
-
-    fn make_fleet(sc: &FleetScenario) -> Vec<Trajectory> {
-        (0..sc.clients).map(|c| sc.client_trajectory(c)).collect()
-    }
-
-    fn build_index(
-        sc: &FleetScenario,
-        _fleet: &Vec<Trajectory>,
-        version: usize,
-    ) -> WeightedVorTree {
-        WeightedVorTree::build(sc.points(version), sc.clip_window(), sc.weights())
-            .expect("generated data is valid")
     }
 
     fn position(
@@ -154,16 +128,6 @@ impl SpaceWorkload for Network {
     }
 }
 
-/// The scenario's [`AxisWeights`] (weighted-Euclidean space only; other
-/// spaces ignore it). Falls back to [`AxisWeights::UNIT`] when the
-/// configured pair is invalid.
-impl FleetScenario {
-    /// See the `axis_weights` field.
-    pub fn weights(&self) -> AxisWeights {
-        AxisWeights::new(self.axis_weights.0, self.axis_weights.1).unwrap_or(AxisWeights::UNIT)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,29 +150,6 @@ mod tests {
         let p1 = Euclidean::position(&sc, &fleet, 2, 5);
         let p2 = Euclidean::position(&sc, &fleet, 2, 5);
         assert_eq!(p1, p2);
-    }
-
-    #[test]
-    fn weighted_workload_applies_the_scenario_weights() {
-        let sc = FleetScenario {
-            axis_weights: (1.0, 3.0),
-            ..small()
-        };
-        let fleet = WeightedEuclidean::make_fleet(&sc);
-        let idx = WeightedEuclidean::build_index(&sc, &fleet, 0);
-        assert_eq!(idx.weights(), AxisWeights::new(1.0, 3.0).unwrap());
-        // Same data points as the Euclidean index, different metric.
-        let plain = Euclidean::build_index(&small(), &Euclidean::make_fleet(&small()), 0);
-        assert_eq!(idx.len(), plain.len());
-    }
-
-    #[test]
-    fn bad_weights_fall_back_to_unit() {
-        let sc = FleetScenario {
-            axis_weights: (0.0, -1.0),
-            ..small()
-        };
-        assert_eq!(sc.weights(), AxisWeights::UNIT);
     }
 
     #[test]

@@ -1,41 +1,54 @@
-//! The third space: moving kNN under a weighted (anisotropic) Euclidean
-//! metric — travel time in a city whose north–south streets are 2.5x
-//! slower than its east–west avenues.
+//! Moving kNN under a weighted (anisotropic) Euclidean metric — travel
+//! time in a city whose north–south streets are 2.5x slower than its
+//! east–west avenues — with nothing but the Euclidean space.
 //!
-//! The whole stack is the same generic code as the Euclidean and
-//! road-network modes: `WeightedVorTree` is a coordinate transform over
-//! the VoR-tree, `WInsProcessor` is the generic INS processor
-//! instantiated for the `WeightedEuclidean` space, and the epoch-
-//! versioned `World` + `FleetEngine` work unchanged (including delta
-//! epochs via `World::apply`).
+//! The metric `sqrt(wx²·dx² + wy²·dy²)` is plain L2 after scaling every
+//! coordinate by `(wx, wy)`. So the caller scales the POIs and the clip
+//! window once, builds an ordinary `VorTree`, and ticks an ordinary
+//! `InsProcessor` at the scaled position: the scaled Voronoi diagram is
+//! the weighted Voronoi diagram of the original POIs, and every INS
+//! guarantee carries over unchanged. Every tick is checked against brute
+//! force in the scaled space.
 //!
 //! Run with: `cargo run --release --example weighted_space`
 
-use std::sync::Arc;
-
 use insq::prelude::*;
+
+/// Per-axis weights: the y axis is 2.5x slower than x.
+const WX: f64 = 1.0;
+const WY: f64 = 2.5;
+
+/// Maps a point into the space where the weighted metric is plain L2.
+fn scale(p: Point) -> Point {
+    Point::new(p.x * WX, p.y * WY)
+}
 
 fn main() {
     let space = Aabb::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
     let pois = Distribution::Uniform.generate(4_000, &space, 11);
-    let weights = AxisWeights::new(1.0, 2.5).unwrap();
+    let window = space.inflated(10.0);
 
-    // Two indexes over the SAME points: plain L2 and travel-time metric.
-    let plain = VorTree::build(pois.clone(), space.inflated(10.0)).unwrap();
-    let weighted = WeightedVorTree::build(pois, space.inflated(10.0), weights).unwrap();
+    // Two indexes over the SAME POIs: straight-line distance, and travel
+    // time as L2 over the scaled coordinates.
+    let plain = VorTree::build(pois.clone(), window).unwrap();
+    let scaled = VorTree::build(
+        pois.into_iter().map(scale).collect(),
+        Aabb::new(scale(window.min), scale(window.max)),
+    )
+    .unwrap();
 
     // A commuter driving east along the city's fast axis.
     let traj = Trajectory::new(vec![Point::new(5.0, 48.0), Point::new(95.0, 53.0)]).unwrap();
     let k = 5;
     let mut q_plain = InsProcessor::new(&plain, InsConfig::with_k(k)).unwrap();
-    let mut q_weighted = WInsProcessor::new(&weighted, InsConfig::with_k(k)).unwrap();
+    let mut q_weighted = InsProcessor::new(&scaled, InsConfig::with_k(k)).unwrap();
 
     let ticks = 2_000;
     let mut differing = 0usize;
     for tick in 0..ticks {
         let pos = traj.position(traj.length() * tick as f64 / ticks as f64);
         q_plain.tick(pos);
-        q_weighted.tick(pos);
+        q_weighted.tick(scale(pos));
         let mut a = q_plain.current_knn();
         let mut b = q_weighted.current_knn();
         a.sort_unstable();
@@ -44,79 +57,22 @@ fn main() {
             differing += 1;
         }
         // Exactness in the weighted metric, every tick.
-        let mut want = weighted.knn_brute(pos, k);
+        let mut want = scaled.voronoi().knn_brute(scale(pos), k);
         want.sort_unstable();
         assert_eq!(b, want, "weighted result must equal weighted brute force");
     }
     println!(
-        "{} of {ticks} ticks: travel-time 5-NN differs from straight-line 5-NN \
-         (wy = {}x slower)",
-        differing, weights.y
+        "{differing} of {ticks} ticks: travel-time {k}-NN differs from straight-line \
+         {k}-NN (y axis {WY}x slower)"
     );
     let s = q_weighted.stats();
     println!(
-        "weighted INS: {} valid | {} local | {} recomputations | {} objects shipped",
+        "weighted INS: {} valid | {} local | {} recomputations | {} objects shipped — \
+         every tick equals weighted brute force",
         s.valid_ticks,
         s.swaps + s.local_reranks,
         s.recomputations,
         s.comm_objects
     );
     assert!(differing > 0, "anisotropy must change some answers");
-
-    // The system layer is space-generic too: a fleet over an
-    // epoch-versioned weighted world, with a delta epoch mid-run.
-    let sc = FleetScenario {
-        clients: 500,
-        n: 4_000,
-        k,
-        ticks: 60,
-        updates: vec![],
-        axis_weights: (weights.x, weights.y),
-        seed: 7,
-        ..Default::default()
-    };
-    let trajs: Vec<Trajectory> = (0..sc.clients).map(|c| sc.client_trajectory(c)).collect();
-    let world = Arc::new(World::new(
-        WeightedVorTree::build(sc.points(0), sc.clip_window(), sc.weights()).unwrap(),
-    ));
-    let mut fleet: FleetEngine<WeightedVorTree, WFleetQuery> =
-        FleetEngine::new(Arc::clone(&world), FleetConfig::with_threads(2));
-    for _ in 0..sc.clients {
-        fleet.register(WFleetQuery::new(&world, InsConfig::new(sc.k, sc.rho)).unwrap());
-    }
-    for tick in 0..sc.ticks {
-        if tick == 30 {
-            // POI feed update as a delta epoch — same World::apply as the
-            // other spaces, insertions given in original coordinates.
-            let delta = SiteDelta {
-                added: Distribution::Clustered {
-                    clusters: 2,
-                    spread: 0.04,
-                }
-                .generate(20, &sc.data_space(), 99),
-                removed: (0..30).map(|i| SiteId(i * 111)).collect(),
-            };
-            let epoch = world.apply(&delta).unwrap();
-            println!("tick {tick}: delta epoch applied -> {epoch}");
-        }
-        fleet.tick_all(|id| sc.position(&trajs[id.index()], id.index(), tick));
-    }
-    let (_, live) = world.snapshot();
-    for c in [0usize, 250, 499] {
-        let q = fleet.query(QueryId(c as u64)).unwrap();
-        let mut got = q.current_knn();
-        got.sort_unstable();
-        let mut want = live.knn_brute(sc.position(&trajs[c], c, sc.ticks - 1), sc.k);
-        want.sort_unstable();
-        assert_eq!(got, want, "fleet client {c} exact on the live epoch");
-    }
-    let fs = fleet.stats();
-    println!(
-        "fleet: {} clients x {} ticks, {:.0}k ticks/s, recompute rate {:.4} — all \
-         spot checks equal weighted brute force",
-        sc.clients,
-        sc.ticks,
-        fs.ticks_per_sec() / 1e3,
-        fs.recompute_rate()
-    );
 }

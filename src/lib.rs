@@ -6,11 +6,11 @@
 //! robust computational geometry, Delaunay/Voronoi construction, R-/VoR-
 //! trees, road networks with network Voronoi diagrams, the INS algorithm
 //! — implemented once, generically over a [`core::Space`], and
-//! instantiated for the Euclidean plane, road networks, and weighted
-//! (anisotropic) Euclidean distance — the competing baselines, the
-//! paper-side geometry and oracles behind its figures ([`paper`]:
-//! polygons, order-k cells, the exact MIS), a simulation/benchmark harness reproducing the paper's demonstration and
-//! the companion evaluation, and the system layer itself: a concurrent
+//! instantiated for the Euclidean plane and road networks — the
+//! competing baselines, the paper-side geometry and oracles behind its
+//! figures ([`paper`]: polygons, order-k cells, the exact MIS), a
+//! simulation/benchmark harness reproducing the paper's demonstration
+//! and the companion evaluation, and the system layer itself: a concurrent
 //! multi-query fleet engine over epoch-versioned worlds ([`server`]),
 //! served over TCP by a framed, versioned wire protocol with session
 //! management and epoch push ([`net`]).
@@ -60,21 +60,14 @@
 //! assert!(query.stats().comm_objects < 100); // vs 600 for naive (3/tick)
 //! ```
 //!
-//! ## A third space: weighted (anisotropic) Euclidean
+//! ## Anisotropic metrics
 //!
-//! ```
-//! use insq::prelude::*;
-//!
-//! // Travel-time metric: the y axis is 2.5x slower than x.
-//! let bounds = Aabb::new(Point::new(0.0, 0.0), Point::new(100.0, 100.0));
-//! let points = Distribution::Uniform.generate(400, &bounds, 9);
-//! let w = AxisWeights::new(1.0, 2.5).unwrap();
-//! let index = WeightedVorTree::build(points, bounds.inflated(10.0), w).unwrap();
-//!
-//! let mut query = WInsProcessor::new(&index, InsConfig::with_k(4)).unwrap();
-//! query.tick(Point::new(50.0, 50.0));
-//! assert_eq!(query.current_knn().len(), 4);
-//! ```
+//! A per-axis weighted metric `sqrt(wx²·dx² + wy²·dy²)` — travel time
+//! where the axes have different speeds — needs no space of its own: it
+//! is plain L2 after scaling every coordinate by `(wx, wy)`. Scale the
+//! data objects and the clip window, build a [`index::VorTree`], and
+//! tick an [`core::InsProcessor`] at the scaled position
+//! (`examples/weighted_space.rs`).
 //!
 //! ## Many queries at once (the INSQ *system*)
 //!
@@ -84,8 +77,8 @@
 //! parallel, deterministic, and with data-object updates reduced to one
 //! [`server::World::publish`] call (see the README's fleet quick start
 //! and `examples/fleet.rs`). All of it is generic over the
-//! [`core::Space`]; the `SpaceQuery` fleet client works unchanged for
-//! every space above.
+//! [`core::Space`]; the `SpaceQuery` fleet client works unchanged in
+//! both spaces above.
 //!
 //! See the `examples/` directory for the demonstration scenarios and
 //! `insq-bench` for the full experiment harness.
@@ -114,11 +107,10 @@ pub mod prelude {
     pub use insq_cluster::{ClientId, ClusterPlan, PartitionGroup, RouterConfig, RouterServer};
     pub use insq_core::{
         influential_neighbor_set, Euclidean, InsConfig, InsProcessor, MovingKnn, NetInsConfig,
-        NetInsProcessor, Network, Processor, QueryStats, Space, TickOutcome, WInsProcessor,
-        WeightedEuclidean,
+        NetInsProcessor, Network, Processor, QueryStats, Space, TickOutcome,
     };
     pub use insq_geom::{Aabb, Circle, Point, Trajectory, Vector};
-    pub use insq_index::{AxisWeights, RTree, SiteDelta, VorTree, WeightedVorTree};
+    pub use insq_index::{RTree, SiteDelta, VorTree};
     pub use insq_net::{
         ClientCore, ClientEvent, Message, NetClient, NetServer, NetServerConfig, SpaceKind,
         WireSpace,
@@ -132,7 +124,7 @@ pub mod prelude {
     };
     pub use insq_server::{
         Epoch, FleetConfig, FleetEngine, FleetQuery, FleetStats, InsFleetQuery, NetFleetQuery,
-        QueryId, SpaceQuery, TickDisposition, TickPolicy, TickPos, TickSummary, WFleetQuery, World,
+        QueryId, SpaceQuery, TickDisposition, TickPolicy, TickPos, TickSummary, World,
     };
     pub use insq_sim::{run_euclidean, run_network, Comparison, RunRecord};
     pub use insq_voronoi::{SiteId, Voronoi};

@@ -33,7 +33,7 @@ const CONE: [(&str, &[&str]); 8] = [
         ],
     ),
     ("insq-voronoi", &["delaunay", "diagram", "dynamic"]),
-    ("insq-index", &["delta", "rtree", "vortree", "weighted"]),
+    ("insq-index", &["delta", "rtree", "vortree"]),
     (
         "insq-roadnet",
         &[
@@ -61,7 +61,6 @@ const CONE: [(&str, &[&str]); 8] = [
             "network",
             "processor",
             "space",
-            "weighted",
         ],
     ),
     (
