@@ -4,6 +4,7 @@
 //! and trajectory, so the rows of each table differ only in the method.
 //! Sweep cells are independent and run on a small thread pool.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use insq_baselines::{NaiveProcessor, OkvProcessor, VStarConfig, VStarProcessor};
@@ -251,6 +252,15 @@ pub fn e6_distribution(effort: Effort) -> String {
     out
 }
 
+/// Mean wall-clock nanoseconds per call of `f` over `reps` calls.
+fn mean_ns(reps: usize, mut f: impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    t0.elapsed().as_nanos() as f64 / reps as f64
+}
+
 /// E8: isolated per-tick validation kernels, wall-clock.
 pub fn e8_validation_micro(effort: Effort) -> String {
     let reps = match effort {
@@ -276,25 +286,17 @@ pub fn e8_validation_micro(effort: Effort) -> String {
     let retrieved: Vec<_> = index.knn(q, k + x).into_iter().collect();
     let known_radius = retrieved.last().expect("non-empty").1;
 
-    let time = |f: &mut dyn FnMut()| -> f64 {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            f();
-        }
-        t0.elapsed().as_nanos() as f64 / reps as f64
-    };
-
     let q2 = Point::new(q.x + 0.02, q.y - 0.01);
     let points = index.voronoi().points();
     let mut acc = 0u64;
-    let ins_ns = time(&mut || {
+    let ins_ns = mean_ns(reps, || {
         let v = insq_core::validate_by_distance(points, q2, &knn, &ins);
         acc += v.valid as u64;
     });
-    let okv_ns = time(&mut || {
+    let okv_ns = mean_ns(reps, || {
         acc += cell.contains(q2) as u64;
     });
-    let vstar_ns = time(&mut || {
+    let vstar_ns = mean_ns(reps, || {
         // Known-region check: k-th retrieved distance vs shrunk radius.
         let kth = retrieved[k - 1].0;
         let d = index.point(kth).distance(q2);
@@ -330,44 +332,45 @@ pub fn e9_construction_micro(effort: Effort) -> String {
     let q = Point::new(47.3, 52.9);
     let mut out = String::from("per-recomputation construction kernels (n=10000, ns mean)\n");
     out.push_str(&format!(
-        "{:<4} {:>14} {:>18} {:>16}\n",
-        "k", "INS (I(kNN))", "OkV (order-k cell)", "V* (k+x search)"
+        "{:<4} {:>14} {:>18} {:>16} {:>18}\n",
+        "k", "INS (I(kNN))", "OkV (order-k cell)", "V* (k+x search)", "INS (rho*k-NN + I)"
     ));
     for &k in &[2usize, 8, 32] {
         let knn: Vec<_> = index.knn(q, k).into_iter().map(|(s, _)| s).collect();
         let voronoi = index.voronoi();
         let mut sink = 0usize;
 
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            sink += influential_neighbor_set(voronoi, &knn).len();
-        }
-        let ins_ns = t0.elapsed().as_nanos() as f64 / reps as f64;
+        let ins_ns = mean_ns(reps, || {
+            sink += influential_neighbor_set(voronoi, &knn).len()
+        });
 
         let ins_set = influential_neighbor_set(voronoi, &knn);
-        let t0 = Instant::now();
-        for _ in 0..reps {
+        let okv_ns = mean_ns(reps, || {
             sink +=
-                insq_paper::order_k_cell(voronoi.points(), &knn, &ins_set, &voronoi.bounds()).len();
-        }
-        let okv_ns = t0.elapsed().as_nanos() as f64 / reps as f64;
+                insq_paper::order_k_cell(voronoi.points(), &knn, &ins_set, &voronoi.bounds()).len()
+        });
 
         let x = (k / 2).max(2);
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            sink += rtree.knn(q, k + x).len();
-        }
-        let vstar_ns = t0.elapsed().as_nanos() as f64 / reps as f64;
+        let vstar_ns = mean_ns(reps, || sink += rtree.knn(q, k + x).len());
+
+        // The whole INS recomputation, to set beside V*'s search: the
+        // ⌊ρk⌋-NN prefetch plus the neighbor union of what it returns.
+        let m = InsConfig::new(k, 1.6).prefetch_count();
+        let full_ns = mean_ns(reps, || {
+            let r: Vec<_> = index.knn(q, m).into_iter().map(|(s, _)| s).collect();
+            black_box(influential_neighbor_set(voronoi, &r));
+        });
 
         out.push_str(&format!(
-            "{:<4} {:>14.0} {:>18.0} {:>16.0}   (sink {sink})\n",
-            k, ins_ns, okv_ns, vstar_ns
+            "{:<4} {:>14.0} {:>18.0} {:>16.0} {:>18.0}   (sink {sink})\n",
+            k, ins_ns, okv_ns, vstar_ns, full_ns
         ));
     }
     out.push_str(
         "\nexpected shape: INS construction (a neighbor-list union) is the cheapest\n\
          and grows linearly in k; materialising the order-k cell costs a cascade of\n\
-         half-plane clips, an order of magnitude more; V* pays one small kNN search.\n",
+         half-plane clips, an order of magnitude more; V* pays one small kNN search\n\
+         (k+x objects), a whole INS recomputation one of rho*k objects plus the union.\n",
     );
     out
 }
@@ -473,17 +476,9 @@ pub fn ablation(effort: Effort) -> String {
     };
     let q = Point::new(33.0, 61.0);
     let mut sink = 0usize;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        sink += index.knn(q, 13).len();
-    }
-    let vor_ns = t0.elapsed().as_nanos() as f64 / reps as f64;
+    let vor_ns = mean_ns(reps, || sink += index.knn(q, 13).len());
     let rtree = index.rtree();
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        sink += rtree.knn(q, 13).len();
-    }
-    let rtree_ns = t0.elapsed().as_nanos() as f64 / reps as f64;
+    let rtree_ns = mean_ns(reps, || sink += rtree.knn(q, 13).len());
     out.push_str(&format!(
         "\nkNN search (k+x = 13, mean of {reps} reps; sink {sink}):\n\
          VoR-tree (1NN walk + Voronoi expansion):    {vor_ns:>8.0} ns\n\

@@ -2,7 +2,7 @@
 
 use insq_core::{
     influential_neighbor_set, influential_neighbor_set_net, InsConfig, InsProcessor, MovingKnn,
-    NetInsConfig, NetInsProcessor,
+    NetInsProcessor,
 };
 use insq_geom::{Aabb, Point, Trajectory};
 use insq_index::VorTree;
@@ -200,7 +200,7 @@ pub fn fig3(effort: Effort) -> String {
     let world = insq_roadnet::NetworkWorld::build(std::sync::Arc::clone(&net), sites);
     let tour = NetTrajectory::random_tour(&net, 8, 2).expect("connected");
     let mut query =
-        NetInsProcessor::new(&world, NetInsConfig::new(5, 1.6)).expect("valid configuration");
+        NetInsProcessor::new(&world, InsConfig::new(5, 1.6)).expect("valid configuration");
 
     let ticks = effort.ticks(1_500);
     let speed = tour.length() / ticks as f64;

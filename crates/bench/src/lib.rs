@@ -6,10 +6,10 @@
 //! are the repository benchmark's (`BENCHMARK.json`, `benchmark/`).
 //!
 //! Each experiment is a pure function from an [`Effort`] level to a text
-//! report; the `report` binary selects and prints them. Criterion
-//! micro-benchmarks for the validation/construction/update kernels live
-//! in `benches/`; the `soak` binary (with [`latency`]) is the
-//! many-session scale test of the serving layer.
+//! report; the `report` binary selects and prints them. Kernel timings
+//! are rows of the experiment that owns their axis (E8 validation, E9
+//! construction, the ablation's kNN search); the `soak` binary (with
+//! [`latency`]) is the many-session scale test of the serving layer.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

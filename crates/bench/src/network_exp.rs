@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use insq_baselines::NetNaiveProcessor;
-use insq_core::{NetInsConfig, NetInsProcessor};
+use insq_core::{InsConfig, NetInsProcessor};
 use insq_roadnet::generators::{
     grid_network, random_site_vertices, ring_radial_network, GridConfig,
 };
@@ -54,7 +54,7 @@ pub fn e7_network_vs_k(effort: Effort) -> String {
 
     let cells = parallel_map(ks, |&k| {
         let mut ins =
-            NetInsProcessor::new(&world, NetInsConfig::new(k, 1.6)).expect("valid configuration");
+            NetInsProcessor::new(&world, InsConfig::new(k, 1.6)).expect("valid configuration");
         let run_ins = run_network(&mut ins, &net, &tour, ticks, 0.03);
         let mut naive = NetNaiveProcessor::new(&net, &world.sites, k).expect("valid configuration");
         let run_naive = run_network(&mut naive, &net, &tour, ticks, 0.03);
@@ -107,7 +107,7 @@ fn run_pair(net: RoadNetwork, site_count: usize, k: usize, ticks: usize) -> Stri
     let world = NetworkWorld::build(Arc::clone(&net), sites);
     let tour = NetTrajectory::random_tour(&net, 10, 9).expect("connected");
     let mut out = String::new();
-    let mut ins = NetInsProcessor::new(&world, NetInsConfig::new(k, 1.6)).expect("valid");
+    let mut ins = NetInsProcessor::new(&world, InsConfig::new(k, 1.6)).expect("valid");
     let run_ins = run_network(&mut ins, &net, &tour, ticks, 0.03);
     let mut naive = NetNaiveProcessor::new(&net, &world.sites, k).expect("valid");
     let run_naive = run_network(&mut naive, &net, &tour, ticks, 0.03);

@@ -56,12 +56,6 @@ pub use network::{
 pub use processor::{InsConfig, MovingKnn, Processor};
 pub use space::{DeltaIndex, Space, TouchedSet, Verdict};
 
-/// The network processor configuration — identical to [`InsConfig`] now
-/// that one generic processor serves every space (the
-/// `incremental_fetch` flag is moot on road networks, where
-/// [`Space::IMPLICIT_FETCH`] applies).
-pub type NetInsConfig = InsConfig;
-
 /// Errors from processor construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoreError {

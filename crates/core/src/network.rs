@@ -18,8 +18,8 @@
 //!   Voronoi diagram's adjacency (Theorem 1: `MIS ⊆ INS` holds under
 //!   network distance as well);
 //! * the restricted probe is served from the NVD, whose neighbor
-//!   pointers travel with the response — so missing influential
-//!   neighbors are fetched implicitly ([`Space::IMPLICIT_FETCH`])
+//!   pointers travel with the response — the probe *is* the fetch, so
+//!   missing influential neighbors ship with it ([`Space::SCOPED_PROBE`])
 //!   instead of escalating to a full INE recomputation.
 //!
 //! The index snapshot is a [`NetworkWorld`] (network + sites + NVD);
@@ -63,11 +63,10 @@ impl Space for Network {
     type Anchor = EdgeAnchors;
 
     const NAME: &'static str = "INS-road";
-    const IMPLICIT_FETCH: bool = true;
     // Theorem-2 restricted validation: the probe never leaves the
-    // `kNN ∪ I(kNN)` cells, the scope is maintained, and the cache
-    // holds `R ∪ I(kNN)`.
-    const SCOPED_VALIDATION: bool = true;
+    // `kNN ∪ I(kNN)` cells, the scope is maintained, the cache holds
+    // `R ∪ I(kNN)`, and missing neighbors ship with the probe.
+    const SCOPED_PROBE: bool = true;
 
     fn num_sites(index: &NetworkWorld) -> usize {
         index.sites.len()

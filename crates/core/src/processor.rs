@@ -75,9 +75,9 @@ pub struct InsConfig {
     /// those objects instead of performing a full recomputation. This
     /// turns the processor into an incremental neighbor-crawler that
     /// almost never pays a full round trip, at the cost of an unbounded
-    /// client buffer. The ablation bench quantifies the trade-off.
-    /// Spaces with [`Space::IMPLICIT_FETCH`] (road networks) behave this
-    /// way regardless.
+    /// client buffer. `report`'s ablation quantifies the trade-off.
+    /// Spaces with [`Space::SCOPED_PROBE`] (road networks) behave this
+    /// way regardless: their validation probe is the fetch.
     pub incremental_fetch: bool,
 }
 
@@ -128,11 +128,11 @@ pub struct Processor<S: Space, B: Borrow<S::Index>> {
     /// The certified neighborhood `kNN ∪ I(kNN)` a scope-probing
     /// validation reads (Theorem 2's subnetwork on road networks);
     /// empty in scan-validating spaces (see
-    /// [`Space::SCOPED_VALIDATION`]).
+    /// [`Space::SCOPED_PROBE`]).
     scope: Vec<S::SiteId>,
     /// Client-side object cache: the prefetch set `R` plus its cached
     /// influential set (`I(R)` or `I(kNN)`, see
-    /// [`Space::SCOPED_VALIDATION`]) plus everything fetched since the
+    /// [`Space::SCOPED_PROBE`]) plus everything fetched since the
     /// last full recomputation. Sized to the held set, not the index.
     held: HeldSet<S::SiteId>,
     /// Own search scratch, used only by the standalone
@@ -243,7 +243,7 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
     /// The certified neighborhood a scope-probing validation reads:
     /// `kNN ∪ I(kNN)` (on road networks, the sites whose Voronoi cells
     /// form the Theorem-2 subnetwork). Empty in spaces that validate by
-    /// scan instead (`Space::SCOPED_VALIDATION = false`), whose probes
+    /// scan instead (`Space::SCOPED_PROBE = false`), whose probes
     /// never read it — use [`Processor::influential_set`] for `I(kNN)`
     /// on demand.
     pub fn scope(&self) -> &[S::SiteId] {
@@ -375,13 +375,13 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
         self.knn.clear();
         self.knn.extend_from_slice(&r[..self.cfg.k.min(r.len())]);
 
-        // Cache and scope policy (see `Space::SCOPED_VALIDATION`):
+        // Cache and scope policy (see `Space::SCOPED_PROBE`):
         // scope-probing spaces hold `R ∪ I(kNN)` and maintain the
         // probe's scope; scan-validating spaces follow the paper's §III
         // protocol (`R ∪ I(R)`) and skip the scope, which their probes
         // never read. Only genuinely new objects cost communication.
         let mut ins = std::mem::take(&mut self.ins_buf);
-        if S::SCOPED_VALIDATION {
+        if S::SCOPED_PROBE {
             // `r` is sorted ascending and the kNN is its prefix, so the
             // kNN ids are exactly the first `knn.len()` entries of
             // `r_ids`.
@@ -447,7 +447,7 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
                 return None;
             }};
         }
-        let fetch_allowed = S::IMPLICIT_FETCH || self.cfg.incremental_fetch;
+        let fetch_allowed = S::SCOPED_PROBE || self.cfg.incremental_fetch;
         if !missing.is_empty() && !fetch_allowed {
             // Paper protocol: local updates use held objects only;
             // anything else is a full recomputation (case (iii)).
@@ -523,7 +523,7 @@ impl<S: Space, B: Borrow<S::Index>> Processor<S, B> {
         } else {
             TickOutcome::LocalRerank
         };
-        if S::SCOPED_VALIDATION {
+        if S::SCOPED_PROBE {
             std::mem::swap(&mut self.scope, &mut scope2);
         }
         std::mem::swap(&mut self.knn, &mut res);

@@ -62,19 +62,13 @@ pub trait Space: Sized + Copy + Send + Sync + 'static {
     /// Short human-readable method name ("INS", "INS-road", …).
     const NAME: &'static str;
 
-    /// Whether influential neighbors missing from the client cache are
-    /// fetched implicitly during a local update. On road networks the INS
-    /// pointers travel with the NVD adjacency, so the restricted
-    /// (server-side) probe ships them as a matter of course; in the
-    /// Euclidean paper protocol a local update uses held objects only
-    /// and anything else escalates to a full recomputation (unless the
-    /// `incremental_fetch` extension is enabled per query).
-    const IMPLICIT_FETCH: bool = false;
-
-    /// Whether validation probes the stored `kNN ∪ I(kNN)` scope (the
-    /// Theorem-2 restricted search on road networks) rather than
-    /// re-scanning the held objects (the §III-A scan of Euclidean
-    /// spaces). Two per-space behaviors follow from this:
+    /// Whether validation is a server-side probe of the stored
+    /// `kNN ∪ I(kNN)` scope (the Theorem-2 restricted search on road
+    /// networks) rather than a scan of the held objects (the §III-A scan
+    /// of the Euclidean space). Such a probe *is* the fetch: it is served
+    /// from the index, whose neighbor pointers travel with the response,
+    /// so everything the protocol varies per space follows from this one
+    /// fact:
     ///
     /// * **scope maintenance** — scope-probing spaces keep the scope up
     ///   to date across recomputations and adoptions; scan-validating
@@ -84,12 +78,17 @@ pub trait Space: Sized + Copy + Send + Sync + 'static {
     ///   case-(ii) local re-ranks can draw on the full prefetch set;
     ///   a scope-probing space confines the cache to `R ∪ I(kNN)`,
     ///   because objects outside the probed cells would be dead
-    ///   communication weight.
+    ///   communication weight;
+    /// * **fetch** — influential neighbors missing from the client cache
+    ///   ship with the probe during a local update; a scanning space
+    ///   uses held objects only and escalates anything else to a full
+    ///   recomputation (unless the query enables
+    ///   [`crate::InsConfig::incremental_fetch`]).
     ///
     /// A space that keeps the default probe-based
     /// [`Space::validate_into`] must set this to `true`; spaces that
     /// override it with a scan leave it `false`.
-    const SCOPED_VALIDATION: bool = false;
+    const SCOPED_PROBE: bool = false;
 
     /// Number of data objects in the snapshot.
     fn num_sites(index: &Self::Index) -> usize;

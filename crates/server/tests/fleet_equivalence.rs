@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
-use insq_core::{InsConfig, InsProcessor, MovingKnn, NetInsConfig, NetInsProcessor, QueryStats};
+use insq_core::{InsConfig, InsProcessor, MovingKnn, NetInsProcessor, QueryStats};
 use insq_geom::{Point, Trajectory};
 use insq_index::{SiteDelta, VorTree};
 use insq_roadnet::generators::{grid_network, random_site_vertices, GridConfig};
@@ -566,7 +566,7 @@ fn network_delta_epoch_matches_full_publish() {
         let mut fleet: FleetEngine<NetworkWorld, NetFleetQuery> =
             FleetEngine::new(Arc::clone(&world), FleetConfig { shards: 4, threads });
         for _ in 0..clients {
-            fleet.register(NetFleetQuery::new(&world, NetInsConfig::new(k, 1.6)).unwrap());
+            fleet.register(NetFleetQuery::new(&world, InsConfig::new(k, 1.6)).unwrap());
         }
         for tick in 0..ticks {
             if tick == swap_at {
@@ -676,7 +676,7 @@ fn network_fleet_streams_through_a_traffic_epoch() {
         let mut fleet: FleetEngine<NetworkWorld, NetFleetQuery> =
             FleetEngine::new(Arc::clone(&world), FleetConfig { shards: 4, threads });
         for _ in 0..clients {
-            fleet.register(NetFleetQuery::new(&world, NetInsConfig::new(k, 1.6)).unwrap());
+            fleet.register(NetFleetQuery::new(&world, InsConfig::new(k, 1.6)).unwrap());
         }
         for tick in 0..ticks {
             if tick == swap_at {
@@ -775,7 +775,7 @@ fn network_fleet_stays_exact_when_traffic_lands_inside_warm_subnetworks() {
         let mut fleet: FleetEngine<NetworkWorld, NetFleetQuery> =
             FleetEngine::new(Arc::clone(&world), FleetConfig { shards: 4, threads });
         for _ in 0..clients {
-            fleet.register(NetFleetQuery::new(&world, NetInsConfig::new(k, 1.6)).unwrap());
+            fleet.register(NetFleetQuery::new(&world, InsConfig::new(k, 1.6)).unwrap());
         }
         let mut stream = Vec::new();
         let mut hit_warm = 0;
@@ -874,7 +874,7 @@ fn assert_network_fleet_matches_sequential(
     // Sequential reference with a manual rebind.
     let reference: Vec<(Vec<insq_roadnet::SiteIdx>, QueryStats)> = (0..clients)
         .map(|c| {
-            let mut p = NetInsProcessor::new(&world_a, NetInsConfig::new(k, 1.6)).unwrap();
+            let mut p = NetInsProcessor::new(&world_a, InsConfig::new(k, 1.6)).unwrap();
             for tick in 0..ticks {
                 if tick == swap_at {
                     p.rebind(&world_b);
@@ -894,7 +894,7 @@ fn assert_network_fleet_matches_sequential(
         let mut fleet: FleetEngine<NetworkWorld, NetFleetQuery> =
             FleetEngine::new(Arc::clone(&world), FleetConfig { shards: 5, threads });
         for _ in 0..clients {
-            fleet.register(NetFleetQuery::new(&world, NetInsConfig::new(k, 1.6)).unwrap());
+            fleet.register(NetFleetQuery::new(&world, InsConfig::new(k, 1.6)).unwrap());
         }
         let probe = SpawnProbe::new(hold_caller);
         for tick in 0..ticks {

@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn network_engine_runs_and_records() {
-        use insq_core::{NetInsConfig, NetInsProcessor};
+        use insq_core::NetInsProcessor;
         use insq_roadnet::generators::{grid_network, random_site_vertices, GridConfig};
         use insq_roadnet::{NetTrajectory, NetworkWorld, SiteSet};
 
@@ -123,7 +123,7 @@ mod tests {
         let sites = SiteSet::new(&net, random_site_vertices(&net, 15, 11).unwrap()).unwrap();
         let world = NetworkWorld::build(std::sync::Arc::clone(&net), sites);
         let tour = NetTrajectory::random_tour(&net, 5, 11).unwrap();
-        let mut p = NetInsProcessor::new(&world, NetInsConfig::new(3, 1.6)).unwrap();
+        let mut p = NetInsProcessor::new(&world, InsConfig::new(3, 1.6)).unwrap();
         let run = run_network(&mut p, &net, &tour, 150, 0.1);
         assert_eq!(run.len(), 150);
         assert_eq!(run.stats.ticks, 150);

@@ -50,7 +50,7 @@ fn main() {
 
     let mut comparison = Comparison::new();
     let mut ins =
-        NetInsProcessor::new(&world, NetInsConfig::new(k, 1.6)).expect("valid configuration");
+        NetInsProcessor::new(&world, InsConfig::new(k, 1.6)).expect("valid configuration");
     let run_ins = run_network(&mut ins, &net, &tour, ticks, speed);
 
     let mut naive = NetNaiveProcessor::new(&net, &world.sites, k).expect("valid configuration");

@@ -49,7 +49,7 @@
 //! // One snapshot value: network + sites + precomputed NVD.
 //! let world = NetworkWorld::build(Arc::clone(&net), stations);
 //!
-//! let mut query = NetInsProcessor::new(&world, NetInsConfig::with_k(3)).unwrap();
+//! let mut query = NetInsProcessor::new(&world, InsConfig::with_k(3)).unwrap();
 //! let tour = NetTrajectory::random_tour(&net, 6, 1).unwrap();
 //! for tick in 0..200 {
 //!     // Per tick: one restricted search on the kNN ∪ INS subnetwork
@@ -106,8 +106,8 @@ pub mod prelude {
     };
     pub use insq_cluster::{ClientId, ClusterPlan, PartitionGroup, RouterConfig, RouterServer};
     pub use insq_core::{
-        influential_neighbor_set, Euclidean, InsConfig, InsProcessor, MovingKnn, NetInsConfig,
-        NetInsProcessor, Network, Processor, QueryStats, Space, TickOutcome,
+        influential_neighbor_set, Euclidean, InsConfig, InsProcessor, MovingKnn, NetInsProcessor,
+        Network, Processor, QueryStats, Space, TickOutcome,
     };
     pub use insq_geom::{Aabb, Circle, Point, Trajectory, Vector};
     pub use insq_index::{RTree, SiteDelta, VorTree};

@@ -55,7 +55,7 @@ fn network_quickstart_path() {
     let stations = SiteSet::new(&net, random_site_vertices(&net, 20, 7).unwrap()).unwrap();
     let world = NetworkWorld::build(std::sync::Arc::clone(&net), stations);
 
-    let mut query = NetInsProcessor::new(&world, NetInsConfig::with_k(3)).unwrap();
+    let mut query = NetInsProcessor::new(&world, InsConfig::with_k(3)).unwrap();
     let tour = NetTrajectory::random_tour(&net, 6, 1).unwrap();
     for tick in 0..200 {
         query.tick(tour.position_looped(&net, 0.05 * tick as f64));
